@@ -109,15 +109,16 @@ class ObjectPool:
     def __init__(self, objects: Iterable[BaseObject] = ()):
         self._objects: Dict[str, BaseObject] = {}
         # Copy-on-write bookkeeping for capture(): the last captured (or
-        # restored) state per object, reusable while the object stays
-        # clean.  Dirtiness is tracked at the only mutation point the
-        # kernel has — apply().  The fingerprint cache is invalidated the
-        # same way, which makes snapshot_state() incremental: along an
-        # exploration path only the one object a step touched is
-        # re-fingerprinted.
+        # restored) state dict, never mutated in place, whose entries are
+        # reusable while their objects stay clean.  Dirtiness is tracked
+        # at the only mutation point the kernel has — apply().  The
+        # fingerprint caches are invalidated the same way, which makes
+        # snapshot_state() incremental: along an exploration path only
+        # the one object a step touched is re-fingerprinted.
         self._baseline: Dict[str, Any] = {}
         self._dirty: set = set()
         self._fp_cache: Dict[str, Hashable] = {}
+        self._state: Optional[Tuple[Tuple[str, Hashable], ...]] = None
         self._sorted_names: List[str] = []
         for obj in objects:
             self.add(obj)
@@ -142,6 +143,7 @@ class ObjectPool:
         """Route one atomic primitive application."""
         self._dirty.add(name)
         self._fp_cache.pop(name, None)
+        self._state = None
         return self.get(name).apply(method, args)
 
     def footprint(
@@ -158,31 +160,32 @@ class ObjectPool:
         """Names of all registered objects, sorted."""
         return sorted(self._objects)
 
-    def snapshot_state(self) -> Hashable:
+    def snapshot_state(self) -> Tuple[Tuple[str, Hashable], ...]:
         """Combined fingerprint of every object in the pool.
 
         Incremental: an object's fingerprint is recomputed only if it
         was applied to (or the pool restored without a fingerprint seed)
-        since the last call.
+        since the last call, and the combined tuple only after some
+        object was.
         """
-        cache = self._fp_cache
-        for name in self._sorted_names:
-            if name not in cache:
-                cache[name] = self._objects[name].snapshot_state()
-        return tuple((name, cache[name]) for name in self._sorted_names)
-
-    def fingerprint_parts(self) -> Dict[str, Hashable]:
-        """Per-object fingerprints (filling the cache), for snapshots."""
-        self.snapshot_state()
-        return dict(self._fp_cache)
+        state = self._state
+        if state is None:
+            cache = self._fp_cache
+            for name in self._sorted_names:
+                if name not in cache:
+                    cache[name] = self._objects[name].snapshot_state()
+            state = tuple([(name, cache[name]) for name in self._sorted_names])
+            self._state = state
+        return state
 
     def reset(self) -> None:
         """Reset every object in the pool."""
         for obj in self._objects.values():
             obj.reset()
-        self._baseline.clear()
+        self._baseline = {}
         self._dirty.clear()
-        self._fp_cache.clear()
+        self._fp_cache = {}
+        self._state = None
 
     def capture(self) -> Dict[str, Any]:
         """Restorable state of every object, keyed by name.
@@ -190,26 +193,32 @@ class ObjectPool:
         Copy-on-write: objects untouched since the previous capture (or
         restore) contribute the *same* state value as before, so
         successive snapshots along an exploration path share everything
-        except the one object the step mutated.  Sharing is safe because
-        captured states are never mutated (see
+        except the one object the step mutated (and a capture with no
+        object touched returns the previous dict itself).  Sharing is
+        safe because captured states and dicts are never mutated (see
         :meth:`BaseObject.restore_state`).  Mutations that bypass
         :meth:`apply` (e.g. poking an object directly in a test) are
         invisible to the dirty tracking — the kernel never does that.
         """
-        captured: Dict[str, Any] = {}
-        for name, obj in self._objects.items():
-            if name in self._baseline and name not in self._dirty:
-                captured[name] = self._baseline[name]
-            else:
-                captured[name] = obj.capture_state()
-        self._baseline = dict(captured)
+        baseline = self._baseline
+        if len(baseline) == len(self._objects):
+            if not self._dirty:
+                return baseline
+            captured = dict(baseline)
+            for name in self._dirty:
+                captured[name] = self._objects[name].capture_state()
+        else:
+            captured = {
+                name: obj.capture_state() for name, obj in self._objects.items()
+            }
+        self._baseline = captured
         self._dirty.clear()
         return captured
 
     def restore(
         self,
         captured: Dict[str, Any],
-        fingerprints: Optional[Dict[str, Hashable]] = None,
+        fingerprints: Optional[Tuple[Tuple[str, Hashable], ...]] = None,
     ) -> None:
         """Restore a state previously returned by :meth:`capture`.
 
@@ -217,20 +226,26 @@ class ObjectPool:
         engine restores into a fresh pool built by the same
         implementation's :meth:`~repro.sim.kernel.Implementation.create_pool`
         (or re-restores its scratch pool).  ``fingerprints`` optionally
-        seeds the fingerprint cache with the per-object fingerprints
+        seeds the fingerprint caches with the :meth:`snapshot_state`
         recorded when ``captured`` was taken, making the next
-        :meth:`snapshot_state` incremental too.
+        :meth:`snapshot_state` incremental too.  Objects that are clean
+        and whose last captured or restored state *is* the one being
+        restored are skipped — they already hold it.
         """
         if set(captured) != set(self._objects):
             raise SimulationError(
                 f"snapshot names {sorted(captured)} do not match pool "
                 f"{sorted(self._objects)}"
             )
+        baseline = self._baseline
+        dirty = self._dirty
         for name, state in captured.items():
-            self._objects[name].restore_state(state)
-        self._baseline = dict(captured)
-        self._dirty.clear()
+            if name in dirty or name not in baseline or baseline[name] is not state:
+                self._objects[name].restore_state(state)
+        self._baseline = captured
+        dirty.clear()
         self._fp_cache = dict(fingerprints) if fingerprints else {}
+        self._state = fingerprints or None
 
     def __len__(self) -> int:
         return len(self._objects)

@@ -24,41 +24,57 @@ far)``, and primitive results are hashable (hence value-like) by the
 fingerprint contract.
 
 Snapshots are copy-on-write in the practical sense: the immutable parts
-(events, invocations, result logs, invoke-time memories) are shared by
-reference between a snapshot and every configuration restored from it;
-only the genuinely mutable parts (pool state, live memory dicts, stats)
-are copied per restore.
+(events, invocations, result logs, invoke-time and idle memories) are
+shared by reference between a snapshot and every configuration
+restored from it; only the genuinely mutable parts (pool state, the
+memory of an in-flight operation, stats) are copied per restore.  And
+restores are deltas: a process or base object the scratch configuration
+already holds, untouched, in exactly the snapshot's state is skipped
+(see :meth:`KernelConfig.restore_from`).
 """
 
 from __future__ import annotations
 
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.events import Invocation
 from repro.core.history import History
 from repro.obs.recorder import active as _obs_active
 from repro.sim.drivers import Decision, ScriptedDriver
-from repro.sim.kernel import Implementation, ProcessFrame
+from repro.sim.kernel import Implementation, ProcessFrame, ProcessState
 from repro.sim.record import ProcessStats
 from repro.sim.runtime import Runtime
 from repro.util.errors import SimulationError
+from repro.util.freeze import HashedKey
 from repro.util.plaincopy import plain_copy
 
 #: Factory producing a fresh implementation instance per restore/replay.
 ImplementationFactory = Callable[[], Implementation]
 
 
-@dataclass(frozen=True)
-class ProcessSnapshot:
+class ProcessSnapshot(NamedTuple):
     """Restorable state of one simulated process.
 
     ``memory`` is the live memory for idle processes, and the
     *invoke-time* memory for processes with an operation in flight (the
-    fast-forward replays the operation's mutations on top).  Both are
-    stored as already-copied dicts that are never mutated afterwards, so
-    snapshots may share them.
+    fast-forward replays the operation's mutations on top).  Neither
+    dict is ever mutated (an invoke hands the operation a copy), so
+    snapshots and live idle processes share them.  Snapshots are
+    immutable named tuples (one is built per explored edge, several
+    times cheaper than a frozen dataclass) and are shared by identity
+    between snapshots.
     """
 
     pid: int
@@ -69,19 +85,20 @@ class ProcessSnapshot:
     stats: Tuple[int, int, int, int, int, Tuple[int, ...], bool]
     #: The process's fingerprint at capture time; restoring seeds the
     #: configuration's incremental-fingerprint cache with it.
-    fingerprint: Optional[Hashable] = None
+    fingerprint: Optional[HashedKey] = None
 
 
-@dataclass(frozen=True)
-class KernelSnapshot:
+class KernelSnapshot(NamedTuple):
     """A restorable global configuration of one kernel run."""
 
     step_count: int
     events: Tuple[object, ...]
     pool_state: Dict[str, Any]
     processes: Tuple[ProcessSnapshot, ...]
-    #: Per-object pool fingerprints at capture time (cache seed).
-    pool_fingerprints: Optional[Dict[str, Hashable]] = None
+    #: The pool's ``snapshot_state()`` at capture time (cache seed).
+    pool_fingerprints: Optional[Tuple[Tuple[str, Hashable], ...]] = None
+    #: ``events`` as a hash-once key, when one was built (cache seed).
+    events_key: Optional[HashedKey] = None
 
 
 def _capture_stats(stats: ProcessStats) -> Tuple:
@@ -171,12 +188,14 @@ class KernelConfig:
         # was computed.  Restores seed them from the snapshot; apply()
         # invalidates exactly one process (and the events tuple).  This
         # is what makes a child snapshot share everything with its
-        # parent except the one process and object the step touched.
+        # parent except the one process and object the step touched —
+        # and what lets a restore skip every process whose snapshot part
+        # is the very one the scratch already holds.
         n = implementation.n_processes
-        self._process_fps: List[Optional[Hashable]] = [None] * n
-        self._memory_snaps: List[Optional[Dict[str, Any]]] = [None] * n
-        self._stats_snaps: List[Optional[Tuple]] = [None] * n
+        self._process_fps: List[Optional[HashedKey]] = [None] * n
+        self._process_snaps: List[Optional[ProcessSnapshot]] = [None] * n
         self._events_tuple: Optional[Tuple[object, ...]] = None
+        self._events_key: Optional[HashedKey] = None
 
     # -- construction ------------------------------------------------------
 
@@ -204,6 +223,13 @@ class KernelConfig:
         Implementations are stateless across runs (see
         :class:`~repro.sim.kernel.Implementation`), which is also why
         one implementation instance serves every restore.
+
+        The restore is a delta: a process whose snapshot part *is* (by
+        identity) the one this configuration was last restored from or
+        captured into, and which no decision has touched since, already
+        holds exactly that state and is skipped — no memory copy, no
+        generator fast-forward.  The pool skips clean objects the same
+        way (:meth:`~repro.base_objects.base.ObjectPool.restore`).
         """
         runtime = self.runtime
         runtime.pool.restore(snapshot.pool_state, snapshot.pool_fingerprints)
@@ -221,28 +247,32 @@ class KernelConfig:
         # *this* restored configuration.
         runtime.last_footprint = None
         self._events_tuple = snapshot.events
+        self._events_key = snapshot.events_key
+        held = self._process_snaps
         for process_snapshot in snapshot.processes:
             pid = process_snapshot.pid
+            if held[pid] is process_snapshot:
+                continue
+            held[pid] = process_snapshot
             self._process_fps[pid] = process_snapshot.fingerprint
-            self._memory_snaps[pid] = process_snapshot.memory
-            self._stats_snaps[pid] = process_snapshot.stats
-            state = runtime.processes[process_snapshot.pid]
+            state = runtime.processes[pid]
             state.crashed = process_snapshot.crashed
-            state.memory = plain_copy(process_snapshot.memory)
-            _restore_stats(
-                runtime.stats[process_snapshot.pid], process_snapshot.stats
-            )
+            _restore_stats(runtime.stats[pid], process_snapshot.stats)
             if process_snapshot.frame is not None:
                 invocation, results = process_snapshot.frame
+                state.memory = plain_copy(process_snapshot.memory)
                 state.frame = _fast_forward_frame(
                     self.implementation,
-                    process_snapshot.pid,
+                    pid,
                     invocation,
                     state.memory,
                     results,
                     memory_at_invoke=process_snapshot.memory,
                 )
             else:
+                # Idle memory is never mutated (an invoke hands the
+                # operation a copy), so the snapshot's dict is shared.
+                state.memory = process_snapshot.memory
                 state.frame = None
 
     @classmethod
@@ -274,78 +304,102 @@ class KernelConfig:
         self.runtime.apply_decision(decision)
         pid = decision.pid
         self._process_fps[pid] = None
-        self._memory_snaps[pid] = None
-        self._stats_snaps[pid] = None
+        self._process_snaps[pid] = None
         self._events_tuple = None
+        self._events_key = None
+
+    def invalidate(self, pids: Iterable[int]) -> None:
+        """Drop the cached state of processes stepped behind our back.
+
+        Callers that apply decisions straight to :attr:`runtime` (the
+        fuzzer's fast walk) must report every process they moved before
+        the next :meth:`capture`, :meth:`fingerprint` or
+        :meth:`restore_from` — a delta restore would otherwise skip the
+        stale process as if it still held its snapshot state.
+        """
+        for pid in pids:
+            self._process_fps[pid] = None
+            self._process_snaps[pid] = None
+        self._events_tuple = None
+        self._events_key = None
 
     def capture(self) -> KernelSnapshot:
-        """Snapshot the current configuration."""
+        """Snapshot the current configuration.
+
+        A process untouched since the last restore or capture
+        contributes the very :class:`ProcessSnapshot` it holds, so a
+        child snapshot shares every process part but the stepped one
+        with its parent (and later restores can skip it by identity).
+        """
         runtime = self.runtime
+        held = self._process_snaps
         processes = []
         for state in runtime.processes:
             pid = state.pid
-            if state.frame is None:
-                frame = None
-                # For an idle, untouched-since-restore process the cache
-                # holds exactly the live memory copy; recompute (and
-                # re-cache) only after a decision touched the process.
-                memory = self._memory_snaps[pid]
-                if memory is None:
-                    memory = plain_copy(state.memory)
-                    self._memory_snaps[pid] = memory
-            else:
-                if state.frame.result_log is None:  # pragma: no cover - guard
-                    raise SimulationError(
-                        "cannot snapshot a frame without a replay log; "
-                        "the configuration was not built by KernelConfig"
-                    )
-                frame = (state.frame.invocation, tuple(state.frame.result_log))
-                memory = state.frame.memory_at_invoke or {}
-            stats = self._stats_snaps[pid]
-            if stats is None:
-                stats = _capture_stats(runtime.stats[pid])
-                self._stats_snaps[pid] = stats
-            processes.append(
-                ProcessSnapshot(
-                    pid=pid,
-                    crashed=state.crashed,
-                    memory=memory,
-                    frame=frame,
-                    stats=stats,
-                    fingerprint=self._process_fingerprint(pid),
-                )
-            )
+            process_snapshot = held[pid]
+            if process_snapshot is None:
+                process_snapshot = self._capture_process(state)
+                held[pid] = process_snapshot
+            processes.append(process_snapshot)
         return KernelSnapshot(
             step_count=runtime.step_count,
             events=self._events(),
             pool_state=runtime.pool.capture(),
             processes=tuple(processes),
-            pool_fingerprints=runtime.pool.fingerprint_parts(),
+            pool_fingerprints=runtime.pool.snapshot_state(),
+            events_key=self._events_key,
+        )
+
+    def _capture_process(self, state: ProcessState) -> ProcessSnapshot:
+        pid = state.pid
+        if state.frame is None:
+            frame = None
+            memory = state.memory  # idle: never mutated, safe to share
+        else:
+            if state.frame.result_log is None:  # pragma: no cover - guard
+                raise SimulationError(
+                    "cannot snapshot a frame without a replay log; "
+                    "the configuration was not built by KernelConfig"
+                )
+            frame = (state.frame.invocation, tuple(state.frame.result_log))
+            memory = state.frame.memory_at_invoke or {}
+        return ProcessSnapshot(
+            pid=pid,
+            crashed=state.crashed,
+            memory=memory,
+            frame=frame,
+            stats=_capture_stats(self.runtime.stats[pid]),
+            fingerprint=self._process_fingerprint(pid),
         )
 
     # -- views -------------------------------------------------------------
 
-    def fingerprint(self) -> Hashable:
+    def fingerprint(self) -> HashedKey:
         """Exact configuration-and-history dedup key.
 
         The same key whether the configuration was restored from a
         snapshot or rebuilt by replay — the parity the engine's
         ``parity`` mode asserts.  See
         :meth:`repro.sim.explore.explore_histories` for why the event
-        sequence is included.
+        sequence is included.  The key hashes its value once (the
+        search looks each key up in several dicts) and compares by
+        exact value, so dedup is that of the value itself.  Its large
+        parts — each process fingerprint and the event sequence — are
+        hash-once keys too, cached until a decision touches them, so
+        building a key after one decision hashes only what it changed.
         """
         runtime = self.runtime
-        return (
-            tuple(
-                (state.pid, runtime.stats[state.pid].invocations)
-                for state in runtime.processes
-            ),
-            runtime.pool.snapshot_state(),
-            tuple(
-                self._process_fingerprint(pid)
-                for pid in range(self.n_processes)
-            ),
-            self._events(),
+        pids = range(self.n_processes)
+        events = self._events_key
+        if events is None:
+            events = self._events_key = HashedKey(self._events())
+        return HashedKey(
+            (
+                tuple([(pid, runtime.stats[pid].invocations) for pid in pids]),
+                runtime.pool.snapshot_state(),
+                tuple([self._process_fingerprint(pid) for pid in pids]),
+                events,
+            )
         )
 
     def kernel_fingerprint(self) -> Hashable:
@@ -359,7 +413,8 @@ class KernelConfig:
         incremental-cached equivalent of
         :func:`repro.sim.runtime.kernel_state_fingerprint` and must
         compute the same value — certificate replay compares against
-        that shared definition.
+        that shared definition (its process parts are hash-once keys,
+        which equal, hash and repr as their values).
         """
         runtime = self.runtime
         return (
@@ -377,7 +432,7 @@ class KernelConfig:
             self._events_tuple = events
         return events
 
-    def _process_fingerprint(self, pid: int) -> Hashable:
+    def _process_fingerprint(self, pid: int) -> HashedKey:
         fp = self._process_fps[pid]
         if fp is None:
             # Cache miss: the only place exploration actually pays the
@@ -386,7 +441,7 @@ class KernelConfig:
             rec = _obs_active()
             if rec is not None:
                 rec.count("kernel/fingerprint_misses")
-            fp = self.runtime.processes[pid].fingerprint()
+            fp = HashedKey(self.runtime.processes[pid].fingerprint())
             self._process_fps[pid] = fp
         return fp
 

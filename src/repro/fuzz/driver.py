@@ -305,14 +305,14 @@ class FuzzDriver:
         """Corpus restart plus uniform random tail, as (prefix, tail).
 
         The hot loop: no fingerprinting, no snapshot bookkeeping, and
-        decisions applied straight to the runtime —
-        :meth:`KernelConfig.apply`'s fingerprint-cache invalidation is
-        skipped because the caches are only ever read after a
-        ``restore_from`` (which reseeds them); fast walks touch nothing
-        but ``runtime.events`` afterwards.  The schedule is returned as
-        corpus prefix + fresh tail and only concatenated when a caller
-        actually needs it (a violation), so the per-iteration cost is
-        restore + the tail's kernel steps.
+        decisions applied straight to the runtime, bypassing
+        :meth:`KernelConfig.apply`'s per-step cache invalidation.  The
+        processes the tail moved are invalidated once at the end
+        instead: the next ``restore_from`` is a delta restore and would
+        otherwise skip them as still holding their snapshot state.  The
+        schedule is returned as corpus prefix + fresh tail and only
+        concatenated when a caller actually needs it (a violation), so
+        the per-iteration cost is restore + the tail's kernel steps.
         """
         rng = self._walk_rng
         config = self._config
@@ -358,6 +358,7 @@ class FuzzDriver:
                 apply_decision(self._invoke_decisions[pid][stats[pid].invocations])
                 tail.append(self._invoke_labels[pid])
             depth += 1
+        config.invalidate({label[1] for label in tail})
         return prefix, tail
 
     def _corpus_add(self, entry: _CorpusEntry, rng: DeterministicRng) -> None:

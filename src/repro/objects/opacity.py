@@ -18,15 +18,16 @@ For one prefix the checker:
 1. parses transactions and completes the prefix: live transactions
    abort (``tryC·A`` appended, per the paper's ``comp``), commit-pending
    transactions try *both* completions;
-2. searches a total order of the committed transactions that respects
-   real time and replays correctly (memoised backtracking over
-   ``(placed set, memory state)``; read-from values prune hard when
-   workloads write distinct values);
-3. for each aborted transaction, computes the set of serialization
-   *gaps* (positions between committed transactions, consistent with
-   its real-time constraints) at which its reads are consistent, then
-   greedily assigns gaps in start order so that real-time order among
-   aborted transactions is preserved.
+2. enumerates the total orders of the committed transactions that
+   respect real time and replay correctly (backtracking over
+   ``(placed set, memory state)``, with dead ends memoised; read-from
+   values prune hard when workloads write distinct values);
+3. for each such order until one fits, and for each aborted
+   transaction, computes the set of serialization *gaps* (positions
+   between committed transactions, consistent with its real-time
+   constraints) at which its reads are consistent, then greedily
+   assigns gaps in start order so that real-time order among aborted
+   transactions is preserved.
 
 Checking every response-ending prefix makes the verdict prefix-closed —
 the defining closure property of a safety set (Definition 3.1).  The
@@ -38,7 +39,16 @@ which is cheaper and useful as a first filter on long benchmark runs.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.core.events import is_response
 from repro.core.history import History
@@ -90,13 +100,25 @@ class OpacityChecker(SafetyProperty):
         self.max_nodes = max_nodes
         if not check_aborted:
             self.name = "strict-serializability"
+        # Prefix verdicts by event tuple.  Deep mode re-checks every
+        # response-ending prefix of every history it is handed, and the
+        # histories of one exploration share most of their prefixes.
+        # The memo lives as long as this checker, which the verify
+        # facade builds afresh per request.
+        self._prefix_failures: Dict[Tuple[Any, ...], Optional[str]] = {}
 
     # -- public API ------------------------------------------------------------
 
     def check_history(self, history: History) -> Verdict:
-        prefix_ends = self._prefix_ends(history)
-        for end in prefix_ends:
-            failure = self._check_prefix(history[:end])
+        events = history.events
+        memo = self._prefix_failures
+        for end in self._prefix_ends(history):
+            prefix = events[:end]
+            if prefix in memo:
+                failure = memo[prefix]
+            else:
+                failure = self._check_prefix(History(prefix, validate=False))
+                memo[prefix] = failure
             if failure is not None:
                 return Verdict.failed(
                     f"prefix of length {end}: {failure}", witness=history[:end]
@@ -164,22 +186,23 @@ class OpacityChecker(SafetyProperty):
     def _serializable(
         self, committed: List[Transaction], aborted: List[Transaction]
     ) -> bool:
-        order = self._find_committed_order(committed)
-        if order is None:
-            return False
-        if not self.check_aborted:
-            return True
-        return self._place_aborted(order, aborted)
+        # Aborted transactions fit some committed orders and not others,
+        # so every legal order is a candidate until one admits them.
+        for order in self._committed_orders(committed):
+            if not self.check_aborted or self._place_aborted(order, aborted):
+                return True
+        return False
 
-    def _find_committed_order(
+    def _committed_orders(
         self, committed: List[Transaction]
-    ) -> Optional[List[Transaction]]:
-        """Backtracking search for a legal total order of committed
-        transactions; returns the order or ``None``."""
+    ) -> Iterator[List[Transaction]]:
+        """Backtracking enumeration of the legal total orders of the
+        committed transactions (real time respected, every read sees the
+        latest write).  All orders share one ``max_nodes`` budget."""
         n = len(committed)
         if n == 0:
-            return []
-        predecessors: List[int] = [0] * n
+            yield []
+            return
         before: List[List[int]] = [[] for _ in range(n)]
         for i, earlier in enumerate(committed):
             for j, later in enumerate(committed):
@@ -188,25 +211,31 @@ class OpacityChecker(SafetyProperty):
         reads = [t.reads() for t in committed]
         writes = [t.write_set() for t in committed]
 
-        visited: set = set()
+        # ``(placed, state)`` nodes whose subtree holds no legal order;
+        # a subtree that did yield orders may yield them again from a
+        # different prefix, whose states the aborted placement sees.
+        dead: set = set()
         nodes = [0]
         order: List[int] = []
 
         def freeze_state(state: Dict[Any, Any]) -> Tuple:
             return tuple(sorted(state.items(), key=lambda kv: repr(kv[0])))
 
-        def search(placed: FrozenSet[int], state: Dict[Any, Any]) -> bool:
+        def search(
+            placed: FrozenSet[int], state: Dict[Any, Any]
+        ) -> Iterator[List[Transaction]]:
             nodes[0] += 1
             if nodes[0] > self.max_nodes:
                 raise SearchBudgetExceeded(
                     f"{self.name} search exceeded {self.max_nodes} nodes"
                 )
             if len(placed) == n:
-                return True
+                yield [committed[i] for i in order]
+                return
             key = (placed, freeze_state(state))
-            if key in visited:
-                return False
-            visited.add(key)
+            if key in dead:
+                return
+            found = False
             for candidate in range(n):
                 if candidate in placed:
                     continue
@@ -220,15 +249,14 @@ class OpacityChecker(SafetyProperty):
                 new_state = dict(state)
                 new_state.update(writes[candidate])
                 order.append(candidate)
-                if search(placed | {candidate}, new_state):
-                    return True
+                for complete in search(placed | {candidate}, new_state):
+                    found = True
+                    yield complete
                 order.pop()
-            return False
+            if not found:
+                dead.add(key)
 
-        start_state = dict(self.initial_values)
-        if search(frozenset(), start_state):
-            return [committed[i] for i in order]
-        return None
+        yield from search(frozenset(), dict(self.initial_values))
 
     # -- aborted placement -----------------------------------------------------------
 

@@ -137,12 +137,19 @@ async def handle_connection(
             await writer.drain()
             if not keep_alive:
                 break
+    except asyncio.CancelledError:
+        # Shutdown cancels every open connection's handler: a clean
+        # close.  The handler is its task's top level and nothing awaits
+        # it, so the cancellation ends here; re-raised, it reaches the
+        # done-callback of asyncio.start_server, which on Python 3.11
+        # reads the cancelled task's exception and prints a traceback.
+        pass
     finally:
         writer.close()
         try:
             await writer.wait_closed()
-        except (ConnectionError, OSError):  # peer already gone
-            pass
+        except (ConnectionError, OSError, asyncio.CancelledError):
+            pass  # peer already gone, or shutdown
 
 
 async def start_service(

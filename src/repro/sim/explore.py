@@ -91,20 +91,31 @@ def plan_successors(plan: InvocationPlan) -> Callable[[KernelConfig], List]:
     successor relation, two search disciplines.
     """
 
+    # Labels and decisions are immutable, so each (pid) step and each
+    # (pid, cursor) invocation is built once and shared by every call.
+    pids = sorted(plan)
+    steps = {pid: (("step", pid), StepDecision(pid)) for pid in pids}
+    invokes = {
+        pid: [
+            (("invoke", pid), InvokeDecision(pid, operation, args))
+            for operation, args in plan[pid]
+        ]
+        for pid in pids
+    }
+
     def successors(config: KernelConfig) -> List[Tuple[Choice, Decision]]:
+        runtime = config.runtime
         out: List[Tuple[Choice, Decision]] = []
-        for pid in sorted(plan):
-            if config.is_crashed(pid):
+        for pid in pids:
+            state = runtime.processes[pid]
+            if state.crashed:
                 continue
-            if config.is_pending(pid):
-                out.append((("step", pid), StepDecision(pid)))
+            if state.frame is not None:
+                out.append(steps[pid])
             else:
-                cursor = config.invocations_of(pid)
-                if cursor < len(plan[pid]):
-                    operation, args = plan[pid][cursor]
-                    out.append(
-                        (("invoke", pid), InvokeDecision(pid, operation, args))
-                    )
+                cursor = runtime.stats[pid].invocations
+                if cursor < len(invokes[pid]):
+                    out.append(invokes[pid][cursor])
         return out
 
     return successors

@@ -230,7 +230,13 @@ class Runtime:
         # Memory is copied *before* algorithm() runs: implementations may
         # mutate memory at generator-creation time, and the snapshot
         # restore path replays that mutation by calling algorithm() again.
-        memory_before = plain_copy(state.memory) if self.record_replay_log else None
+        # The operation works on the copy and the pre-invoke dict is kept
+        # untouched: an idle process's memory is never mutated, which is
+        # what lets snapshots share it instead of copying it.
+        memory_before = None
+        if self.record_replay_log:
+            memory_before = state.memory
+            state.memory = plain_copy(memory_before)
         generator = self.implementation.algorithm(
             decision.pid, decision.operation, decision.args, state.memory
         )

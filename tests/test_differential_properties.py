@@ -304,3 +304,37 @@ def test_crashed_commit_pending_transaction_may_commit():
     assert transactions[0].status == "commit-pending"
     assert OpacityChecker(deep=True).check_history(history).holds
     assert brute_force_opaque(history)
+
+
+def test_aborted_read_fits_a_later_committed_order():
+    """Regression for the checker trusting the *first* legal committed
+    order: here [T2, T0] is found first and T1's read of x1=3 fits no
+    gap of it, while [T0, T2] admits T1 after T2 (the 19-event history
+    a fuzz run of ``tm-grid:impl=global-lock,n=3,plan=rmw,vars=2``
+    reported as a violation)."""
+    I, R = Invocation, Response
+    history = History(
+        [
+            I(2, "start", ()),
+            I(0, "start", ()),
+            R(0, "start", OK),
+            I(0, "read", (0,)),
+            R(0, "read", 0),
+            I(0, "write", (1, 1)),
+            R(0, "write", OK),
+            I(0, "tryC", ()),
+            R(2, "start", OK),
+            I(2, "read", (0,)),
+            R(2, "read", 0),
+            R(0, "tryC", COMMITTED),
+            I(2, "write", (1, 3)),
+            R(2, "write", OK),
+            I(1, "start", ()),
+            I(2, "tryC", ()),
+            R(1, "start", OK),
+            I(1, "read", (1,)),
+            R(1, "read", 3),
+        ]
+    )
+    assert brute_force_opaque(history)
+    assert OpacityChecker(deep=True).check_history(history).holds

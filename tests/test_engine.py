@@ -6,6 +6,9 @@ The engine's load-bearing promises, in test form:
   exploration produce identical history sets and identical fingerprint
   sets on the seed workloads, and the valency search returns identical
   verdicts in both modes;
+* a delta restore (skipping what the scratch already holds) equals a
+  restore into a fresh configuration, however the scratch got where it
+  is — by ``apply``, by a fuzz fast walk, or by a liveness-search branch;
 * the parallel frontier's shared dedup table admits every key exactly
   once across a process pool, and parallel exploration visits exactly
   the serial configuration set;
@@ -14,6 +17,10 @@ The engine's load-bearing promises, in test form:
 """
 
 import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -33,11 +40,17 @@ from repro.engine import (
     GraphSearch,
     KernelConfig,
     SearchBudgetExceeded,
+    fingerprint_digest,
     parallel_explore,
 )
+from repro.fuzz.driver import FuzzDriver
+from repro.scenarios import get_scenario
 from repro.sim import explore_histories
-from repro.sim.drivers import InvokeDecision, StepDecision
+from repro.sim.drivers import CrashDecision, InvokeDecision, StepDecision
 from repro.sim.explore import plan_successors
+from repro.sim.liveness_search import LivenessSearch, PlanPolicy
+from repro.util.freeze import HashedKey
+from repro.util.rng import DeterministicRng
 
 PROPOSE_PLAN = {0: [("propose", (0,))], 1: [("propose", (1,))]}
 TM_PLAN = {
@@ -312,3 +325,187 @@ class TestDefaultParallelism:
 
         monkeypatch.setenv("REPRO_ENGINE_PARALLEL", " 4 ")
         assert default_parallelism() == 4
+
+
+# -- delta restore ------------------------------------------------------------
+
+#: Catalog scenarios spanning TM, consensus and mutex implementations,
+#: with in-flight multi-primitive operations and per-process memory.
+DELTA_SCENARIOS = [
+    "tm-grid:impl=norec,n=2,plan=rw,vars=2",
+    "agp-opacity",
+    "consensus-grid:impl=commit-adopt,n=3,proposals=alt",
+    "lock-mutex:impl=bakery,n=2,rounds=2",
+]
+
+
+def _random_walk(config, successors, rng, steps, crash_probability=0.0):
+    """Apply up to ``steps`` seeded random decisions (some crashes)."""
+    for _ in range(steps):
+        choices = successors(config)
+        if not choices:
+            return
+        if crash_probability and rng.maybe(crash_probability):
+            pid = rng.choice(sorted({label[1] for label, _ in choices}))
+            config.apply(CrashDecision(pid))
+            continue
+        config.apply(rng.choice(choices)[1])
+
+
+def _assert_restore_exact(config, factory, snapshot, successors, rng):
+    """Restoring ``snapshot`` into the used ``config`` must be
+    indistinguishable from restoring it into a fresh configuration —
+    now and for the next five steps."""
+    fresh = KernelConfig.from_snapshot(factory, snapshot)
+    config.restore_from(snapshot)
+    for _ in range(6):
+        assert config.fingerprint() == fresh.fingerprint()
+        assert config.kernel_fingerprint() == fresh.kernel_fingerprint()
+        assert config.capture() == fresh.capture()
+        assert config.history().events == fresh.history().events
+        choices = successors(fresh)
+        assert [label for label, _ in successors(config)] == [
+            label for label, _ in choices
+        ]
+        if not choices:
+            return
+        decision = rng.choice(choices)[1]
+        config.apply(decision)
+        fresh.apply(decision)
+
+
+class TestDeltaRestore:
+    """A restore skips every process and object whose snapshot part the
+    scratch already holds untouched.  Whatever way the scratch reached
+    its state, the result must equal a restore into a fresh config."""
+
+    @pytest.mark.parametrize("scenario_id", DELTA_SCENARIOS)
+    def test_after_apply(self, scenario_id):
+        scenario = get_scenario(scenario_id)
+        successors = plan_successors(scenario.plan)
+        rng = DeterministicRng(f"delta-apply-{scenario_id}")
+        config = KernelConfig.initial(scenario.factory)
+        snapshots = [config.capture()]
+        for _ in range(12):
+            # Branch off a random earlier snapshot, walk, capture: the
+            # snapshots share process and object parts in many patterns.
+            config.restore_from(rng.choice(snapshots))
+            _random_walk(config, successors, rng, rng.randint(1, 6), 0.05)
+            snapshots.append(config.capture())
+            _random_walk(config, successors, rng, rng.randint(0, 4), 0.05)
+            target = rng.choice(snapshots)
+            _assert_restore_exact(
+                config, scenario.factory, target, successors, rng
+            )
+
+    @pytest.mark.parametrize("scenario_id", DELTA_SCENARIOS)
+    def test_after_fuzz_fast_walk(self, scenario_id):
+        scenario = get_scenario(scenario_id)
+        successors = plan_successors(scenario.plan)
+        rng = DeterministicRng(f"delta-fuzz-{scenario_id}")
+        driver = FuzzDriver(
+            scenario.factory, scenario.plan, seed=3, min_corpus_depth=1
+        )
+        driver.run(40)
+        targets = [driver._root] + [entry.snapshot for entry in driver._corpus]
+        assert len(targets) > 1
+        for target in targets:
+            # The fast walk steps the runtime directly, past
+            # KernelConfig.apply; it must invalidate what it moved.
+            driver._fast_walk()
+            _assert_restore_exact(
+                driver._config, scenario.factory, target, successors, rng
+            )
+
+    @pytest.mark.parametrize(
+        "scenario_id",
+        ["cas-wait-freedom-schedules", "trivial-local-progress-schedules"],
+    )
+    def test_after_liveness_branch(self, scenario_id):
+        scenario = get_scenario(scenario_id)
+        successors = plan_successors(scenario.plan)
+        rng = DeterministicRng(f"delta-liveness-{scenario_id}")
+        search = LivenessSearch(
+            scenario.factory, PlanPolicy(scenario.plan), max_depth=40
+        )
+        config = search._config
+        targets = [search._root]
+        for index, _run in enumerate(search.runs()):
+            if index % 3 == 0:
+                targets.append(config.capture())
+            if index >= 30:
+                break
+        # The search's config now sits at the end of a run reached from
+        # a restored branch point.
+        for target in reversed(targets):
+            _assert_restore_exact(
+                config, scenario.factory, target, successors, rng
+            )
+
+    def test_pool_restore_skips_only_clean_identical_objects(self):
+        pool = ObjectPool([AtomicRegister("a", 0), AtomicRegister("b", 0)])
+        base = pool.capture()
+        pool.apply("a", "write", (1,))
+        pool.restore(base)
+        assert pool.get("a").snapshot_state() == pool.get("b").snapshot_state()
+        pool.apply("b", "write", (2,))
+        moved = pool.capture()
+        pool.restore(base)
+        assert pool.snapshot_state() == ObjectPool(
+            [AtomicRegister("a", 0), AtomicRegister("b", 0)]
+        ).snapshot_state()
+        pool.restore(moved)
+        assert pool.get("b").apply("read", ()) == 2
+
+
+_KEY_SCRIPT = """
+import pickle, sys
+key = pickle.loads(sys.stdin.buffer.read())
+sys.stdout.write(repr((hash(key) == hash(key.value), repr(key) == repr(key.value))))
+"""
+
+
+class TestHashedKey:
+    def test_repr_is_the_value_repr(self):
+        config = KernelConfig.initial(lambda: AgpTransactionalMemory(2, variables=(0,)))
+        config.apply(InvokeDecision(0, "start"))
+        key = config.fingerprint()
+        assert isinstance(key, HashedKey)
+        assert repr(key) == repr(key.value)
+        assert fingerprint_digest(key) == fingerprint_digest(key.value)
+
+    def test_equality_is_value_equality(self):
+        a = HashedKey(("x", (1, 2)))
+        b = HashedKey(("x", (1, 2)))
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != HashedKey(("x", (1, 3)))
+        assert len({a, b}) == 1
+
+    def test_pickle_round_trip_rehashes_in_another_process(self):
+        # str hashes differ between processes; the key must travel as
+        # its value and hash afresh on arrival.
+        key = HashedKey((("pool", "x"), ("events", "start()_0")))
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = "1" if env.get("PYTHONHASHSEED") == "0" else "0"
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep)
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _KEY_SCRIPT],
+            input=pickle.dumps(key),
+            capture_output=True,
+            env=env,
+            check=True,
+        )
+        assert result.stdout.decode() == "(True, True)"
+        assert pickle.loads(pickle.dumps(key)) == key
+
+    def test_key_equals_and_hashes_as_its_value(self):
+        # Nested keys (process fingerprints, the event sequence) must
+        # leave the enclosing value's equality and hash unchanged.
+        value = ("x", (1, 2))
+        key = HashedKey(value)
+        assert key == value and value == key and hash(key) == hash(value)
+        assert (key, 3) == (value, 3) and hash((key, 3)) == hash((value, 3))
+        assert {value: 1}[key] == 1

@@ -9,6 +9,13 @@ the pre-cache facade.
 
 import asyncio
 import json
+import os
+import pathlib
+import re
+import signal
+import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -433,6 +440,41 @@ class TestHttpServer:
                 app.close()
 
         _run(scenario())
+
+
+    def test_sigterm_with_idle_keep_alive_connection_exits_cleanly(self, db):
+        """Shutdown cancels the handler of every open connection; that
+        must be a clean close — exit 0 and no traceback on stderr."""
+        env = dict(os.environ)
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (str(src), env.get("PYTHONPATH")) if part
+        )
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "1", "--cache-db", db],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            banner = server.stdout.readline()
+            port = int(re.search(r":(\d+) ", banner).group(1))
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
+                conn.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                response = conn.recv(65536)
+                assert b"keep-alive" in response
+                # The connection now idles in the server's request read.
+                server.send_signal(signal.SIGTERM)
+                out, err = server.communicate(timeout=60)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0, err
+        assert "Traceback" not in err, err
+        assert "shutting down" in out
 
 
 class TestCli:

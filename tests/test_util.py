@@ -26,6 +26,15 @@ class TestFreeze:
         # Both are sequences; the simulator uses them interchangeably.
         assert freeze([1, 2]) == freeze((1, 2))
 
+    def test_subclasses_freeze_like_their_base(self):
+        from collections import OrderedDict, namedtuple
+
+        Pair = namedtuple("Pair", "a b")
+        assert freeze(Pair(1, [2])) == freeze((1, [2]))
+        assert freeze(OrderedDict([("b", 1), ("a", 2)])) == freeze({"a": 2, "b": 1})
+        assert freeze(frozenset({1, 2})) == freeze({1, 2})
+        assert freeze(True) is True and freeze(None) is None
+
     def test_unhashable_leaf_raises(self):
         class Weird:
             __hash__ = None
