@@ -226,27 +226,35 @@ class KernelExplorer:
         decisions: Tuple[Decision, ...],
         mode: str,
         fingerprint: Optional[Hashable] = None,
+        sleep: Optional[Dict[Any, Any]] = None,
     ) -> _Node:
         if fingerprint is None:
             fingerprint = self.fingerprint(config)
         choices = tuple(self.successors(config))
         # A snapshot is only taken when the node can actually be
-        # expanded later; leaves and depth-capped nodes never need one.
-        expandable = bool(choices) and (
-            self.max_depth is None or len(schedule) < self.max_depth
+        # expanded later; leaves and depth-capped nodes never need one,
+        # and neither does a DPOR node whose every choice is asleep
+        # (expanding it restores nothing).
+        capture = (
+            mode == "snapshot"
+            and bool(choices)
+            and (self.max_depth is None or len(schedule) < self.max_depth)
+            and not (sleep and all(label in sleep for label, _ in choices))
         )
-        if mode == "snapshot" and expandable:
+        if capture:
             rec = _obs_active()
             if rec is not None:
                 rec.count("engine/snapshot_captures")
-        return _Node(
+        node = _Node(
             fingerprint=fingerprint,
             schedule=schedule,
             decisions=decisions,
-            snapshot=config.capture() if mode == "snapshot" and expandable else None,
+            snapshot=config.capture() if capture else None,
             choices=choices,
             config=config,
         )
+        node.sleep = sleep
+        return node
 
     def _child_config(self, node: _Node, decision: Decision, mode: str) -> KernelConfig:
         rec = _obs_active()
@@ -287,11 +295,11 @@ class KernelExplorer:
         root_config = KernelConfig(self._implementation).apply_all(self.root_decisions)
         if self.prune is not None and self.prune(root_config):
             return
-        root = self._make_node(root_config, (), (), mode)
-        if reduce:
-            root.sleep = {}
-            if self._expandable(root):
-                sleeps.note_expansion(root.fingerprint, root.sleep)
+        root = self._make_node(
+            root_config, (), (), mode, sleep={} if reduce else None
+        )
+        if reduce and self._expandable(root):
+            sleeps.note_expansion(root.fingerprint, root.sleep)
 
         def expand(node: _Node) -> Iterator[Tuple[Any, _Node]]:
             rec = _obs_active() if reduce else None
@@ -334,11 +342,10 @@ class KernelExplorer:
                     node.decisions + (decision,),
                     mode,
                     fingerprint=fingerprint,
+                    sleep=child_sleep,
                 )
-                if reduce:
-                    child.sleep = child_sleep
-                    if self._expandable(child):
-                        sleeps.note_expansion(fingerprint, child_sleep)
+                if reduce and self._expandable(child):
+                    sleeps.note_expansion(fingerprint, child_sleep)
                 yield label, child
             if reduce and blocked and blocked == len(node.choices):
                 if rec is not None:

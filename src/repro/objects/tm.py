@@ -18,6 +18,9 @@ progress is of the ``REPEATED`` kind.
 This module provides the sentinels, the type factory, and the parser
 turning raw histories into :class:`Transaction` records — the common
 input of the opacity, strict-serializability and Section-5.3 checkers.
+:class:`TransactionParser` parses incrementally, event by event (the
+opacity checker carries one along each history it walks);
+:func:`parse_transactions` feeds it a whole history.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.events import Invocation, Response, is_crash, is_invocation, is_response
+from repro.core.events import Event, is_crash, is_invocation, is_response
 from repro.core.history import History
 from repro.core.object_type import ObjectType, OperationSignature, ProgressMode
 from repro.util.errors import IllFormedHistoryError
@@ -238,32 +241,43 @@ class Transaction:
         )
 
 
-def parse_transactions(history: History) -> List[Transaction]:
-    """Parse a TM history into transactions, in start order.
+class TransactionParser:
+    """Incremental TM history parser: :meth:`feed` events in history
+    order, and after any number of them ``transactions`` holds the
+    parsed transactions of the prefix fed so far, in start order.
 
-    Raises :class:`IllFormedHistoryError` on TM-level protocol
-    violations (a ``read`` outside any transaction, a call after the
-    transaction committed, ...).  A crash leaves the process's open
-    transaction uncompleted: like any other uncompleted transaction it
-    ends up ``live`` — or ``commit-pending`` when the crash hit between
-    the ``tryC`` invocation and its response, since the internal commit
-    point may already have been reached (the completion rule must be
-    allowed to commit it; found by the schedule fuzzer's crash
-    injection).
+    The parser never writes ``commit-pending`` into a transaction:
+    which open transactions are commit-pending depends on where the
+    prefix ends, so :meth:`commit_pending` computes them on demand and
+    feeding more events keeps every record exact.  A parser that raised
+    :class:`IllFormedHistoryError` must not be fed again.
     """
-    current: Dict[int, Transaction] = {}
-    counters: Dict[int, int] = {}
-    transactions: List[Transaction] = []
 
-    for index, event in enumerate(history):
+    __slots__ = ("transactions", "open", "length", "_counters")
+
+    def __init__(self) -> None:
+        self.transactions: List[Transaction] = []
+        #: Uncompleted transaction per process, in start order (a
+        #: transaction is inserted when it starts and removed when it
+        #: completes, so dict order is start order).
+        self.open: Dict[int, Transaction] = {}
+        #: Number of events fed; the next event's history index.
+        self.length = 0
+        self._counters: Dict[int, int] = {}
+
+    def feed(self, event: Event) -> None:
+        """Parse the next event of the history."""
+        index = self.length
+        self.length = index + 1
         pid = event.process
+        current = self.open
         if is_crash(event):
-            # Keep the open transaction in ``current``: well-formedness
-            # guarantees no further events from this process, and the
-            # end-of-history sweep below classifies it (live or
+            # Keep the open transaction in ``open``: well-formedness
+            # guarantees no further events from this process, and
+            # :meth:`commit_pending` classifies it (live or
             # commit-pending) exactly like a transaction cut off by the
             # end of the prefix.
-            continue
+            return
         if is_invocation(event):
             operation = event.operation
             if operation == "start":
@@ -272,28 +286,26 @@ def parse_transactions(history: History) -> List[Transaction]:
                         f"p{pid} starts a transaction inside transaction "
                         f"#{current[pid].number}"
                     )
-                counters[pid] = counters.get(pid, 0) + 1
+                number = self._counters[pid] = self._counters.get(pid, 0) + 1
                 transaction = Transaction(
-                    process=pid, number=counters[pid], start_index=index
+                    process=pid, number=number, start_index=index
                 )
                 current[pid] = transaction
-                transactions.append(transaction)
-            else:
-                if pid not in current:
-                    raise IllFormedHistoryError(
-                        f"p{pid} invokes {operation} outside any transaction"
-                    )
-            if pid in current:
-                current[pid].calls.append(
-                    TransactionCall(
-                        operation=operation,
-                        args=event.args,
-                        value=None,
-                        invocation_index=index,
-                        response_index=None,
-                    )
+                self.transactions.append(transaction)
+            elif pid not in current:
+                raise IllFormedHistoryError(
+                    f"p{pid} invokes {operation} outside any transaction"
                 )
-            continue
+            current[pid].calls.append(
+                TransactionCall(
+                    operation=operation,
+                    args=event.args,
+                    value=None,
+                    invocation_index=index,
+                    response_index=None,
+                )
+            )
+            return
         if is_response(event):
             if pid not in current:
                 raise IllFormedHistoryError(
@@ -316,16 +328,38 @@ def parse_transactions(history: History) -> List[Transaction]:
                 transaction.end_index = index
                 del current[pid]
 
-    for transaction in current.values():
-        if (
-            transaction.calls
+    def commit_pending(self) -> List[Transaction]:
+        """The open transactions whose ``tryC`` awaits its response, in
+        start order: the internal commit point may already have been
+        reached, so a completion may commit them."""
+        return [
+            transaction
+            for transaction in self.open.values()
+            if transaction.calls
             and transaction.calls[-1].operation == "tryC"
             and transaction.calls[-1].pending
-        ):
-            transaction.status = STATUS_COMMIT_PENDING
+        ]
 
-    transactions.sort(key=lambda t: t.start_index)
-    return transactions
+
+def parse_transactions(history: History) -> List[Transaction]:
+    """Parse a TM history into transactions, in start order.
+
+    Raises :class:`IllFormedHistoryError` on TM-level protocol
+    violations (a ``read`` outside any transaction, a call after the
+    transaction committed, ...).  A crash leaves the process's open
+    transaction uncompleted: like any other uncompleted transaction it
+    ends up ``live`` — or ``commit-pending`` when the crash hit between
+    the ``tryC`` invocation and its response, since the internal commit
+    point may already have been reached (the completion rule must be
+    allowed to commit it; found by the schedule fuzzer's crash
+    injection).
+    """
+    parser = TransactionParser()
+    for event in history:
+        parser.feed(event)
+    for transaction in parser.commit_pending():
+        transaction.status = STATUS_COMMIT_PENDING
+    return parser.transactions
 
 
 def committed_transactions(history: History) -> List[Transaction]:

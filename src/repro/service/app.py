@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import os
 import secrets
 
 from concurrent.futures import ProcessPoolExecutor
@@ -135,17 +136,28 @@ class ServiceApp:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        """Open the cache and install the service recorder (so the
-        cache layer's ``cache/hit``/``cache/miss`` counters land in the
-        ``/v1/metrics`` document)."""
+        """Open the cache, install the service recorder (so the cache
+        layer's ``cache/hit``/``cache/miss`` counters land in the
+        ``/v1/metrics`` document), and fork the executor's workers.
+
+        The workers are forked here, before the server opens any
+        socket: a worker forked inside a request would inherit that
+        client's connection (and the listening socket), and the client
+        would never see EOF after the server closed the connection."""
         self._cache = VerdictCache.open(self.cache_path)
         self._previous_recorder = _obs_install(self.recorder)
+        self._executor = ProcessPoolExecutor(max_workers=self.workers)
+        # submit() forks the workers before it returns: one per submit
+        # that finds no idle worker, or (a fork-based pool on Python
+        # 3.11+) all of them on the first.  Nothing waits for the jobs.
+        for _ in range(self.workers):
+            self._executor.submit(os.getpid)
 
     def close(self) -> None:
         _obs_install(self._previous_recorder)
         if self._executor is not None:
-            # wait=True so the forked workers (which inherit the
-            # listening socket) are reaped before the port is reused.
+            # wait=True so the workers are reaped before the server
+            # process exits.
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
         if self._cache is not None:
@@ -160,7 +172,7 @@ class ServiceApp:
 
     def executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            raise UsageError("service app not started (call start())")
         return self._executor
 
     # -- routing ------------------------------------------------------------

@@ -177,9 +177,8 @@ async def _serve_forever(
         f"(cache: {app.cache_path}, workers: {app.workers})",
         flush=True,
     )
-    # SIGTERM/SIGINT must unwind through the finally below: the
-    # executor's forked workers inherit the listening socket, so dying
-    # without shutting them down leaves orphans holding the port.
+    # SIGTERM/SIGINT must unwind through the finally below: dying
+    # without shutting the executor down leaves its workers orphaned.
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):

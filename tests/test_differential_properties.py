@@ -15,12 +15,21 @@ import pytest
 
 from repro.core.events import Invocation, Response
 from repro.core.history import History
+from repro.core.properties import Verdict
 from repro.objects.linearizability import LinearizabilityChecker
-from repro.objects.opacity import OpacityChecker
+from repro.objects.opacity import OpacityChecker, SearchBudgetExceeded
 from repro.objects.register_obj import WRITE_OK, RegisterSpec
-from repro.objects.tm import ABORTED, COMMITTED, OK, parse_transactions
-from repro.util.errors import SpecificationError
+from repro.objects.tm import (
+    ABORTED,
+    COMMITTED,
+    OK,
+    STATUS_COMMIT_PENDING,
+    parse_transactions,
+)
+from repro.util.errors import IllFormedHistoryError, SpecificationError
 from repro.util.rng import DeterministicRng
+
+from conftest import tm_events, tm_history
 
 MAX_EVENTS = 6
 
@@ -238,10 +247,13 @@ def test_opacity_checker_agrees_with_brute_force(seed):
     verdicts = set()
     for _ in range(250):
         history = random_tm_history(rng)
-        clever = checker.check_history(history).holds
+        verdict = checker.check_history(history)
         naive = brute_force_opaque(history)
-        assert clever == naive, f"disagreement on {history}"
-        verdicts.add(clever)
+        assert verdict.holds == naive, f"disagreement on {history}"
+        # The shared checker's trie, carried parse and witness change
+        # nothing a from-scratch check reports.
+        assert _observed(verdict) == reference_opacity(history, checker), history
+        verdicts.add(verdict.holds)
     assert verdicts == {True, False}
 
 
@@ -338,3 +350,279 @@ def test_aborted_read_fits_a_later_committed_order():
     )
     assert brute_force_opaque(history)
     assert OpacityChecker(deep=True).check_history(history).holds
+
+
+# ---------------------------------------------------------------------------
+# The incremental opacity checker against a from-scratch reference
+# ---------------------------------------------------------------------------
+#
+# ``OpacityChecker`` walks each history once through a prefix trie shared
+# by every history it is handed, carries one incremental parse along the
+# walk, and tries the last checked prefix's serialization before
+# searching.  The reference below does none of that: it parses every
+# checked prefix anew and searches it from scratch, so any verdict,
+# reason or witness that differs points at the incremental machinery.
+
+
+def reference_opacity(history: History, checker: OpacityChecker):
+    """``(holds, reason, witness length)`` of ``history`` from scratch,
+    under ``checker``'s parameters."""
+    ends = [len(history)]
+    if checker.deep:
+        ends = [
+            index + 1
+            for index, event in enumerate(history)
+            if isinstance(event, Response)
+        ]
+        if not ends or ends[-1] != len(history):
+            ends.append(len(history))
+    for end in ends:
+        failure = _reference_prefix(history[:end], checker)
+        if failure is not None:
+            return False, f"prefix of length {end}: {failure}", end
+    return True, f"{checker.name} holds on all checked prefixes", None
+
+
+def _reference_prefix(history: History, checker: OpacityChecker):
+    transactions = parse_transactions(history)
+    for transaction in transactions:
+        violation = transaction.own_write_violation()
+        if violation is not None:
+            variable, written, observed = violation
+            return (
+                f"transaction p{transaction.process}#{transaction.number} "
+                f"wrote {written!r} to x{variable} but then read {observed!r}"
+            )
+    pending = [t for t in transactions if t.status == STATUS_COMMIT_PENDING]
+    for commit_mask in product((True, False), repeat=len(pending)):
+        chosen = {id(t) for t, commit in zip(pending, commit_mask) if commit}
+        committed = [t for t in transactions if t.committed or id(t) in chosen]
+        aborted = [
+            t for t in transactions if not t.committed and id(t) not in chosen
+        ]
+        for order in _reference_orders(committed, (), checker):
+            if not checker.check_aborted or _reference_place(
+                order, aborted, checker
+            ):
+                return None
+    return (
+        f"no serialization of {len(transactions)} transactions "
+        f"(committed={sum(t.committed for t in transactions)}) respects "
+        "real time and the sequential specification"
+    )
+
+
+def _reference_state(order, checker):
+    state = dict(checker.initial_values)
+    for transaction in order:
+        state.update(transaction.write_set())
+    return state
+
+
+def _reference_orders(committed, order, checker):
+    """Every real-time respecting committed order whose reads replay
+    (plain backtracking, no memo, no budget)."""
+    if len(order) == len(committed):
+        yield order
+        return
+    placed = {id(t) for t in order}
+    state = _reference_state(order, checker)
+    for transaction in committed:
+        if id(transaction) in placed:
+            continue
+        if any(
+            other.precedes(transaction) and id(other) not in placed
+            for other in committed
+        ):
+            continue
+        if any(
+            state.get(variable, checker.default_initial) != value
+            for variable, value in transaction.reads()
+        ):
+            continue
+        yield from _reference_orders(committed, order + (transaction,), checker)
+
+
+def _reference_place(order, aborted, checker):
+    """Each aborted transaction, in start order, at the first gap of
+    ``order`` that respects real time and replays its reads."""
+    gaps = {}
+    for transaction in sorted(aborted, key=lambda t: t.start_index):
+        low = max(
+            [i + 1 for i, t in enumerate(order) if t.precedes(transaction)]
+            + [gaps[id(t)] for t in aborted if id(t) in gaps and t.precedes(transaction)]
+            + [0]
+        )
+        high = min(
+            [i for i, t in enumerate(order) if transaction.precedes(t)]
+            + [len(order)]
+        )
+        for gap in range(low, high + 1):
+            state = _reference_state(order[:gap], checker)
+            if all(
+                state.get(variable, checker.default_initial) == value
+                for variable, value in transaction.reads()
+            ):
+                gaps[id(transaction)] = gap
+                break
+        else:
+            return False
+    return True
+
+
+def _observed(verdict):
+    witness = None if verdict.witness is None else len(verdict.witness)
+    return verdict.holds, verdict.reason, witness
+
+
+class _Collect:
+    """A stand-in safety property that records every history handed in."""
+
+    def __init__(self):
+        self.histories = []
+
+    def check_history(self, history):
+        self.histories.append(history)
+        return Verdict.passed()
+
+
+def _fuzz_histories(scenario, seed, iterations):
+    from repro.fuzz.driver import FuzzDriver
+
+    collect = _Collect()
+    FuzzDriver(
+        scenario.factory,
+        scenario.plan,
+        safety=collect,
+        seed=seed,
+        stop_on_violation=False,
+    ).run(iterations)
+    return collect.histories
+
+
+def _tm_scenarios():
+    from repro.scenarios import iter_scenarios
+
+    return [
+        scenario
+        for scenario in iter_scenarios()
+        if isinstance(scenario.safety_factory(), OpacityChecker)
+    ]
+
+
+def _mutant_violations():
+    """The violating histories the fuzzer finds for the TM mutants."""
+    from repro.fuzz.driver import fuzz_workload
+    from repro.mutate.mutants import iter_mutants
+
+    found = {}
+    for mutant in iter_mutants():
+        if not mutant.target.endswith("-tm"):
+            continue
+        scenario = mutant.scenario_factory()
+        found[mutant.mutant_id] = [
+            report.violation.history
+            for report in (
+                fuzz_workload(scenario, seed=seed, iterations=2000)
+                for seed in range(4)
+            )
+            if report.violation is not None
+        ]
+    return found
+
+
+def test_opacity_checker_matches_reference_on_fuzz_walks():
+    scenarios = _tm_scenarios()
+    assert len(scenarios) >= 50
+    outcomes = set()
+    for scenario in scenarios:
+        checker = scenario.safety_factory()
+        for history in _fuzz_histories(scenario, seed=3, iterations=30):
+            observed = _observed(checker.check_history(history))
+            assert observed == reference_opacity(history, checker), (
+                scenario.scenario_id,
+                history,
+            )
+            outcomes.add(observed[0])
+    assert True in outcomes
+
+
+def test_opacity_checker_matches_reference_on_mutant_violations():
+    violations = _mutant_violations()
+    assert len(violations) == 5
+    for mutant_id, histories in violations.items():
+        assert histories, f"the fuzzer found no violation of {mutant_id}"
+        checker = OpacityChecker()
+        for history in histories:
+            observed = _observed(checker.check_history(history))
+            assert observed == reference_opacity(history, checker), mutant_id
+            if mutant_id != "i12-off-by-one-quorum":  # not an opacity bug
+                assert not observed[0], mutant_id
+
+
+def test_shared_checker_matches_fresh_checkers():
+    """No verdict, parse or witness leaks from one history into another:
+    a checker fed a shuffled mix of histories agrees with a fresh checker
+    per history."""
+    from repro.scenarios import get_scenario
+
+    histories = [
+        history
+        for scenario_id in (
+            "agp-opacity-3p",
+            "global-lock-opacity",
+            "i12-opacity",
+            "intent-opacity",
+            "crash-tm:impl=norec,vars=2,crash=p0@7",
+        )
+        for history in _fuzz_histories(get_scenario(scenario_id), 5, 40)
+    ]
+    histories += [h for found in _mutant_violations().values() for h in found]
+    rng = DeterministicRng("shared-checker")
+    rng.shuffle(histories)
+    assert len(histories) >= 50
+    shared = OpacityChecker()
+    for history in histories:
+        assert _observed(shared.check_history(history)) == _observed(
+            OpacityChecker().check_history(history)
+        ), history
+
+
+ILL_FORMED = [
+    # a read outside any transaction
+    tm_events(("i", 0, "read", 0)),
+    # a start inside a live transaction
+    tm_events((0, "start"), ("i", 0, "start")),
+    # a response outside any transaction
+    tm_events(("r", 0, "read", 0)),
+    # tryC answered with something other than C or A
+    tm_events((0, "start"), ("i", 0, "tryC"), ("r", 0, "tryC", OK)),
+    # a call after the transaction committed
+    tm_events((0, "start"), (0, "commit"), ("i", 0, "write", 0, 1)),
+]
+
+
+@pytest.mark.parametrize("events", ILL_FORMED)
+def test_ill_formed_history_raises_the_parsers_message(events):
+    history = History(events, validate=False)
+    with pytest.raises(IllFormedHistoryError) as parsed:
+        parse_transactions(history)
+    checker = OpacityChecker()
+    for _ in range(2):  # the second walk starts on trie hits
+        with pytest.raises(IllFormedHistoryError) as checked:
+            checker.check_history(history)
+        assert str(checked.value) == str(parsed.value)
+
+
+def test_exceeded_search_budget_stores_no_verdict():
+    """A prefix whose search ran out of budget stays undecided: asking
+    again searches (and raises) again rather than reading a verdict."""
+    history = tm_history(
+        (0, "start"), (0, "write", 0, 1), (0, "commit"),
+        (1, "start"), (1, "read", 0, 1),
+    )
+    checker = OpacityChecker(max_nodes=1)
+    for _ in range(2):
+        with pytest.raises(SearchBudgetExceeded):
+            checker.check_history(history)
+    assert OpacityChecker().check_history(history).holds

@@ -16,6 +16,7 @@ import signal
 import socket
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -442,9 +443,10 @@ class TestHttpServer:
         _run(scenario())
 
 
-    def test_sigterm_with_idle_keep_alive_connection_exits_cleanly(self, db):
-        """Shutdown cancels the handler of every open connection; that
-        must be a clean close — exit 0 and no traceback on stderr."""
+    @staticmethod
+    def _serve(db):
+        """``python -m repro serve`` on an ephemeral port: the process
+        and the port its banner names."""
         env = dict(os.environ)
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
         env["PYTHONPATH"] = os.pathsep.join(
@@ -458,9 +460,53 @@ class TestHttpServer:
             text=True,
             env=env,
         )
+        banner = server.stdout.readline()
+        match = re.search(r":(\d+) ", banner)
+        if match is None:
+            server.kill()
+            raise AssertionError(f"no banner: {banner!r} {server.communicate()}")
+        return server, int(match.group(1))
+
+    def test_cold_submit_with_connection_close_reaches_eof(self, db):
+        """The executor's workers exist before the first connection, so
+        no worker holds a copy of the client's socket: after a cold
+        submit with ``Connection: close`` the client sees EOF at once."""
+        server, port = self._serve(db)
         try:
-            banner = server.stdout.readline()
-            port = int(re.search(r":(\d+) ", banner).group(1))
+            body = json.dumps({"scenario": FAST, "backend": "exhaustive"}).encode()
+            request = (
+                b"POST /v1/verify HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            ) + body
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
+                conn.sendall(request)
+                received = b""
+                deadline = time.monotonic() + 2.0
+                while True:
+                    conn.settimeout(max(0.001, deadline - time.monotonic()))
+                    try:
+                        chunk = conn.recv(65536)
+                    except socket.timeout:
+                        pytest.fail(f"no EOF within 2 s; received {received!r}")
+                    if not chunk:
+                        break
+                    received += chunk
+            assert received.startswith(b"HTTP/1.1 202"), received
+        finally:
+            server.send_signal(signal.SIGTERM)
+            try:
+                server.communicate(timeout=60)
+            finally:
+                if server.poll() is None:
+                    server.kill()
+                    server.communicate()
+
+    def test_sigterm_with_idle_keep_alive_connection_exits_cleanly(self, db):
+        """Shutdown cancels the handler of every open connection; that
+        must be a clean close — exit 0 and no traceback on stderr."""
+        server, port = self._serve(db)
+        try:
             with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
                 conn.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n")
                 response = conn.recv(65536)
