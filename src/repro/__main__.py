@@ -375,7 +375,19 @@ def cmd_fuzz(arguments) -> int:
                 f"  shrunk {shrunk.original_length} -> "
                 f"{len(shrunk.schedule)} steps: {rendered}"
             )
-            if arguments.artifact_dir is not None:
+            # The shrinker replays candidates from snapshots of its
+            # witness; an artifact must stand on its own, so re-execute
+            # it from step 0 on the plain runtime with a fresh checker.
+            replay = replay_schedule(
+                spec.factory, spec.plan, shrunk.schedule, spec.safety_factory()
+            )
+            if not replay.violates:
+                print(
+                    "  SURPRISE: the shrunk schedule does not re-violate on "
+                    "a fresh replay; no artifact written"
+                )
+                surprises += 1
+            elif arguments.artifact_dir is not None:
                 os.makedirs(arguments.artifact_dir, exist_ok=True)
                 path = os.path.join(
                     arguments.artifact_dir,

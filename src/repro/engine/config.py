@@ -83,8 +83,10 @@ class ProcessSnapshot(NamedTuple):
     #: ``None`` when idle, else ``(invocation, primitive results so far)``.
     frame: Optional[Tuple[Invocation, Tuple[Any, ...]]]
     stats: Tuple[int, int, int, int, int, Tuple[int, ...], bool]
-    #: The process's fingerprint at capture time; restoring seeds the
-    #: configuration's incremental-fingerprint cache with it.
+    #: The process's fingerprint at capture time if one was already
+    #: cached (capture never hashes); restoring seeds the
+    #: configuration's incremental-fingerprint cache with it, and a
+    #: ``None`` seed is recomputed on first use.
     fingerprint: Optional[HashedKey] = None
 
 
@@ -369,7 +371,7 @@ class KernelConfig:
             memory=memory,
             frame=frame,
             stats=_capture_stats(self.runtime.stats[pid]),
-            fingerprint=self._process_fingerprint(pid),
+            fingerprint=self._process_fps[pid],
         )
 
     # -- views -------------------------------------------------------------

@@ -16,7 +16,8 @@ scenario layer and takes scenario objects as plain inputs.
   sampling with swarm scheduler mutation, crash-point injection, and
   coverage-guided corpus restarts;
 * :mod:`repro.fuzz.shrink` — ddmin minimization of violating schedules
-  to locally minimal, replay-verified traces;
+  to locally minimal traces, each candidate replayed from a snapshot of
+  the witness's prefix it shares;
 * :mod:`repro.fuzz.trace` — the JSON replay artifacts (schedule
   counterexamples and the liveness backend's lasso certificates),
   replayed through the plain :mod:`repro.sim.runtime` (independent of

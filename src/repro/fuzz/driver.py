@@ -191,6 +191,10 @@ class FuzzDriver:
         # draw per step, not one rng construction per iteration.
         self._walk_rng = self._rng.fork("fast-walks")
         self._config = KernelConfig(factory())
+        # A capture carries only fingerprints already cached, and
+        # exploration walks fingerprint the root after every restore of
+        # it: hash it once here so the root snapshot carries the hashes.
+        self._config.kernel_fingerprint()
         self._root = self._config.capture()
         self._coverage: Set[Any] = set()
         self._corpus: List[_CorpusEntry] = []

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.history import History
 from repro.core.properties import SafetyProperty, Verdict
@@ -71,35 +71,50 @@ def _tupled(value: Any) -> Any:
     return value
 
 
+def label_to_decision(
+    plan: InvocationPlan, label: Choice, invoked: Callable[[int], int]
+) -> Decision:
+    """Translate one schedule label into a runtime decision.
+
+    ``invoked(pid)`` is how many invocations the process has issued so
+    far: ``("invoke", pid)`` takes the plan's next one.  Over-running
+    the plan raises :class:`~repro.util.errors.SimulationError` like any
+    other invalid schedule, so shrink candidates that drop too much
+    fail cleanly.
+    """
+    kind, pid = label[0], int(label[1])
+    if kind == "invoke":
+        operations = plan.get(pid, ())
+        cursor = invoked(pid) if operations else 0
+        if cursor >= len(operations):
+            raise SimulationError(
+                f"schedule invokes p{pid} beyond its plan (cursor {cursor})"
+            )
+        operation, args = operations[cursor]
+        return InvokeDecision(pid, operation, tuple(args))
+    if kind == "step":
+        return StepDecision(pid)
+    if kind == "crash":
+        return CrashDecision(pid)
+    raise UsageError(f"unknown schedule label kind {kind!r}")
+
+
 def schedule_to_decisions(
     plan: InvocationPlan, schedule: Sequence[Choice]
 ) -> List[Decision]:
-    """Translate a labelled schedule into runtime decisions.
+    """Translate a whole labelled schedule into runtime decisions
+    (:func:`label_to_decision` with a per-pid cursor over ``plan``)."""
+    cursors: Dict[int, int] = {}
 
-    ``("invoke", pid)`` consumes the process's next planned invocation
-    (a per-pid cursor over ``plan``); over-running the plan raises
-    :class:`~repro.util.errors.SimulationError` like any other invalid
-    schedule, so shrink candidates that drop too much fail cleanly.
-    """
-    cursors: Dict[int, int] = {pid: 0 for pid in plan}
+    def invoked(pid: int) -> int:
+        return cursors.get(pid, 0)
+
     decisions: List[Decision] = []
     for label in schedule:
-        kind, pid = label[0], int(label[1])
-        if kind == "invoke":
-            cursor = cursors.get(pid, 0)
-            if pid not in plan or cursor >= len(plan[pid]):
-                raise SimulationError(
-                    f"schedule invokes p{pid} beyond its plan (cursor {cursor})"
-                )
-            operation, args = plan[pid][cursor]
-            cursors[pid] = cursor + 1
-            decisions.append(InvokeDecision(pid, operation, tuple(args)))
-        elif kind == "step":
-            decisions.append(StepDecision(pid))
-        elif kind == "crash":
-            decisions.append(CrashDecision(pid))
-        else:
-            raise UsageError(f"unknown schedule label kind {kind!r}")
+        decision = label_to_decision(plan, label, invoked)
+        if isinstance(decision, InvokeDecision):
+            cursors[decision.pid] = cursors.get(decision.pid, 0) + 1
+        decisions.append(decision)
     return decisions
 
 

@@ -314,7 +314,9 @@ class LivenessSearch:
         self._config = KernelConfig(self._implementation)
         if reduction == "dpor":
             self._config.runtime.record_footprints = True
-        #: The initial configuration; every `runs()` call restarts here.
+        #: The initial configuration; every `runs()` call restarts here
+        #: (fingerprinted first, so the snapshot carries the hashes).
+        self._config.kernel_fingerprint()
         self._root = self._config.capture()
         #: Configurations explored / branch merges pruned by the most
         #: recent :meth:`runs` call (read after exhausting the

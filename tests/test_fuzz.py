@@ -10,6 +10,7 @@ from repro.core.events import Crash
 from repro.fuzz import (
     FuzzDriver,
     ReplayTrace,
+    ShrinkResult,
     differential_check,
     differential_sweep,
     fuzz_workload,
@@ -317,6 +318,41 @@ class TestFuzzCli:
         capsys.readouterr()
         assert main(["fuzz", "--replay", path]) == 0
         assert "violated" in capsys.readouterr().out
+
+    def test_shrunk_trace_that_does_not_reviolate_is_not_written(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The CLI re-executes the shrunk schedule from scratch before
+        saving it: a schedule that no longer violates is a surprise."""
+        import repro.fuzz
+
+        def broken_shrink(factory, plan, schedule, safety):
+            return ShrinkResult(
+                schedule=tuple(schedule[:1]),
+                original_length=len(schedule),
+                candidates_tried=1,
+                replays=1,
+            )
+
+        monkeypatch.setattr(repro.fuzz, "shrink_schedule", broken_shrink)
+        artifact_dir = tmp_path / "artifacts"
+        assert (
+            main(
+                [
+                    "fuzz",
+                    "stubborn-consensus",
+                    "--seed",
+                    "3",
+                    "--iterations",
+                    "300",
+                    "--artifact-dir",
+                    str(artifact_dir),
+                ]
+            )
+            == 1
+        )
+        assert "does not re-violate" in capsys.readouterr().out
+        assert not artifact_dir.exists()
 
     def test_unknown_workload_is_usage_error(self):
         assert main(["fuzz", "nope"]) == 2
