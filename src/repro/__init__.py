@@ -60,7 +60,7 @@ from repro.sim import Implementation, Op, play
 from repro.scenarios import get_scenario, iter_scenarios, verify
 from repro.analysis import EXPERIMENTS, run_experiment
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "Crash",

@@ -357,7 +357,6 @@ def cmd_fuzz(arguments) -> int:
             print(
                 f"[{name}] {verdict} "
                 f"({report.interleavings} interleavings, "
-                f"{report.coverage} states covered, "
                 f"{report.interleavings_per_second:,.0f}/s) -> "
                 f"{'expected' if ok else 'SURPRISE'}"
             )

@@ -934,7 +934,6 @@ def run_sec6(n: int = 3) -> ExperimentResult:
 #: The sampling evidence persisted by every fuzz-flavoured job.
 _SAMPLING_ARTIFACTS = (
     "interleavings",
-    "coverage",
     "corpus",
     "histories_checked",
     "interleavings_per_second",
@@ -1019,7 +1018,6 @@ def run_fuzz(
             result,
             {
                 "interleavings": report.interleavings,
-                "coverage": report.coverage,
                 "corpus": report.corpus,
                 "histories_checked": report.histories_checked,
                 "interleavings_per_second": round(
@@ -1063,14 +1061,6 @@ def run_fuzz(
             expected=expectation,
             measured=measured,
             ok=verdict.expected,
-        )
-    )
-    result.claims.append(
-        Claim(
-            name="coverage map",
-            expected="> 0 unique configurations",
-            measured=str(stats["coverage"]),
-            ok=stats["coverage"] > 0,
         )
     )
     if verdict.counterexample is not None and shrink:

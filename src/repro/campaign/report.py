@@ -99,7 +99,7 @@ def _json_value(value: Any) -> bool:
 
 def result_payload(result: ExperimentResult) -> Dict[str, Any]:
     """The JSON-safe result of one job: claim verdicts, grid cells, and
-    JSON-value artifacts (history counts, fuzz coverage, shrunk
+    JSON-value artifacts (history counts, fuzz corpus sizes, shrunk
     counterexample traces)."""
     payload: Dict[str, Any] = {
         "experiment_id": result.experiment_id,

@@ -3,10 +3,9 @@
 The randomized counterpart of the exhaustive exploration engine: where
 :mod:`repro.sim.explore` enumerates every schedule of an invocation
 plan, this subsystem *samples* schedules, crash patterns, and swarm-
-mutated schedulers at high rate, steered by a configuration-fingerprint
-coverage map — opening the large-instance regime exhaustive search
-cannot reach, while the differential oracle keeps the two layers
-honest against each other on small instances.
+mutated schedulers at high rate — opening the large-instance regime
+exhaustive search cannot reach, while the differential oracle keeps the
+two layers honest against each other on small instances.
 
 Fuzz targets are the declarative scenarios of :mod:`repro.scenarios`
 (one registry feeding both backends); this package stays *below* the
@@ -14,7 +13,7 @@ scenario layer and takes scenario objects as plain inputs.
 
 * :mod:`repro.fuzz.driver` — :class:`FuzzDriver`: snapshot-restart
   sampling with swarm scheduler mutation, crash-point injection, and
-  coverage-guided corpus restarts;
+  restarts from a reservoir corpus of visited states;
 * :mod:`repro.fuzz.shrink` — ddmin minimization of violating schedules
   to locally minimal traces, each candidate replayed from a snapshot of
   the witness's prefix it shares;

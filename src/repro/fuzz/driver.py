@@ -4,14 +4,14 @@ Where the exhaustive engine *enumerates* the configuration DAG of an
 invocation plan, :class:`FuzzDriver` *samples* it: thousands of seeded
 random interleavings per second, each a complete labelled schedule whose
 history is judged by the workload's safety property.  Three mechanisms
-make the sampling fast and the coverage broad:
+make the sampling fast and diverse:
 
 **Snapshot restarts.**  The driver owns one scratch
 :class:`~repro.engine.config.KernelConfig` and a bounded *corpus* of
-:class:`~repro.engine.config.KernelSnapshot`\\ s captured at
-previously-unvisited configurations.  Most iterations restore a corpus
-snapshot (O(configuration), a few microseconds) and walk a fresh random
-tail from there — each iteration still yields a complete interleaving
+:class:`~repro.engine.config.KernelSnapshot`\\ s captured along
+exploration walks.  Most iterations restore a corpus snapshot
+(O(configuration), a few microseconds) and walk a fresh random tail
+from there — each iteration still yields a complete interleaving
 (corpus prefix + tail), but pays only for the tail.  This is the same
 restore machinery the exhaustive engine uses per DAG edge, driven by a
 sampler instead of a frontier.
@@ -27,11 +27,13 @@ plan each step exactly as a :class:`~repro.sim.drivers.ComposedDriver`
 would.  Different swarms reach different corners of the schedule space;
 the corpus then amortizes whatever they discover.
 
-**Coverage map.**  Exploration walks fingerprint every configuration
-they traverse (the engine's exact configuration-and-history key).
-Fingerprints not seen before grow the coverage map and may be captured
-into the corpus — so restarts are steered toward the frontier of
-unvisited states rather than re-sampling the well-trodden prefix region.
+**Corpus reservoir.**  Every non-terminal state an exploration walk
+passes at depth ``min_corpus_depth`` or deeper is a restart candidate,
+captured with probability 0.3; once the corpus is full a capture
+replaces a random entry.  No state is fingerprinted: the diversity
+comes from the mutated swarms, as in swarm testing (Groce et al., ISSTA
+2012), and the reservoir only spreads the cheap restarts over what they
+reach.
 
 Verdicts are only ever produced by the real safety checker on real
 histories, so the fuzzer cannot report a false violation; a ``holds``
@@ -81,8 +83,6 @@ class FuzzReport:
     #: Complete interleavings executed (== iterations unless stopped
     #: early by a violation).
     interleavings: int
-    #: Unique configuration fingerprints seen by exploration walks.
-    coverage: int
     #: Snapshots available for restarts at the end of the run.
     corpus: int
     #: Distinct complete histories that were safety-checked.
@@ -108,7 +108,7 @@ class _CorpusEntry:
 
 
 class FuzzDriver:
-    """Coverage-guided random sampler over one fuzz workload.
+    """Swarm-mutated random sampler over one fuzz workload.
 
     Parameters
     ----------
@@ -118,7 +118,7 @@ class FuzzDriver:
         disables checking (throughput measurements).
     seed:
         Master seed; every random choice derives from it, so equal
-        seeds reproduce schedules, coverage, and verdicts exactly.
+        seeds reproduce schedules, corpora, and verdicts exactly.
     max_depth:
         Walk length cap (safety stays checkable on truncated runs
         because safety properties are prefix-closed).
@@ -140,10 +140,10 @@ class FuzzDriver:
         are not worth capturing (restarting at depth 1 is no cheaper
         than the root).
     explore_every:
-        Every n-th iteration is a coverage-tracked exploration walk
-        from the root; the rest are fast corpus restarts.  ``1`` makes
-        every walk an exploration walk (maximum steering, lowest
-        throughput).
+        Every n-th iteration is an exploration walk from the root that
+        refills the corpus; the rest are fast corpus restarts.  ``1``
+        makes every walk an exploration walk (most swarm diversity,
+        lowest throughput).
     stop_on_violation:
         Stop at the first violating schedule (the default; shrinking
         and reporting want exactly one witness).
@@ -191,12 +191,7 @@ class FuzzDriver:
         # draw per step, not one rng construction per iteration.
         self._walk_rng = self._rng.fork("fast-walks")
         self._config = KernelConfig(factory())
-        # A capture carries only fingerprints already cached, and
-        # exploration walks fingerprint the root after every restore of
-        # it: hash it once here so the root snapshot carries the hashes.
-        self._config.kernel_fingerprint()
         self._root = self._config.capture()
-        self._coverage: Set[Any] = set()
         self._corpus: List[_CorpusEntry] = []
         self._checked: Set[Tuple[Any, ...]] = set()
         # Decisions are immutable, so the walk loops reuse one instance
@@ -264,7 +259,7 @@ class FuzzDriver:
     # -- the two walk kinds -------------------------------------------------
 
     def _explore_walk(self, rng: DeterministicRng) -> Tuple[Choice, ...]:
-        """Coverage-tracked walk from the root under a mutated swarm."""
+        """Walk from the root under a mutated swarm, feeding the corpus."""
         config = self._config
         config.restore_from(self._root)
         scheduler = self._mutate_scheduler(rng)
@@ -286,30 +281,26 @@ class FuzzDriver:
             else:
                 pid = scheduler.pick(eligible, view)
             schedule.append(self._apply_pid(config, pid))
-            fingerprint = config.fingerprint()
-            if fingerprint not in self._coverage:
-                self._coverage.add(fingerprint)
-                depth = len(schedule)
-                if (
-                    depth >= self.min_corpus_depth
-                    and depth < self.max_depth
-                    and rng.maybe(0.3)
-                    # Terminal configurations make useless restart
-                    # points: a restart there replays the identical
-                    # schedule with an empty tail.
-                    and self._eligible(config)
-                ):
-                    self._corpus_add(
-                        _CorpusEntry(config.capture(), tuple(schedule), depth),
-                        rng,
-                    )
+            depth = len(schedule)
+            if (
+                depth >= self.min_corpus_depth
+                and depth < self.max_depth
+                and rng.maybe(0.3)
+                # Terminal configurations make useless restart points: a
+                # restart there replays the identical schedule with an
+                # empty tail.
+                and self._eligible(config)
+            ):
+                self._corpus_add(
+                    _CorpusEntry(config.capture(), tuple(schedule), depth), rng
+                )
         return tuple(schedule)
 
     def _fast_walk(self) -> Tuple[Tuple[Choice, ...], List[Choice]]:
         """Corpus restart plus uniform random tail, as (prefix, tail).
 
-        The hot loop: no fingerprinting, no snapshot bookkeeping, and
-        decisions applied straight to the runtime, bypassing
+        The hot loop: no snapshot bookkeeping, and decisions applied
+        straight to the runtime, bypassing
         :meth:`KernelConfig.apply`'s per-step cache invalidation.  The
         processes the tail moved are invalidated once at the end
         instead: the next ``restore_from`` is a delta restore and would
@@ -381,7 +372,7 @@ class FuzzDriver:
 
         Deterministic in ``(seed, iterations, construction options)``:
         every draw derives from the master seed, so equal inputs
-        reproduce schedules, coverage, and verdicts exactly.
+        reproduce schedules, corpora, and verdicts exactly.
         Exploration walks additionally fork a fresh rng keyed by their
         iteration index; fast walks share one stream and restart from
         the evolving corpus, so individual fast-walk schedules *do*
@@ -427,14 +418,12 @@ class FuzzDriver:
                     if self.stop_on_violation:
                         break
         if rec is not None:
-            rec.gauge("fuzz/coverage", len(self._coverage))
             rec.gauge("fuzz/corpus", len(self._corpus))
         return FuzzReport(
             workload=workload_name,
             seed=self.seed,
             iterations=iterations,
             interleavings=interleavings,
-            coverage=len(self._coverage),
             corpus=len(self._corpus),
             histories_checked=len(self._checked),
             elapsed=time.perf_counter() - started,

@@ -6,7 +6,7 @@ plan, safety property, scheduler/crash policy, bounds, tags).  The
 process-global registry (:func:`register` / :func:`get_scenario` /
 :func:`iter_scenarios`) is populated by :mod:`repro.scenarios.catalog`
 at import time, and the :func:`verify` facade runs any scenario under
-any backend — the exhaustive snapshot engine or the coverage-guided
+any backend — the exhaustive snapshot engine or the swarm-mutated
 fuzzer — returning one uniform :class:`Verdict` (holds / violated /
 budget-exhausted, stats, a replayable counterexample trace).
 

@@ -165,7 +165,7 @@ class Verdict:
     configuration budget before finishing.  ``expected`` compares the
     outcome against the scenario's declared expectation — the CLI's
     exit-0 condition.  ``stats`` carries backend-specific evidence
-    (runs checked, interleavings sampled, coverage, certainty,
+    (runs checked, interleavings sampled, corpus size, certainty,
     timings); ``counterexample`` is a replay-verified
     :class:`~repro.fuzz.trace.ReplayTrace` whenever a violation was
     found, replayable by ``python -m repro fuzz --replay``; ``lasso``

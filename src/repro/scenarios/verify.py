@@ -403,7 +403,6 @@ def _verify_fuzz(scenario: Scenario, overrides: Dict[str, Any]) -> Verdict:
         "iterations": report.iterations,
         "max_depth": bounds.max_depth,
         "interleavings": report.interleavings,
-        "coverage": report.coverage,
         "corpus": report.corpus,
         "histories_checked": report.histories_checked,
         "elapsed": span.elapsed_stat,

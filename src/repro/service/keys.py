@@ -11,7 +11,7 @@ The cache key is therefore the SHA-256
       "scenario": <scenario fingerprint>,   # see scenario_fingerprint()
       "backend": "exhaustive",              # the *resolved* backend
       "overrides": {...},                   # normalized() values, sorted keys
-      "code": "1.0.0"                       # code_version()
+      "code": "1.1.0"                       # code_version()
     }
 
 Design notes:

@@ -19,13 +19,27 @@ from repro.fuzz import (
     save_trace,
     schedule_to_decisions,
 )
-from repro.scenarios import get_scenario, iter_scenarios
+from repro.mutate.mutants import MUTANTS
+from repro.scenarios import get_scenario, iter_scenarios, verify
 from repro.sim.drivers import CrashDecision, InvokeDecision, StepDecision
 from repro.util.errors import UsageError
 
 SAT = get_scenario("cas-consensus")
 VIOL = get_scenario("stubborn-consensus")
 TM = get_scenario("agp-opacity")
+
+
+def _sampled(scenario, seed, iterations):
+    """Run a checked fuzz driver; return (report, driver)."""
+    driver = FuzzDriver(
+        scenario.factory, scenario.plan, safety=scenario.safety_factory(),
+        seed=seed,
+    )
+    return driver.run(iterations), driver
+
+
+def _corpus_schedules(driver):
+    return [entry.schedule for entry in driver._corpus]
 
 
 class TestWorkloadRegistry:
@@ -43,7 +57,10 @@ class TestFuzzDriver:
         report = fuzz_workload(SAT, seed=7, iterations=500)
         assert report.holds
         assert report.interleavings == 500
-        assert report.coverage > 0
+        # The sampling is not vacuous: exploration walks filled the
+        # restart corpus and several distinct histories were judged.
+        assert report.corpus > 0
+        assert report.histories_checked > 1
 
     def test_violating_workload_found_and_genuine(self):
         report = fuzz_workload(VIOL, seed=7, iterations=500)
@@ -64,20 +81,39 @@ class TestFuzzDriver:
         b = fuzz_workload(VIOL, seed=42, iterations=300)
         assert a.violation.schedule == b.violation.schedule
         assert a.violation.iteration == b.violation.iteration
-        c = fuzz_workload(SAT, seed=42, iterations=300)
-        d = fuzz_workload(SAT, seed=42, iterations=300)
-        assert (c.coverage, c.corpus, c.histories_checked) == (
-            d.coverage,
+        c, c_driver = _sampled(SAT, seed=42, iterations=300)
+        d, d_driver = _sampled(SAT, seed=42, iterations=300)
+        assert (c.corpus, c.histories_checked) == (
             d.corpus,
             d.histories_checked,
         )
+        assert _corpus_schedules(c_driver) == _corpus_schedules(d_driver)
+        assert c_driver._checked == d_driver._checked
 
     def test_different_seeds_diverge(self):
-        a = fuzz_workload(SAT, seed=1, iterations=200)
-        b = fuzz_workload(SAT, seed=2, iterations=200)
-        # Coverage trajectories are seed-dependent (equality would mean
+        a, a_driver = _sampled(SAT, seed=1, iterations=200)
+        b, b_driver = _sampled(SAT, seed=2, iterations=200)
+        # Sampling trajectories are seed-dependent (equality would mean
         # the seed is ignored somewhere).
-        assert (a.coverage, a.corpus) != (b.coverage, b.corpus)
+        assert (a.corpus, a.histories_checked) != (b.corpus, b.histories_checked)
+        assert _corpus_schedules(a_driver) != _corpus_schedules(b_driver)
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [m for m in MUTANTS if "fuzz" in m.expected_killers],
+        ids=lambda m: m.mutant_id,
+    )
+    def test_fuzz_killed_mutants_die_on_every_seed(self, mutant):
+        """Detection, not just sampling: every mutant the fuzz backend
+        is expected to kill is killed on each of seeds 0-19 under the
+        scenario's default bounds."""
+        scenario = mutant.scenario_factory()
+        survivors = [
+            seed
+            for seed in range(20)
+            if not verify(scenario, backend="fuzz", seed=seed, shrink=False).violated
+        ]
+        assert survivors == []
 
     def test_explicit_crash_spec_injects_crashes(self):
         driver = FuzzDriver(
@@ -192,7 +228,8 @@ class TestFuzzExperiment:
             "fuzz", workload="cas-consensus", iterations=400
         )
         assert result.all_ok
-        assert result.artifacts["coverage"] > 0
+        assert result.artifacts["corpus"] > 0
+        assert result.artifacts["histories_checked"] > 1
 
     def test_fuzz_mode_shrinks_planted_violation(self):
         result = run_experiment(
