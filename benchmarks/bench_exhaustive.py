@@ -69,16 +69,3 @@ def test_benchmark_exhaustive_i12_opacity(benchmark, mode):
     benchmark.extra_info["interleavings"] = report.runs_checked
     benchmark.extra_info["engine_mode"] = mode
 
-
-def test_benchmark_exhaustive_agp_parallel_frontier(benchmark):
-    """The process-pool frontier on the AGP workload (2 workers)."""
-    report = benchmark(
-        check_all_histories,
-        lambda: AgpTransactionalMemory(2, variables=(0,)),
-        TM_PLAN,
-        OpacityChecker(),
-        processes=2,
-    )
-    assert report.holds
-    benchmark.extra_info["interleavings"] = report.runs_checked
-    benchmark.extra_info["engine_mode"] = "parallel(2)"

@@ -2,19 +2,20 @@
 
 One subsystem for every exhaustive search the repository performs:
 
-* :mod:`repro.engine.frontier` — frontier strategies (BFS / DFS /
-  iterative deepening) and the generic deduplicated
-  :class:`~repro.engine.frontier.GraphSearch` they drive;
+* :mod:`repro.engine.frontier` — the generic deduplicated
+  :class:`~repro.engine.frontier.GraphSearch` (breadth or depth first
+  over one deque);
 * :mod:`repro.engine.config` — snapshot/restore of kernel
   configurations, replacing per-node O(depth) replay with incremental
   restore (replay remains available behind the same interface);
 * :mod:`repro.engine.explorer` — :class:`KernelExplorer`, the
   configuration-graph search used by history exploration and the
   valency search, with a parity mode asserting snapshot ≡ replay;
-* :mod:`repro.engine.parallel` — process-pool frontier expansion with a
-  shared fingerprint-dedup table;
 * :mod:`repro.engine.batch` — batched execution of independent plays
-  for the experiment batteries.
+  for the experiment batteries, on a process pool when asked.
+
+Exhaustive searches are serial: they scale through partial-order
+reduction (:mod:`repro.engine.dpor`), not through more processes.
 
 See ``docs/architecture.md`` for the determinism/fingerprint contract
 all of this rests on.
@@ -32,44 +33,20 @@ from repro.engine.explorer import (
     EngineParityError,
     KernelExplorer,
 )
-from repro.engine.frontier import (
-    FIFOFrontier,
-    Frontier,
-    GraphSearch,
-    IterativeDeepeningFrontier,
-    LIFOFrontier,
-    SearchBudgetExceeded,
-    Visit,
-    make_frontier,
-)
-from repro.engine.parallel import (
-    DedupTable,
-    ParallelVisit,
-    fingerprint_digest,
-    parallel_explore,
-)
+from repro.engine.frontier import GraphSearch, SearchBudgetExceeded, Visit
 
 __all__ = [
     "ConfigVisit",
-    "DedupTable",
     "EngineParityError",
-    "FIFOFrontier",
-    "Frontier",
     "GraphSearch",
     "ImplementationFactory",
-    "IterativeDeepeningFrontier",
     "KernelConfig",
     "KernelExplorer",
     "KernelSnapshot",
-    "LIFOFrontier",
-    "ParallelVisit",
     "PlayTask",
     "ProcessSnapshot",
     "SearchBudgetExceeded",
     "Visit",
     "default_parallelism",
-    "fingerprint_digest",
-    "make_frontier",
-    "parallel_explore",
     "run_play_batch",
 ]

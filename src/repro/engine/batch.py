@@ -7,8 +7,8 @@ entry point buys two things: every battery automatically benefits from
 the engine's process-pool parallelism (plays are embarrassingly
 parallel), and the batteries stop hand-rolling their own run loops.
 
-Like :mod:`repro.engine.parallel`, worker context travels by ``fork``
-inheritance because play factories are arbitrary closures; without
+Worker context travels by ``fork`` inheritance because play factories
+are arbitrary closures, which cannot be pickled; without
 ``fork`` (or with ``processes <= 1``) the batch runs serially in-process
 with identical results.
 """

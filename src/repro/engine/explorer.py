@@ -51,7 +51,7 @@ from typing import (
 
 from repro.engine.config import ImplementationFactory, KernelConfig, KernelSnapshot
 from repro.engine.dpor import SleepSets, check_reduction
-from repro.engine.frontier import GraphSearch, SearchBudgetExceeded
+from repro.engine.frontier import GraphSearch, check_strategy
 from repro.obs.recorder import active as _obs_active
 from repro.sim.drivers import Decision
 
@@ -131,8 +131,8 @@ class KernelExplorer:
         Decisions applied before the root configuration (e.g. the
         initial proposal invocations of the valency search).
     mode, strategy:
-        See module docstring; ``strategy`` is any
-        :class:`~repro.engine.frontier.GraphSearch` strategy.
+        See module docstring; ``strategy`` is ``"bfs"`` or ``"dfs"`` (the
+        :class:`~repro.engine.frontier.GraphSearch` pop order).
     fingerprint:
         Dedup key; defaults to the exact configuration-and-history key
         :meth:`~repro.engine.config.KernelConfig.fingerprint`.
@@ -170,16 +170,12 @@ class KernelExplorer:
         # verify facade runs two searches); the explorer itself only
         # knows how to search with the reduction on or off.
         check_reduction(reduction, ("none", "dpor"))
-        if reduction == "dpor" and strategy == "iddfs":
-            # The sleep-set store is per search pass; iterative
-            # deepening restarts passes and would reuse stale entries.
-            raise ValueError("reduction='dpor' supports bfs/dfs, not iddfs")
         self.reduction = reduction
         self.factory = factory
         self.successors = successors
         self.root_decisions = tuple(root_decisions)
         self.mode = mode
-        self.strategy = strategy
+        self.strategy = check_strategy(strategy)
         self.fingerprint = fingerprint or (lambda config: config.fingerprint())
         self.prune = prune
         self.max_depth = max_depth

@@ -1,4 +1,4 @@
-"""Frontier strategies and the generic graph search they drive.
+"""The generic deduplicated graph search every exhaustive search drives.
 
 Every exhaustive search in the repository — history exploration over
 kernel configurations (:mod:`repro.sim.explore`), reachability and
@@ -15,12 +15,9 @@ lazy iterator of :class:`Visit` records plus, on the search object,
 on — ``edges`` (key → {label: child key}), including edges that close
 back into already-visited nodes, which is what cycle detection needs.
 
-The frontier decides the order: :class:`FIFOFrontier` gives breadth
-first (and therefore shortest paths in ``parents``),
-:class:`LIFOFrontier` gives depth first, and
-:class:`IterativeDeepeningFrontier` re-runs depth-first passes with a
-growing bound (clients that want IDDFS use ``strategy="iddfs"`` on
-:class:`GraphSearch`, which manages the restarts).
+The frontier is one ``deque``; the strategy is which end it pops:
+``bfs`` pops the oldest entry (breadth first, and therefore shortest
+paths in ``parents``), ``dfs`` the newest (depth first).
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Generic,
     Hashable,
     Iterable,
     Iterator,
@@ -49,6 +45,18 @@ Label = Any
 #: Successor callback: labelled out-edges of one node.
 Expand = Callable[[Node], Iterable[Tuple[Label, Node]]]
 
+#: The search strategies: breadth first and depth first.
+STRATEGIES = ("bfs", "dfs")
+
+
+def check_strategy(strategy: str) -> str:
+    """Validate a strategy name (one of :data:`STRATEGIES`)."""
+    if strategy not in STRATEGIES:
+        raise ValueError(
+            f"unknown search strategy {strategy!r}; expected one of {STRATEGIES}"
+        )
+    return strategy
+
 
 class SearchBudgetExceeded(RuntimeError):
     """The search would visit more unique nodes than its budget allows."""
@@ -65,70 +73,13 @@ class Visit:
     label: Optional[Label]
 
 
-class Frontier(Generic[Node]):
-    """Pending-node container; the strategy lives in pop order."""
-
-    def __init__(self) -> None:
-        self._entries: deque = deque()
-
-    def push(self, entry: Any) -> None:
-        self._entries.append(entry)
-
-    def pop(self) -> Any:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-
-class FIFOFrontier(Frontier):
-    """Breadth-first order: pop the oldest entry."""
-
-    def pop(self) -> Any:
-        return self._entries.popleft()
-
-
-class LIFOFrontier(Frontier):
-    """Depth-first order: pop the newest entry."""
-
-    def pop(self) -> Any:
-        return self._entries.pop()
-
-
-class IterativeDeepeningFrontier(LIFOFrontier):
-    """Depth-first frontier for one pass of an iterative-deepening run.
-
-    The pass bound is carried here so :class:`GraphSearch` can ask
-    whether a node at a given depth may still be expanded in the current
-    pass.
-    """
-
-    def __init__(self, bound: int) -> None:
-        super().__init__()
-        self.bound = bound
-
-
-def make_frontier(strategy: str, depth_bound: Optional[int] = None) -> Frontier:
-    """Frontier for a named strategy (``bfs``, ``dfs``, ``iddfs``)."""
-    if strategy == "bfs":
-        return FIFOFrontier()
-    if strategy == "dfs":
-        return LIFOFrontier()
-    if strategy == "iddfs":
-        return IterativeDeepeningFrontier(bound=depth_bound or 0)
-    raise ValueError(f"unknown search strategy {strategy!r}")
-
-
 class GraphSearch:
     """Deduplicated frontier search over an implicitly defined graph.
 
     Parameters
     ----------
     strategy:
-        ``"bfs"``, ``"dfs"`` or ``"iddfs"``.
+        ``"bfs"`` or ``"dfs"``; anything else raises ``ValueError`` here.
     key:
         Node → hashable dedup key; defaults to the node itself.
     max_nodes:
@@ -153,7 +104,7 @@ class GraphSearch:
     ):
         if on_budget not in ("raise", "stop"):
             raise ValueError(f"on_budget must be 'raise' or 'stop', got {on_budget!r}")
-        self.strategy = strategy
+        self.strategy = check_strategy(strategy)
         self.key = key or (lambda node: node)
         self.max_nodes = max_nodes
         self.max_depth = max_depth
@@ -165,9 +116,12 @@ class GraphSearch:
         self.edges: Dict[Hashable, Dict[Label, Hashable]] = {}
         #: key -> depth at which the node was visited.
         self.depths: Dict[Hashable, int] = {}
-        # The live frontier of the current pass, kept so expansion
-        # callbacks can re-queue a node mid-search (see push_revisit).
-        self._frontier: Optional[Frontier] = None
+        # Pending (node, key, depth) entries.  Expansion callbacks may
+        # re-queue a node mid-search (see push_revisit).
+        self._frontier: deque = deque()
+        self._pop = (
+            self._frontier.popleft if strategy == "bfs" else self._frontier.pop
+        )
 
     # -- public API --------------------------------------------------------
 
@@ -181,12 +135,7 @@ class GraphSearch:
         parent edge — useful when the roots are themselves successors of
         a virtual pre-root, as in cycle search).
         """
-        roots = list(roots)
-        if self.strategy == "iddfs":
-            return self._run_iddfs(roots, expand, root_labels)
-        return self._run_single_pass(
-            roots, expand, root_labels, make_frontier(self.strategy)
-        )
+        return self._search(list(roots), expand, root_labels)
 
     def push_revisit(self, node: Any, key: Hashable, depth: Optional[int] = None) -> None:
         """Re-queue an already-visited key for another expansion pass.
@@ -201,11 +150,9 @@ class GraphSearch:
         untouched; only the not-yet-seen children it produces surface as
         visits.  ``depth`` defaults to the key's first-visit depth, so
         the re-expansion inherits the depth budget its subtree was
-        originally measured under.  Only valid while :meth:`run` is
-        consuming a single-pass strategy (``bfs``/``dfs``)."""
-        if self._frontier is None:
-            raise RuntimeError("push_revisit requires a running search")
-        self._frontier.push((node, key, self.depths[key] if depth is None else depth))
+        originally measured under.  Only meaningful while :meth:`run`
+        is being consumed."""
+        self._frontier.append((node, key, self.depths[key] if depth is None else depth))
 
     def path_labels(self, key: Hashable) -> Tuple[Label, ...]:
         """Edge labels along the discovered path from a root to ``key``
@@ -235,26 +182,19 @@ class GraphSearch:
 
     # -- internals ---------------------------------------------------------
 
-    def _reset_state(self) -> None:
+    def _search(
+        self, roots: List[Any], expand: Expand, root_labels: bool
+    ) -> Iterator[Visit]:
         self.parents.clear()
         self.edges.clear()
         self.depths.clear()
-
-    def _run_single_pass(
-        self,
-        roots: List[Any],
-        expand: Expand,
-        root_labels: bool,
-        frontier: Frontier,
-        depth_bound: Optional[int] = None,
-        allow_shallower_revisit: bool = False,
-    ) -> Iterator[Visit]:
-        self._reset_state()
-        self._frontier = frontier
-        # Fetched once per pass: the disabled-metrics cost inside the
+        frontier, pop = self._frontier, self._pop
+        frontier.clear()
+        # Fetched once per search: the disabled-metrics cost inside the
         # loop is a single `is not None` check per pop/push/dedup.
         rec = _obs_active()
-        bound = self.max_depth if depth_bound is None else depth_bound
+        bound = self.max_depth
+        fresh_roots = []
         for entry in roots:
             node, label = entry if root_labels else (entry, None)
             key = self.key(node)
@@ -262,19 +202,17 @@ class GraphSearch:
                 continue
             self.parents[key] = (None, label)
             self.depths[key] = 0
-            frontier.push((node, key, 0))
+            fresh_roots.append((node, key))
         # Roots count against the budget like any other visit.
         visited = 0
-        pending_roots = list(frontier._entries)
-        frontier._entries.clear()
-        for node, key, depth in pending_roots:
+        for node, key in fresh_roots:
             visited = self._check_budget(visited)
             if visited is None:
                 return
-            yield Visit(node, key, depth, None, self.parents[key][1])
-            frontier.push((node, key, depth))
+            yield Visit(node, key, 0, None, self.parents[key][1])
+            frontier.append((node, key, 0))
         while frontier:
-            node, key, depth = frontier.pop()
+            node, key, depth = pop()
             if rec is not None:
                 rec.count("engine/frontier_pops")
             if bound is not None and depth >= bound:
@@ -284,26 +222,18 @@ class GraphSearch:
                 if self.record_edges:
                     self.edges.setdefault(key, {})[label] = child_key
                 if child_key in self.parents:
-                    # A depth-limited DFS pass may first reach a node via
-                    # a long path; re-expanding it when a shorter path
-                    # appears keeps iterative deepening complete.
-                    if not (
-                        allow_shallower_revisit
-                        and depth + 1 < self.depths[child_key]
-                    ):
-                        if rec is not None:
-                            rec.count("engine/dedup_hits")
-                        continue
-                else:
-                    visited = self._check_budget(visited)
-                    if visited is None:
-                        return
+                    if rec is not None:
+                        rec.count("engine/dedup_hits")
+                    continue
+                visited = self._check_budget(visited)
+                if visited is None:
+                    return
                 self.parents[child_key] = (key, label)
                 self.depths[child_key] = depth + 1
                 if rec is not None:
                     rec.count("engine/frontier_pushes")
                 yield Visit(child, child_key, depth + 1, key, label)
-                frontier.push((child, child_key, depth + 1))
+                frontier.append((child, child_key, depth + 1))
 
     def _check_budget(self, visited: int) -> Optional[int]:
         """Count one visit against the budget; ``None`` means stop."""
@@ -314,35 +244,3 @@ class GraphSearch:
                 )
             return None
         return visited + 1
-
-    def _run_iddfs(
-        self, roots: List[Any], expand: Expand, root_labels: bool
-    ) -> Iterator[Visit]:
-        """Depth-first passes with bound 1, 2, … up to ``max_depth``.
-
-        Each pass re-searches from scratch; a node is re-yielded only if
-        the pass finds it at a strictly shallower depth than any earlier
-        pass did, so consumers see each key at its minimal depth exactly
-        once overall — BFS semantics at DFS frontier size.
-        """
-        if self.max_depth is None:
-            raise ValueError("iddfs requires max_depth")
-        best: Dict[Hashable, int] = {}
-        for bound in range(1, self.max_depth + 1):
-            frontier = IterativeDeepeningFrontier(bound)
-            new_this_pass = 0
-            for visit in self._run_single_pass(
-                roots,
-                expand,
-                root_labels,
-                frontier,
-                depth_bound=bound,
-                allow_shallower_revisit=True,
-            ):
-                if visit.key in best and best[visit.key] <= visit.depth:
-                    continue
-                best[visit.key] = visit.depth
-                new_this_pass += 1
-                yield visit
-            if new_this_pass == 0 and bound > 1:
-                return  # the graph was exhausted by the previous pass

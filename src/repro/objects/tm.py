@@ -52,9 +52,9 @@ class _Sentinel:
         return self
 
     def __reduce__(self):
-        # Unpickling must yield the singleton, not a twin: fingerprints
-        # containing sentinels cross process boundaries in the engine's
-        # parallel frontier, and equality is identity.
+        # Unpickling must yield the singleton, not a twin: equality is
+        # identity, so a fingerprint or history holding a sentinel must
+        # compare equal after it crosses a process boundary.
         return (_sentinel_by_label, (self._label,))
 
 

@@ -101,7 +101,6 @@ _EXHAUSTIVE_OVERRIDES = (
     "max_depth",
     "max_configurations",
     "mode",
-    "processes",
     "shrink",
     "crash",  # accepted only as none: the enumerated space is crash-free
     "reduction",  # "none" | "dpor" | "dpor-parity" (repro.engine.dpor)
@@ -303,7 +302,6 @@ def _verify_exhaustive(scenario: Scenario, overrides: Dict[str, Any]) -> Verdict
                 max_depth=bounds.max_depth,
                 max_configurations=bounds.max_configurations,
                 mode=mode,
-                processes=int(overrides.get("processes", 0)),
                 reduction=reduction,
             )
         except _BUDGET_ERRORS as exc:

@@ -17,8 +17,8 @@ kernel configuration — O(configuration) per node.  The seed's
 replay-based expansion (re-execute the run from scratch per edge,
 O(depth) per node) remains available as ``mode="replay"``, and
 ``mode="parity"`` runs both in lockstep and fails loudly on the first
-divergence.  ``processes > 1`` switches to the engine's process-pool
-frontier with a shared fingerprint-dedup table.
+divergence.  The search is serial; it scales through partial-order
+reduction (``reduction="dpor"``), not through a process pool.
 
 The fingerprint is the same exact-configuration fingerprint the lasso
 detector uses — sound dedup under the determinism contract of
@@ -33,16 +33,14 @@ battery of random seeds can give.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.events import Invocation, Response
 from repro.core.history import History
-from repro.core.properties import SafetyProperty, Verdict
+from repro.core.properties import SafetyProperty
 from repro.engine.config import KernelConfig
 from repro.engine.dpor import DporParityError, check_reduction
-from repro.engine.explorer import ConfigVisit, KernelExplorer
+from repro.engine.explorer import KernelExplorer
 from repro.engine.frontier import SearchBudgetExceeded
-from repro.engine.parallel import parallel_explore
 from repro.obs.recorder import active as _obs_active
 from repro.sim.drivers import Decision, InvokeDecision, StepDecision
 from repro.sim.kernel import Implementation
@@ -134,7 +132,6 @@ def explore_histories(
     max_depth: int = 64,
     max_configurations: int = 100_000,
     mode: str = "snapshot",
-    processes: int = 0,
     reduction: str = "none",
 ) -> Iterator[ExploredRun]:
     """Yield one run per maximal schedule (modulo configuration dedup).
@@ -167,29 +164,6 @@ def explore_histories(
     check_reduction(reduction, ("none", "dpor"))
     successors = plan_successors(plan)
     try:
-        if processes > 1:
-            if reduction != "none":
-                raise ValueError(
-                    "reduction='dpor' is not supported with processes > 1; "
-                    "the parallel frontier keeps no sleep-set state"
-                )
-            if mode != "snapshot":
-                # The pool workers expand by replay internally; honouring
-                # an explicit replay/parity request would silently mean
-                # something else, so refuse instead.
-                raise ValueError(
-                    f"mode={mode!r} is not supported with processes > 1; "
-                    "the parallel frontier chooses its own expansion"
-                )
-            yield from _explore_parallel(
-                implementation_factory,
-                plan,
-                successors,
-                max_depth,
-                max_configurations,
-                processes,
-            )
-            return
         explorer = KernelExplorer(
             implementation_factory,
             successors,
@@ -226,42 +200,6 @@ def _visit_to_run(
     )
 
 
-def _explore_parallel(
-    implementation_factory,
-    plan: InvocationPlan,
-    successors,
-    max_depth: int,
-    max_configurations: int,
-    processes: int,
-) -> Iterator[ExploredRun]:
-    """Process-pool frontier (see :mod:`repro.engine.parallel`)."""
-    for visit in parallel_explore(
-        implementation_factory,
-        successors,
-        max_depth=max_depth,
-        max_configurations=max_configurations,
-        processes=processes,
-    ):
-        if visit.choices and visit.depth < max_depth:
-            continue
-        invoked = {pid: 0 for pid in plan}
-        responded = {pid: 0 for pid in plan}
-        for event in visit.events:
-            if isinstance(event, Invocation):
-                invoked[event.process] += 1
-            elif isinstance(event, Response):
-                responded[event.process] += 1
-        complete = all(
-            invoked[pid] >= len(plan[pid]) and responded[pid] == invoked[pid]
-            for pid in plan
-        )
-        yield ExploredRun(
-            schedule=tuple(visit.schedule),
-            history=History(list(visit.events), validate=False),
-            complete=complete,
-        )
-
-
 def check_all_histories(
     implementation_factory: Callable[[], Implementation],
     plan: InvocationPlan,
@@ -269,7 +207,6 @@ def check_all_histories(
     max_depth: int = 64,
     max_configurations: int = 100_000,
     mode: str = "snapshot",
-    processes: int = 0,
     reduction: str = "none",
 ) -> ExplorationReport:
     """Check a safety property over every reachable interleaving.
@@ -284,12 +221,11 @@ def check_all_histories(
     if reduction == "dpor-parity":
         unreduced = check_all_histories(
             implementation_factory, plan, safety, max_depth,
-            max_configurations, mode=mode, processes=processes,
+            max_configurations, mode=mode,
         )
         reduced = check_all_histories(
             implementation_factory, plan, safety, max_depth,
-            max_configurations, mode=mode, processes=processes,
-            reduction="dpor",
+            max_configurations, mode=mode, reduction="dpor",
         )
         if unreduced.holds != reduced.holds:
             raise DporParityError(
@@ -310,7 +246,6 @@ def check_all_histories(
         max_depth,
         max_configurations,
         mode=mode,
-        processes=processes,
         reduction=reduction,
     ):
         runs_checked += 1

@@ -49,9 +49,10 @@ class HashedKey:
 
     A key equals, hashes and reprs exactly as its value, so using a key
     instead of its value — at the top of a fingerprint or nested inside
-    one — changes no dedup decision and no digest; only the hash is
-    cached.  A key pickles as its value and recomputes the hash on
-    arrival (``str`` hashes differ between processes).
+    one — changes no dedup decision and no rendered text; only the hash
+    is cached.  A key pickles as its value and recomputes the hash on
+    load (``str`` hashes are salted per interpreter, so a cached hash
+    is valid only where it was computed).
     """
 
     __slots__ = ("value", "_hash")

@@ -24,14 +24,12 @@ from repro.engine.dpor import (
     conflicts,
     independent,
 )
-from repro.engine.explorer import KernelExplorer
 from repro.objects.consensus import AgreementValidity
 from repro.objects.opacity import OpacityChecker
 from repro.obs.recorder import recording
 from repro.scenarios import get_scenario, iter_scenarios, verify
 from repro.sim import check_all_histories, explore_histories
 from repro.sim.drivers import CrashDecision, InvokeDecision, StepDecision
-from repro.sim.explore import plan_successors
 from repro.sim.kernel import Footprint
 from repro.sim.liveness_search import LivenessSearch, PlanPolicy
 
@@ -306,25 +304,6 @@ class TestReductionParity:
                 explore_histories(
                     lambda: CasConsensus(2), PROPOSE_PLAN, reduction="nope"
                 )
-            )
-
-    def test_parallel_frontier_rejects_dpor(self):
-        with pytest.raises(ValueError, match="processes"):
-            list(
-                explore_histories(
-                    lambda: CasConsensus(2), PROPOSE_PLAN,
-                    processes=2, reduction="dpor",
-                )
-            )
-
-    def test_iddfs_rejects_dpor(self):
-        with pytest.raises(ValueError, match="iddfs"):
-            KernelExplorer(
-                lambda: CasConsensus(2),
-                plan_successors(PROPOSE_PLAN),
-                strategy="iddfs",
-                max_depth=8,
-                reduction="dpor",
             )
 
     def test_obs_counters_emitted(self):

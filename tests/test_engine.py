@@ -9,14 +9,10 @@ The engine's load-bearing promises, in test form:
 * a delta restore (skipping what the scratch already holds) equals a
   restore into a fresh configuration, however the scratch got where it
   is — by ``apply``, by a fuzz fast walk, or by a liveness-search branch;
-* the parallel frontier's shared dedup table admits every key exactly
-  once across a process pool, and parallel exploration visits exactly
-  the serial configuration set;
-* the generic frontier search honours its strategy, budget, and depth
-  contracts.
+* the generic graph search honours its strategy, budget, and depth
+  contracts, and rejects an unknown strategy when it is built.
 """
 
-import multiprocessing
 import os
 import pickle
 import subprocess
@@ -35,13 +31,11 @@ from repro.algorithms.tm import AgpTransactionalMemory, I12TransactionalMemory
 from repro.base_objects.base import ObjectPool
 from repro.base_objects.register import AtomicRegister
 from repro.engine import (
-    DedupTable,
     EngineParityError,
     GraphSearch,
     KernelConfig,
+    KernelExplorer,
     SearchBudgetExceeded,
-    fingerprint_digest,
-    parallel_explore,
 )
 from repro.fuzz.driver import FuzzDriver
 from repro.scenarios import get_scenario
@@ -89,10 +83,16 @@ class TestGraphSearch:
         list(dfs.run(["a"], diamond_expand))
         assert dfs.parents["d"][0] == "c"
 
-    def test_iddfs_finds_all_nodes(self):
-        search = GraphSearch(strategy="iddfs", max_depth=5)
-        visited = {v.node for v in search.run(["a"], diamond_expand)}
-        assert visited == {"a", "b", "c", "d"}
+    @pytest.mark.parametrize("strategy", ["iterative-deepening", "BFS", "random"])
+    def test_unknown_strategy_rejected_at_construction(self, strategy):
+        with pytest.raises(ValueError, match="strategy"):
+            GraphSearch(strategy=strategy)
+        with pytest.raises(ValueError, match="strategy"):
+            KernelExplorer(
+                lambda: CasConsensus(2),
+                plan_successors(PROPOSE_PLAN),
+                strategy=strategy,
+            )
 
     def test_path_reconstruction(self):
         search = GraphSearch(strategy="bfs")
@@ -228,75 +228,6 @@ class TestEngineParity:
             max_configs=3_000, mode="parity",
         )
         assert witness is not None
-
-
-def _hammer_dedup(args):
-    table, keys = args
-    return [table.add_if_new(key) for key in keys]
-
-
-class TestParallelFrontier:
-    def test_local_dedup_table(self):
-        table = DedupTable("local")
-        assert table.add_if_new("x") is True
-        assert table.add_if_new("x") is False
-        assert "x" in table and len(table) == 1
-
-    def test_shared_dedup_table_admits_each_key_once(self):
-        """Regression: every key wins exactly once across the pool,
-        including keys contended by several workers and keys claimed
-        twice by the same worker."""
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("requires fork start method")
-        manager = multiprocessing.Manager()
-        try:
-            table = DedupTable("managed", manager=manager)
-            keys = [f"k{i}" for i in range(40)]
-            # Every worker tries every key, and repeats its list twice.
-            batches = [(table, keys + keys) for _ in range(4)]
-            with multiprocessing.get_context("fork").Pool(4) as pool:
-                outcomes = pool.map(_hammer_dedup, batches)
-            wins = sum(sum(batch) for batch in outcomes)
-            assert wins == len(keys), f"{wins} wins for {len(keys)} keys"
-            assert len(table) == len(keys)
-        finally:
-            manager.shutdown()
-
-    def test_parallel_explore_matches_serial(self):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("requires fork start method")
-        factory = lambda: CasConsensus(2)
-        successors = plan_successors(PROPOSE_PLAN)
-        serial = {
-            v.fingerprint
-            for v in parallel_explore(factory, successors, processes=1)
-        }
-        parallel = {
-            v.fingerprint
-            for v in parallel_explore(factory, successors, processes=2)
-        }
-        assert parallel == serial
-
-    def test_parallel_rejects_non_snapshot_mode(self):
-        with pytest.raises(ValueError):
-            list(
-                explore_histories(
-                    lambda: CasConsensus(2), PROPOSE_PLAN,
-                    mode="parity", processes=2,
-                )
-            )
-
-    def test_parallel_histories_match_serial(self):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("requires fork start method")
-        factory = lambda: AgpTransactionalMemory(2, variables=(0,))
-        serial = {
-            r.history for r in explore_histories(factory, TM_PLAN, mode="snapshot")
-        }
-        parallel = {
-            r.history for r in explore_histories(factory, TM_PLAN, processes=2)
-        }
-        assert parallel == serial
 
 
 class TestDefaultParallelism:
@@ -472,7 +403,6 @@ class TestHashedKey:
         key = config.fingerprint()
         assert isinstance(key, HashedKey)
         assert repr(key) == repr(key.value)
-        assert fingerprint_digest(key) == fingerprint_digest(key.value)
 
     def test_equality_is_value_equality(self):
         a = HashedKey(("x", (1, 2)))

@@ -307,7 +307,7 @@ class TestAutoOverrideDropping:
     def test_exhaustive_only_overrides_dropped_for_fuzz_resolution(self):
         verdict = verify(
             "agp-opacity-3p", backend="auto", iterations=50,
-            max_configurations=10, processes=2,
+            max_configurations=10, mode="replay",
         )
         assert verdict.backend == "fuzz" and verdict.holds
         assert verdict.stats["interleavings"] == 50

@@ -251,6 +251,8 @@ class TestVerifyRoundTrip:
             verify("cas-consensus", backend="exhaustive", bogus=1)
         with pytest.raises(UsageError, match="iterations"):
             verify("cas-consensus", backend="exhaustive", iterations=10)
+        with pytest.raises(UsageError, match="processes"):
+            verify("cas-consensus", backend="exhaustive", processes=2)
 
     def test_crash_override_rejected_on_exhaustive(self):
         with pytest.raises(UsageError, match="crash-free"):
@@ -505,8 +507,11 @@ class TestScenarioCli:
         assert "search budget exceeded" in out
         assert "interleavings sampled" not in out
 
-    def test_verify_unknown_override_exits_two(self):
+    def test_verify_unknown_override_exits_two(self, capsys):
         assert main(["verify", "cas-consensus", "--set", "bogus=1"]) == 2
+        capsys.readouterr()
+        assert main(["verify", "cas-consensus", "--set", "processes=2"]) == 2
+        assert "processes" in capsys.readouterr().err
 
     def test_fuzz_cli_resolves_scenarios(self, capsys):
         assert main(["fuzz", "--list"]) == 0
