@@ -59,6 +59,7 @@ library level alike.
 
 from __future__ import annotations
 
+import json
 import os
 
 from typing import Any, Dict, Optional, Tuple, Union
@@ -689,7 +690,7 @@ def verify(
     campaign worker pool shares one mode), falling back to ``"off"``.
     ``cache_path`` names the SQLite cache file (default:
     ``REPRO_CACHE_DB`` or ``verdicts.db``).  A cache hit returns
-    :meth:`Verdict.from_document` of the stored document — serialized
+    :meth:`Verdict.from_document` of the stored text, parsed — serialized
     byte-identically to the cold verdict — flagged with the in-memory
     markers ``verdict.cached=True`` / ``verdict.cache_key``; a miss
     under any mode also carries its ``cache_key``.
@@ -747,9 +748,9 @@ def verify(
 
         key = _cache_key(scenario, resolved, overrides)
         with VerdictCache.open(cache_path) as store:
-            document = store.get(key)
-            if document is not None:
-                hit = Verdict.from_document(document)
+            text = store.get(key)
+            if text is not None:
+                hit = Verdict.from_document(json.loads(text))
                 hit.cached = True
                 hit.cache_key = key
                 return hit

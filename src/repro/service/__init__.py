@@ -29,6 +29,7 @@ explicitly (``from repro.service.server import serve``).
 from repro.service.cache import (
     CACHE_MODES,
     DEFAULT_CACHE_DB,
+    CorruptCacheEntry,
     VerdictCache,
     artifact_hash,
     check_cache_mode,
@@ -48,6 +49,7 @@ __all__ = [
     "CACHE_KEY_VERSION",
     "CACHE_MODES",
     "DEFAULT_CACHE_DB",
+    "CorruptCacheEntry",
     "VerdictCache",
     "artifact_hash",
     "cache_key",

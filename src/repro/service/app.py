@@ -1,9 +1,9 @@
 """The verification service application: routes, jobs, executor.
 
 Transport-free by design — :class:`ServiceApp` maps ``(method, path,
-body)`` to ``(status, document)`` and owns the request lifecycle; the
-HTTP framing lives in :mod:`repro.service.server`, and tests can drive
-the app directly.
+body)`` to ``(status, response text)``, the canonical JSON of the reply
+document, and owns the request lifecycle; the HTTP framing lives in
+:mod:`repro.service.server`, and tests can drive the app directly.
 
 The submit/poll/fetch shape::
 
@@ -31,6 +31,12 @@ Backend resolution happens at submit time (``"auto"`` resolves against
 the scenario's tags, and auto-only overrides are dropped exactly as
 ``verify()`` drops them), so the request's cache key always equals the
 key the worker stores under.
+
+The hit path neither re-keys nor re-encodes: scenario fingerprints are
+memoized by scenario id (the registry is fixed for the life of the
+process, so the memo is bounded by it), and the verified text the cache
+returns is spliced unparsed into the reply — the same bytes the
+canonical encoding of the whole reply document would give.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import secrets
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.obs.metrics import metrics_document
 from repro.obs.recorder import Recorder, install as _obs_install
@@ -52,9 +58,14 @@ from repro.scenarios.verify import (
     EXHAUSTIVE_ONLY_OVERRIDES,
     FUZZ_ONLY_OVERRIDES,
 )
-from repro.service.cache import VerdictCache, default_cache_path
-from repro.service.keys import cache_key, code_version
+from repro.service.cache import (
+    CorruptCacheEntry,
+    VerdictCache,
+    default_cache_path,
+)
+from repro.service.keys import code_version, fingerprint_key, scenario_fingerprint
 from repro.util.errors import UsageError
+from repro.util.hashing import canonical_json
 
 #: Completed jobs retained for polling; the verdicts themselves live in
 #: the cache by content address, so eviction loses nothing durable.
@@ -128,6 +139,7 @@ class ServiceApp:
         self.recorder = Recorder(label="repro-serve")
         self.jobs: Dict[str, VerifyJob] = {}
         self._inflight: Dict[str, str] = {}  # cache key -> request id
+        self._fingerprints: Dict[str, str] = {}  # scenario id -> fingerprint
         self._order = itertools.count(1)
         self._executor: Optional[ProcessPoolExecutor] = None
         self._cache: Optional[VerdictCache] = None
@@ -179,19 +191,22 @@ class ServiceApp:
 
     async def handle(
         self, method: str, path: str, body: Optional[Dict[str, Any]]
-    ) -> Tuple[int, Dict[str, Any]]:
-        """Dispatch one request; returns ``(HTTP status, JSON doc)``."""
+    ) -> Tuple[int, str]:
+        """Dispatch one request; returns ``(HTTP status, the canonical
+        JSON text of the reply)``."""
         self.recorder.count("service/requests")
         with self.recorder.span("service/request"):
             try:
-                return await self._route(method, path, body)
+                status, reply = await self._route(method, path, body)
             except UsageError as exc:
                 self.recorder.count("service/bad_requests")
-                return 400, {"error": str(exc)}
+                status, reply = 400, {"error": str(exc)}
+        return status, reply if isinstance(reply, str) else canonical_json(reply)
 
     async def _route(
         self, method: str, path: str, body: Optional[Dict[str, Any]]
-    ) -> Tuple[int, Dict[str, Any]]:
+    ) -> Tuple[int, Union[str, Dict[str, Any]]]:
+        """``(status, reply)``: a reply document, or its canonical text."""
         path = path.rstrip("/") or "/"
         if method == "POST" and path == "/v1/verify":
             return await self._submit(body)
@@ -218,7 +233,7 @@ class ServiceApp:
 
     async def _submit(
         self, body: Optional[Dict[str, Any]]
-    ) -> Tuple[int, Dict[str, Any]]:
+    ) -> Tuple[int, Union[str, Dict[str, Any]]]:
         if not isinstance(body, dict):
             raise UsageError("POST /v1/verify expects a JSON object body")
         scenario_id = body.get("scenario")
@@ -245,18 +260,22 @@ class ServiceApp:
                 for key, value in overrides.items()
                 if key not in dropped
             }
-        key = cache_key(scenario, resolved, overrides)
-        document = self.cache.get(key)  # counts cache/hit | cache/miss
-        if document is not None:
+        key = fingerprint_key(self._fingerprint(scenario), resolved, overrides)
+        text = self.cache.get(key)  # counts cache/hit | cache/miss
+        if text is not None:
             self.recorder.count("service/inline_hits")
-            return 200, {
-                "status": "done",
-                "cached": True,
-                "key": key,
-                "scenario": scenario.scenario_id,
-                "backend": resolved,
-                "verdict": document,
-            }
+            # Every other key sorts before "verdict", so splicing the
+            # stored text in last gives the whole reply's canonical text.
+            envelope = canonical_json(
+                {
+                    "status": "done",
+                    "cached": True,
+                    "key": key,
+                    "scenario": scenario.scenario_id,
+                    "backend": resolved,
+                }
+            )
+            return 200, f'{envelope[:-1]},"verdict":{text}}}'
         pending = self._inflight.get(key)
         if pending is not None and self.jobs[pending].status == "pending":
             self.recorder.count("service/deduplicated")
@@ -287,6 +306,13 @@ class ServiceApp:
         self.recorder.gauge("service/jobs", len(self.jobs))
         return 202, job.to_document()
 
+    def _fingerprint(self, scenario: Any) -> str:
+        fingerprint = self._fingerprints.get(scenario.scenario_id)
+        if fingerprint is None:
+            fingerprint = scenario_fingerprint(scenario)
+            self._fingerprints[scenario.scenario_id] = fingerprint
+        return fingerprint
+
     def _finish(self, job: VerifyJob, future) -> None:
         self._inflight.pop(job.key, None)
         try:
@@ -316,15 +342,19 @@ class ServiceApp:
 
     # -- content-addressed fetches ------------------------------------------
 
-    def _verdict(self, key: str) -> Tuple[int, Dict[str, Any]]:
-        document = self.cache.get(key)
-        if document is None:
+    def _verdict(self, key: str) -> Tuple[int, Union[str, Dict[str, Any]]]:
+        text = self.cache.get(key)
+        if text is None:
             self.recorder.count("service/not_found")
             return 404, {"error": f"no cached verdict under key {key!r}"}
-        return 200, document
+        return 200, text
 
     def _artifact(self, hash_: str) -> Tuple[int, Dict[str, Any]]:
-        document = self.cache.artifact(hash_)
+        try:
+            document = self.cache.artifact(hash_)
+        except CorruptCacheEntry as exc:
+            self.recorder.count("service/internal_errors")
+            return 500, {"error": str(exc)}
         if document is None:
             self.recorder.count("service/not_found")
             return 404, {"error": f"no artifact under hash {hash_!r}"}

@@ -7,10 +7,21 @@ replayable counterexample/lasso sub-documents by their own SHA-256 —
 that shrank to the same witness share one artifact row.
 
 Byte-identity contract: :meth:`VerdictCache.get` returns exactly the
-document :meth:`VerdictCache.put` stored (the canonical JSON text is
-the stored representation), so a cached re-verify serialises
-byte-identically to the cold run that populated it — the property the
-``serve-smoke`` CI job and ``bench_service`` gate assert.
+canonical JSON text :meth:`VerdictCache.put` stored, so a cached
+re-verify serialises byte-identically to the cold run that populated
+it — the property the ``serve-smoke`` CI job and ``bench_service`` gate
+assert.  The service sends that text to the socket unparsed.
+
+Verified reads: every verdict row carries ``digest``, the SHA-256 of
+its stored text, and ``get`` serves a row only when the two still
+match; artifacts are checked against their content address the same
+way.  A row that fails the check counts ``cache/corrupt`` and is a miss
+(the caller recomputes it, and a ``readwrite`` caller rewrites it).  A
+row without a digest — one written under schema 1 — is a plain miss.
+
+Hit counts build up in memory and land in the ``hits`` column in one
+transaction, on :meth:`VerdictCache.stats` and :meth:`VerdictCache.close`,
+so the read path never writes.
 
 Same durability idioms as :mod:`repro.campaign.store`: WAL journaling,
 ``synchronous=NORMAL``, a busy timeout, one transaction per mutation —
@@ -18,11 +29,12 @@ any number of readers and writers (the serve executor's worker
 processes all write here) can share the file.
 
 Obs counters (PR 7 recorder, no-op when no recorder is active):
-``cache/hit``, ``cache/miss``, ``cache/store``.
+``cache/hit``, ``cache/miss``, ``cache/store``, ``cache/corrupt``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sqlite3
@@ -32,11 +44,12 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs.recorder import active as _obs_active
 from repro.service.keys import code_version
-from repro.util.errors import UsageError, unknown_choice
+from repro.util.errors import ReproError, UsageError, unknown_choice
 from repro.util.hashing import canonical_fingerprint, canonical_json
 
-#: Bump on any incompatible schema or key-contract change.
-CACHE_SCHEMA_VERSION = 1
+#: Bump on any schema or key-contract change.  Schema 2 added the
+#: ``digest`` column; a schema-1 file migrates when it is opened.
+CACHE_SCHEMA_VERSION = 2
 
 #: ``verify()`` cache modes: disabled entirely, read-only (hits served,
 #: misses computed but not stored), or read-write (the service default).
@@ -59,7 +72,8 @@ CREATE TABLE IF NOT EXISTS verdicts (
     code       TEXT NOT NULL,
     document   TEXT NOT NULL,
     created_at REAL NOT NULL,
-    hits       INTEGER NOT NULL DEFAULT 0
+    hits       INTEGER NOT NULL DEFAULT 0,
+    digest     TEXT
 );
 CREATE INDEX IF NOT EXISTS verdicts_code ON verdicts(code);
 CREATE INDEX IF NOT EXISTS verdicts_scenario ON verdicts(scenario, backend);
@@ -91,6 +105,16 @@ def artifact_hash(document: Dict[str, Any]) -> str:
     return canonical_fingerprint(document)
 
 
+def _sha256(text: str) -> str:
+    """The digest of a stored canonical text (for an artifact, its
+    content address: ``artifact_hash`` of the document it encodes)."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class CorruptCacheEntry(ReproError):
+    """A stored artifact no longer matches its content address."""
+
+
 class VerdictCache:
     """One verdict cache file (see module docstring)."""
 
@@ -98,27 +122,44 @@ class VerdictCache:
         if not create and not os.path.exists(path):
             raise UsageError(f"no verdict cache at {path!r}")
         self.path = path
+        #: Hits served since the last flush, by key (see module docstring).
+        self._hits: Dict[str, int] = {}
         self._conn = sqlite3.connect(path, timeout=30.0)
         self._conn.row_factory = sqlite3.Row
         try:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.executescript(_SCHEMA)
             with self._conn:
-                self._conn.executescript(_SCHEMA)
+                # One write transaction: of several processes opening an
+                # old file at once, exactly one migrates it.
+                self._conn.execute("BEGIN IMMEDIATE")
                 self._conn.execute(
                     "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
                     ("schema_version", str(CACHE_SCHEMA_VERSION)),
                 )
-            version = self._conn.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
+                row = self._conn.execute(
+                    "SELECT value FROM meta WHERE key = 'schema_version'"
+                ).fetchone()
+                found = None if row is None else row["value"]
+                if found == "1":
+                    # Schema 1 rows get a NULL digest, which ``get``
+                    # treats as a miss: each is recomputed and
+                    # rewritten on first use.
+                    self._conn.execute(
+                        "ALTER TABLE verdicts ADD COLUMN digest TEXT"
+                    )
+                    found = str(CACHE_SCHEMA_VERSION)
+                    self._conn.execute(
+                        "UPDATE meta SET value = ? WHERE key = 'schema_version'",
+                        (found,),
+                    )
         except sqlite3.DatabaseError as exc:
             self._conn.close()
             raise UsageError(
                 f"{path!r} is not a verdict cache: {exc}"
             ) from None
-        if version is None or version["value"] != str(CACHE_SCHEMA_VERSION):
-            found = None if version is None else version["value"]
+        if found != str(CACHE_SCHEMA_VERSION):
             self._conn.close()
             raise UsageError(
                 f"{path!r} is not a verdict cache (schema version "
@@ -132,7 +173,11 @@ class VerdictCache:
         return cls(default_cache_path(path), create=True)
 
     def close(self) -> None:
-        self._conn.close()
+        """Write the buffered hit counts, then close the file."""
+        try:
+            self._flush_hits()
+        finally:
+            self._conn.close()
 
     def __enter__(self) -> "VerdictCache":
         return self
@@ -142,35 +187,54 @@ class VerdictCache:
 
     # -- the read path ------------------------------------------------------
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored verdict document for ``key``, or ``None``.
+    def get(self, key: str) -> Optional[str]:
+        """The canonical JSON text of the verdict stored under ``key``,
+        or ``None``.
 
-        Counts ``cache/hit`` / ``cache/miss`` on the active recorder
-        and bumps the row's ``hits`` column (observability only; the
-        returned document is exactly the stored one).
+        One indexed read and one digest check: a row whose text no
+        longer matches its digest counts ``cache/corrupt`` and, like a
+        row without a digest, is a miss.  Counts ``cache/hit`` /
+        ``cache/miss`` on the active recorder; the hit also lands in
+        the row's ``hits`` column on the next flush.
         """
         row = self._conn.execute(
-            "SELECT document FROM verdicts WHERE key = ?", (key,)
+            "SELECT document, digest FROM verdicts WHERE key = ?", (key,)
         ).fetchone()
         recorder = _obs_active()
-        if row is None:
+        if row is not None and row[1] is not None:
+            text = row[0]
+            if isinstance(text, str) and _sha256(text) == row[1]:
+                if recorder is not None:
+                    recorder.count("cache/hit")
+                self._hits[key] = self._hits.get(key, 0) + 1
+                return text
             if recorder is not None:
-                recorder.count("cache/miss")
-            return None
+                recorder.count("cache/corrupt")
         if recorder is not None:
-            recorder.count("cache/hit")
-        with self._conn:
-            self._conn.execute(
-                "UPDATE verdicts SET hits = hits + 1 WHERE key = ?", (key,)
-            )
-        return json.loads(row["document"])
+            recorder.count("cache/miss")
+        return None
 
     def artifact(self, hash_: str) -> Optional[Dict[str, Any]]:
-        """The artifact document stored under ``hash_``, or ``None``."""
+        """The artifact document stored under ``hash_``, or ``None``.
+
+        Raises :class:`CorruptCacheEntry` (and counts ``cache/corrupt``)
+        when the stored text no longer hashes to ``hash_``: a corrupt
+        artifact is never returned."""
         row = self._conn.execute(
             "SELECT document FROM artifacts WHERE hash = ?", (hash_,)
         ).fetchone()
-        return None if row is None else json.loads(row["document"])
+        if row is None:
+            return None
+        text = row["document"]
+        if not isinstance(text, str) or _sha256(text) != hash_:
+            recorder = _obs_active()
+            if recorder is not None:
+                recorder.count("cache/corrupt")
+            raise CorruptCacheEntry(
+                f"artifact {hash_} in {self.path!r} is corrupt: its stored "
+                "text no longer hashes to its content address"
+            )
+        return json.loads(text)
 
     def artifact_hashes(self, key: str) -> List[str]:
         """Content addresses of the artifacts embedded in the verdict
@@ -208,19 +272,22 @@ class VerdictCache:
             for field in ("counterexample", "lasso")
             if field in document
         ]
+        text = canonical_json(document)
         with self._conn:
             self._conn.execute(
                 "INSERT INTO verdicts "
-                "(key, scenario, backend, code, document, created_at) "
-                "VALUES (?, ?, ?, ?, ?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET document = excluded.document",
+                "(key, scenario, backend, code, document, created_at, digest) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?) "
+                "ON CONFLICT(key) DO UPDATE SET "
+                "document = excluded.document, digest = excluded.digest",
                 (
                     key,
                     str(document.get("scenario", "?")),
                     str(document.get("backend", "?")),
                     code if code is not None else code_version(),
-                    canonical_json(document),
+                    text,
                     time.time(),
+                    _sha256(text),
                 ),
             )
             self._conn.executemany(
@@ -233,6 +300,17 @@ class VerdictCache:
             recorder.count("cache/store")
 
     # -- maintenance --------------------------------------------------------
+
+    def _flush_hits(self) -> None:
+        """Add the buffered hit counts to their rows in one transaction."""
+        if not self._hits:
+            return
+        with self._conn:
+            self._conn.executemany(
+                "UPDATE verdicts SET hits = hits + ? WHERE key = ?",
+                [(count, key) for key, count in self._hits.items()],
+            )
+        self._hits.clear()
 
     def gc(self, keep_code: Optional[str] = None) -> int:
         """Evict verdicts whose code-version component differs from
@@ -260,7 +338,10 @@ class VerdictCache:
     def stats(self) -> Dict[str, Any]:
         """Cache-wide counts: verdicts, artifacts, hits served, and a
         per-code-version breakdown (stale entries are visible here
-        before ``gc`` evicts them)."""
+        before ``gc`` evicts them).  ``hits`` counts this connection's
+        hits too (they are flushed first), but another process's only
+        once it has closed its cache."""
+        self._flush_hits()
         verdicts = self._conn.execute(
             "SELECT COUNT(*) AS n, COALESCE(SUM(hits), 0) AS hits "
             "FROM verdicts"

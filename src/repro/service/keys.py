@@ -124,11 +124,22 @@ def cache_key(
     ``backend`` must be the resolved backend (``verify()`` resolves
     ``"auto"`` before keying).  ``code=None`` uses :func:`code_version`.
     """
+    return fingerprint_key(scenario_fingerprint(scenario), backend, overrides, code)
+
+
+def fingerprint_key(
+    fingerprint: str,
+    backend: str,
+    overrides: Mapping[str, Any],
+    code: Optional[str] = None,
+) -> str:
+    """:func:`cache_key` from an already computed scenario fingerprint
+    (the service memoizes fingerprints of registered scenarios)."""
     return canonical_fingerprint(
         {
             "schema": CACHE_KEY_SCHEMA,
             "version": CACHE_KEY_VERSION,
-            "scenario": scenario_fingerprint(scenario),
+            "scenario": fingerprint,
             "backend": backend,
             "overrides": normalize_overrides(overrides),
             "code": code if code is not None else code_version(),

@@ -7,9 +7,16 @@ lines over :func:`asyncio.start_server`.  The application logic lives
 in :mod:`repro.service.app`; this module only parses requests, frames
 responses, and owns process lifecycle (``python -m repro serve``).
 
-Responses are serialized with ``sort_keys=True``, so two cache hits on
-the same key produce byte-identical bodies — the property the
-``serve-smoke`` CI job asserts over the wire.
+The app hands over each reply as canonical JSON text (sorted keys), and
+it is framed as it is, so two cache hits on the same key produce
+byte-identical bodies — the property the ``serve-smoke`` CI job asserts
+over the wire.
+
+Each connection has one idle watchdog, a single event-loop timer: it
+closes the connection once it has waited :data:`IDLE_TIMEOUT` seconds
+for a request, and is cancelled when the connection closes.  Each
+response only stamps the time it went out; the timer re-arms itself
+when it fires early.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import signal
 from typing import Optional, Tuple
 
 from repro.service.app import ServiceApp
+from repro.util.hashing import canonical_json
 
 #: Request-line + headers must fit in this many bytes (we serve JSON
 #: APIs, not uploads); the body is bounded separately.
@@ -37,15 +45,12 @@ class _BadRequest(Exception):
 
 async def _read_request(
     reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, dict, Optional[dict]]]:
-    """Parse one request; ``None`` on a cleanly closed connection."""
+) -> Optional[Tuple[str, str, bool, Optional[dict]]]:
+    """Parse one request into ``(method, path, keep_alive, body)``;
+    ``None`` on a cleanly closed connection."""
     try:
-        head = await asyncio.wait_for(
-            reader.readuntil(b"\r\n\r\n"), timeout=IDLE_TIMEOUT
-        )
+        head = await reader.readuntil(b"\r\n\r\n")
     except (asyncio.IncompleteReadError, ConnectionResetError):
-        return None
-    except asyncio.TimeoutError:
         return None
     except asyncio.LimitOverrunError:
         raise _BadRequest("headers too large")
@@ -55,7 +60,7 @@ async def _read_request(
     parts = lines[0].split(" ")
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise _BadRequest(f"malformed request line {lines[0]!r}")
-    method, path = parts[0].upper(), parts[1]
+    method, path, version = parts[0].upper(), parts[1], parts[2]
     headers = {}
     for line in lines[1:]:
         if not line:
@@ -73,12 +78,24 @@ async def _read_request(
     if length < 0 or length > MAX_BODY_BYTES:
         raise _BadRequest(f"unacceptable Content-Length {length}")
     if length:
-        raw = await reader.readexactly(length)
+        try:
+            raw = await reader.readexactly(length)
+        except (asyncio.IncompleteReadError, ConnectionResetError):
+            return None  # closed mid-body, by the peer or the watchdog
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise _BadRequest(f"request body is not JSON: {exc}") from None
-    return method, path, headers, body
+    # Connection options are case-insensitive tokens; HTTP/1.1 defaults
+    # to keep-alive, HTTP/1.0 to close.
+    options = {
+        token.strip() for token in headers.get("connection", "").lower().split(",")
+    }
+    if version == "HTTP/1.0":
+        keep_alive = "keep-alive" in options
+    else:
+        keep_alive = "close" not in options
+    return method, path, keep_alive, body
 
 
 _REASONS = {
@@ -90,12 +107,8 @@ _REASONS = {
 }
 
 
-def _encode_response(
-    status: int, document: dict, keep_alive: bool
-) -> bytes:
-    payload = (
-        json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+def _encode_response(status: int, text: str, keep_alive: bool) -> bytes:
+    payload = (text + "\n").encode("utf-8")
     head = (
         f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
         "Content-Type: application/json\r\n"
@@ -106,35 +119,63 @@ def _encode_response(
     return head + payload
 
 
+class _IdleWatchdog:
+    """Closes a connection's transport once it has waited
+    :data:`IDLE_TIMEOUT` seconds for a request (see module docstring)."""
+
+    def __init__(self, transport: asyncio.BaseTransport):
+        self._loop = asyncio.get_running_loop()
+        self._transport = transport
+        self.touch()
+        self._timer = self._loop.call_at(self._deadline, self._fire)
+
+    def touch(self) -> None:
+        """A response went out: the idle period starts over."""
+        self._deadline = self._loop.time() + IDLE_TIMEOUT
+
+    def _fire(self) -> None:
+        if self._loop.time() < self._deadline:
+            self._timer = self._loop.call_at(self._deadline, self._fire)
+        else:
+            # The handler's pending read then ends at EOF.
+            self._transport.close()
+
+    def cancel(self) -> None:
+        self._timer.cancel()
+
+
 async def handle_connection(
     app: ServiceApp,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
     """Serve requests on one connection until close/EOF/idle."""
+    watchdog = _IdleWatchdog(writer.transport)
     try:
         while True:
             try:
                 request = await _read_request(reader)
             except _BadRequest as exc:
                 writer.write(
-                    _encode_response(400, {"error": str(exc)}, False)
+                    _encode_response(
+                        400, canonical_json({"error": str(exc)}), False
+                    )
                 )
                 await writer.drain()
                 break
             if request is None:
                 break
-            method, path, headers, body = request
+            method, path, keep_alive, body = request
             try:
-                status, document = await app.handle(method, path, body)
+                status, text = await app.handle(method, path, body)
             except Exception as exc:  # never kill the server on one request
                 app.recorder.count("service/internal_errors")
-                status, document = 500, {
-                    "error": f"{type(exc).__name__}: {exc}"
-                }
-            keep_alive = headers.get("connection", "keep-alive") != "close"
-            writer.write(_encode_response(status, document, keep_alive))
+                status, text = 500, canonical_json(
+                    {"error": f"{type(exc).__name__}: {exc}"}
+                )
+            writer.write(_encode_response(status, text, keep_alive))
             await writer.drain()
+            watchdog.touch()
             if not keep_alive:
                 break
     except asyncio.CancelledError:
@@ -145,6 +186,7 @@ async def handle_connection(
         # reads the cancelled task's exception and prints a traceback.
         pass
     finally:
+        watchdog.cancel()
         writer.close()
         try:
             await writer.wait_closed()
@@ -189,6 +231,14 @@ async def _serve_forever(
     try:
         async with server:
             await stop.wait()
+            # Cancel the handlers of open connections, a clean close:
+            # from Python 3.12, leaving this block waits for every
+            # connection, and an idle one would hold shutdown for
+            # IDLE_TIMEOUT.
+            current = asyncio.current_task()
+            for task in asyncio.all_tasks():
+                if task is not current:
+                    task.cancel()
         print("repro-serve: shutting down", flush=True)
     finally:
         app.close()

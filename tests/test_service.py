@@ -9,29 +9,35 @@ the pre-cache facade.
 
 import asyncio
 import json
+import logging
 import os
 import pathlib
 import re
 import signal
 import socket
+import sqlite3
 import subprocess
 import sys
 import time
 
 import pytest
 
-from repro.obs.recorder import Recorder, recording
+from repro.obs.recorder import Recorder, Span, recording
 from repro.scenarios import get_scenario, verify
 from repro.service import (
+    CorruptCacheEntry,
     VerdictCache,
     artifact_hash,
     cache_key,
     check_cache_mode,
+    code_version,
     default_cache_path,
 )
+from repro.service import server as server_module
 from repro.service.app import ServiceApp
 from repro.service.server import start_service
 from repro.util.errors import UsageError
+from repro.util.hashing import canonical_json
 
 #: Exhaustible in a few milliseconds — cheap enough to run cold in
 #: every test that needs a real verdict.
@@ -74,10 +80,10 @@ class TestVerdictCache:
         with VerdictCache.open(db) as cache:
             assert cache.get("k") is None
             cache.put("k", document)
-            assert cache.get("k") == document
+            assert json.loads(cache.get("k")) == document
         # Durable across connections.
         with VerdictCache.open(db) as cache:
-            assert cache.get("k") == document
+            assert json.loads(cache.get("k")) == document
 
     def test_artifacts_content_addressed(self, db):
         witness = {"schema": "repro-replay", "events": [[0, "propose", [1]]]}
@@ -137,6 +143,166 @@ class TestVerdictCache:
         bogus.write_text("not sqlite at all, definitely")
         with pytest.raises(UsageError):
             VerdictCache.open(str(bogus))
+
+    def test_hit_counts_land_on_close(self, db):
+        with VerdictCache.open(db) as cache:
+            cache.put("k", {"scenario": "s", "backend": "fuzz"})
+            for _ in range(3):
+                cache.get("k")
+            # Reads do not write: another connection sees no hits yet.
+            with VerdictCache.open(db) as other:
+                assert other.stats()["hits"] == 0
+            assert cache.stats()["hits"] == 3  # stats() flushes its own
+            cache.get("k")
+        with VerdictCache.open(db) as cache:
+            assert cache.stats()["hits"] == 4
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_corrupt_verdict_is_a_counted_miss(self, db, damage):
+        with VerdictCache.open(db) as cache:
+            cache.put("k", {"scenario": "s", "backend": "fuzz", "runs": 12})
+        _damage_verdict(db, "k", damage)
+        with VerdictCache.open(db) as cache:
+            with recording(Recorder()) as recorder:
+                assert cache.get("k") is None
+            assert recorder.counters["cache/corrupt"] == 1
+            assert recorder.counters["cache/miss"] == 1
+            assert "cache/hit" not in recorder.counters
+
+    def test_corrupt_artifact_is_never_returned(self, db):
+        witness = {"schema": "repro-replay", "events": [[0, "propose", [1]]]}
+        with VerdictCache.open(db) as cache:
+            cache.put("k", {"scenario": "s", "backend": "fuzz", "counterexample": witness})
+        digest = artifact_hash(witness)
+        _damage_artifact(db, digest)
+        with VerdictCache.open(db) as cache:
+            with recording(Recorder()) as recorder:
+                with pytest.raises(CorruptCacheEntry, match=digest):
+                    cache.artifact(digest)
+            assert recorder.counters["cache/corrupt"] == 1
+
+    def test_schema_1_file_migrates(self, db):
+        _schema_1_file(db, "k", {"scenario": "s", "backend": "fuzz"})
+        with VerdictCache.open(db) as cache:
+            with recording(Recorder()) as recorder:
+                # A row without a digest is a plain miss, not corruption.
+                assert cache.get("k") is None
+            assert recorder.counters["cache/miss"] == 1
+            assert "cache/corrupt" not in recorder.counters
+            cache.put("k", {"scenario": "s", "backend": "fuzz"})
+            assert json.loads(cache.get("k")) == {"scenario": "s", "backend": "fuzz"}
+        connection = sqlite3.connect(db)
+        try:
+            assert connection.execute(
+                "SELECT value FROM meta WHERE key = 'schema_version'"
+            ).fetchone() == ("2",)
+        finally:
+            connection.close()
+
+    def test_unknown_schema_rejected(self, db):
+        VerdictCache.open(db).close()
+        connection = sqlite3.connect(db)
+        with connection:
+            connection.execute(
+                "UPDATE meta SET value = '99' WHERE key = 'schema_version'"
+            )
+        connection.close()
+        with pytest.raises(UsageError, match="schema version"):
+            VerdictCache.open(db)
+
+
+#: The verdict cache's schema 1, as the first service release wrote it.
+_SCHEMA_1 = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE verdicts (
+    key        TEXT PRIMARY KEY,
+    scenario   TEXT NOT NULL,
+    backend    TEXT NOT NULL,
+    code       TEXT NOT NULL,
+    document   TEXT NOT NULL,
+    created_at REAL NOT NULL,
+    hits       INTEGER NOT NULL DEFAULT 0
+);
+CREATE INDEX verdicts_code ON verdicts(code);
+CREATE INDEX verdicts_scenario ON verdicts(scenario, backend);
+CREATE TABLE artifacts (
+    hash     TEXT PRIMARY KEY,
+    kind     TEXT NOT NULL,
+    document TEXT NOT NULL
+);
+INSERT INTO meta (key, value) VALUES ('schema_version', '1');
+"""
+
+
+def _schema_1_file(db, key, document):
+    """A schema-1 cache file holding ``document`` under ``key``."""
+    connection = sqlite3.connect(db)
+    try:
+        connection.executescript(_SCHEMA_1)
+        with connection:
+            connection.execute(
+                "INSERT INTO verdicts "
+                "(key, scenario, backend, code, document, created_at) "
+                "VALUES (?, ?, ?, ?, ?, 0)",
+                (key, document["scenario"], document["backend"],
+                 code_version(), canonical_json(document)),
+            )
+    finally:
+        connection.close()
+
+
+def _damaged(text, damage):
+    """``text`` truncated, or with one digit flipped (still valid JSON)."""
+    if damage == "truncate":
+        return text[: len(text) // 2]
+    at = next(index for index, char in enumerate(text) if char.isdigit())
+    flipped = text[:at] + ("8" if text[at] == "9" else "9") + text[at + 1:]
+    json.loads(flipped)
+    return flipped
+
+
+def _stored_verdict(db, key):
+    connection = sqlite3.connect(db)
+    try:
+        return connection.execute(
+            "SELECT document FROM verdicts WHERE key = ?", (key,)
+        ).fetchone()[0]
+    finally:
+        connection.close()
+
+
+def _damage_verdict(db, key, damage):
+    """Corrupt the stored text of one verdict; returns the intact text."""
+    text = _stored_verdict(db, key)
+    connection = sqlite3.connect(db)
+    with connection:
+        connection.execute(
+            "UPDATE verdicts SET document = ? WHERE key = ?",
+            (_damaged(text, damage), key),
+        )
+    connection.close()
+    return text
+
+
+def _damage_artifact(db, hash_):
+    connection = sqlite3.connect(db)
+    with connection:
+        (text,) = connection.execute(
+            "SELECT document FROM artifacts WHERE hash = ?", (hash_,)
+        ).fetchone()
+        connection.execute(
+            "UPDATE artifacts SET document = ? WHERE hash = ?",
+            (_damaged(text, "flip"), hash_),
+        )
+    connection.close()
+
+
+@pytest.fixture
+def fixed_elapsed(monkeypatch):
+    """Pin the one run-varying verdict stat, so that a recomputed
+    verdict can be compared with the stored one byte for byte (executor
+    workers forked afterwards inherit the patch)."""
+    monkeypatch.setattr(Span, "elapsed_stat", property(lambda self: 0.0))
 
 
 class TestVerifyCaching:
@@ -213,9 +379,40 @@ class TestVerifyCaching:
         with pytest.raises(UsageError):
             verify(FAST, cache="sideways", cache_path=db)
 
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_corrupt_row_recomputed_and_rewritten(self, db, damage, fixed_elapsed):
+        cold = verify(FAST, cache="readwrite", cache_path=db)
+        intact = _damage_verdict(db, cold.cache_key, damage)
+        with recording(Recorder()) as recorder:
+            again = verify(FAST, cache="readwrite", cache_path=db)
+        assert not again.cached
+        assert recorder.counters["cache/corrupt"] == 1
+        assert _stored_verdict(db, cold.cache_key) == intact
+        assert verify(FAST, cache="readwrite", cache_path=db).cached
+
+    def test_schema_1_rows_recomputed_once(self, db, fixed_elapsed):
+        document = verify(FAST).to_document()
+        key = cache_key(get_scenario(FAST), "exhaustive", {})
+        _schema_1_file(db, key, document)
+        with recording(Recorder()) as recorder:
+            first = verify(FAST, cache="readwrite", cache_path=db)
+            second = verify(FAST, cache="readwrite", cache_path=db)
+        assert not first.cached and second.cached
+        assert first.cache_key == key
+        assert recorder.counters["cache/miss"] == 1
+        assert recorder.counters["cache/hit"] == 1
+        assert "cache/corrupt" not in recorder.counters
+        assert second.to_document() == document
+
 
 def _run(coroutine):
     return asyncio.run(coroutine)
+
+
+async def _ask(app, method, path, body):
+    """One ``app.handle`` call, its reply text parsed."""
+    status, text = await app.handle(method, path, body)
+    return status, json.loads(text)
 
 
 class TestServiceApp:
@@ -224,7 +421,8 @@ class TestServiceApp:
             app = ServiceApp(cache_path=db, workers=1)
             app.start()
             try:
-                status, doc = await app.handle(
+                status, doc = await _ask(
+                    app,
                     "POST",
                     "/v1/verify",
                     {"scenario": FAST, "backend": "exhaustive"},
@@ -232,8 +430,8 @@ class TestServiceApp:
                 assert status == 202 and doc["status"] == "pending"
                 request_id, key = doc["id"], doc["key"]
                 while True:
-                    status, doc = await app.handle(
-                        "GET", f"/v1/verify/{request_id}", None
+                    status, doc = await _ask(
+                        app, "GET", f"/v1/verify/{request_id}", None
                     )
                     if doc["status"] != "pending":
                         break
@@ -242,7 +440,8 @@ class TestServiceApp:
                 assert doc["backend"] == "exhaustive"
                 cold = doc["verdict"]
 
-                status, doc = await app.handle(
+                status, doc = await _ask(
+                    app,
                     "POST",
                     "/v1/verify",
                     {"scenario": FAST, "backend": "exhaustive"},
@@ -251,8 +450,8 @@ class TestServiceApp:
                 assert doc["key"] == key
                 assert doc["verdict"] == cold
 
-                status, doc = await app.handle(
-                    "GET", f"/v1/verdicts/{key}", None
+                status, doc = await _ask(
+                    app, "GET", f"/v1/verdicts/{key}", None
                 )
                 assert status == 200 and doc == cold
             finally:
@@ -265,20 +464,20 @@ class TestServiceApp:
             app = ServiceApp(cache_path=db, workers=1)
             app.start()
             try:
-                status, doc = await app.handle(
-                    "POST", "/v1/verify", {"scenario": VIOLATING}
+                status, doc = await _ask(
+                    app, "POST", "/v1/verify", {"scenario": VIOLATING}
                 )
                 request_id = doc["id"]
                 while True:
-                    status, doc = await app.handle(
-                        "GET", f"/v1/verify/{request_id}", None
+                    status, doc = await _ask(
+                        app, "GET", f"/v1/verify/{request_id}", None
                     )
                     if doc["status"] != "pending":
                         break
                     await asyncio.sleep(0.05)
                 witness = doc["verdict"]["counterexample"]
-                status, fetched = await app.handle(
-                    "GET", f"/v1/artifacts/{artifact_hash(witness)}", None
+                status, fetched = await _ask(
+                    app, "GET", f"/v1/artifacts/{artifact_hash(witness)}", None
                 )
                 assert status == 200 and fetched == witness
             finally:
@@ -291,35 +490,36 @@ class TestServiceApp:
             app = ServiceApp(cache_path=db, workers=1)
             app.start()
             try:
-                assert (await app.handle("POST", "/v1/verify", None))[0] == 400
+                assert (await _ask(app, "POST", "/v1/verify", None))[0] == 400
                 assert (
-                    await app.handle("POST", "/v1/verify", {"nope": 1})
+                    await _ask(app, "POST", "/v1/verify", {"nope": 1})
                 )[0] == 400
                 assert (
-                    await app.handle(
-                        "POST", "/v1/verify", {"scenario": "no-such"}
+                    await _ask(
+                        app, "POST", "/v1/verify", {"scenario": "no-such"}
                     )
                 )[0] == 400
                 assert (
-                    await app.handle(
+                    await _ask(
+                        app,
                         "POST",
                         "/v1/verify",
                         {"scenario": FAST, "overrides": []},
                     )
                 )[0] == 400
-                assert (await app.handle("GET", "/v1/verify/nope", None))[
+                assert (await _ask(app, "GET", "/v1/verify/nope", None))[
                     0
                 ] == 404
                 assert (
-                    await app.handle("GET", "/v1/verdicts/" + "0" * 64, None)
+                    await _ask(app, "GET", "/v1/verdicts/" + "0" * 64, None)
                 )[0] == 404
-                assert (await app.handle("GET", "/nope", None))[0] == 404
-                status, metrics = await app.handle("GET", "/v1/metrics", None)
+                assert (await _ask(app, "GET", "/nope", None))[0] == 404
+                status, metrics = await _ask(app, "GET", "/v1/metrics", None)
                 assert status == 200
                 assert metrics["schema"] == "repro-metrics"
                 counters = metrics["counters"]
                 assert counters["service/requests"] >= 7
-                status, health = await app.handle("GET", "/v1/healthz", None)
+                status, health = await _ask(app, "GET", "/v1/healthz", None)
                 assert status == 200 and health["ok"] is True
             finally:
                 app.close()
@@ -334,7 +534,8 @@ class TestServiceApp:
                 # seed is fuzz-only; auto resolves the small scenario
                 # to exhaustive and must drop it, matching verify()'s
                 # key exactly.
-                status, doc = await app.handle(
+                status, doc = await _ask(
+                    app,
                     "POST",
                     "/v1/verify",
                     {"scenario": VIOLATING, "overrides": {"seed": 7}},
@@ -347,6 +548,86 @@ class TestServiceApp:
                 app.close()
 
         _run(scenario())
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_corrupt_row_recomputed_and_rewritten(self, db, damage, fixed_elapsed):
+        body = {"scenario": FAST, "backend": "exhaustive"}
+
+        async def scenario():
+            app = ServiceApp(cache_path=db, workers=1)
+            app.start()
+            try:
+                status, doc = await _ask(app, "POST", "/v1/verify", body)
+                key = doc["key"]
+                await _until_done(app, doc)
+                status, hit = await app.handle("POST", "/v1/verify", body)
+                assert status == 200
+                intact = _damage_verdict(db, key, damage)
+
+                status, doc = await _ask(app, "POST", "/v1/verify", body)
+                assert status == 202 and doc["status"] == "pending"
+                await _until_done(app, doc)
+                assert _stored_verdict(db, key) == intact
+                status, again = await app.handle("POST", "/v1/verify", body)
+                assert status == 200 and again == hit
+                status, metrics = await _ask(app, "GET", "/v1/metrics", None)
+                assert metrics["counters"]["cache/corrupt"] == 1
+                assert metrics["counters"]["cache/hit"] == 2
+            finally:
+                app.close()
+            with VerdictCache.open(db) as cache:
+                assert cache.stats()["hits"] == 2
+
+        _run(scenario())
+
+    def test_corrupt_verdict_route_is_404(self, db):
+        async def scenario():
+            app = ServiceApp(cache_path=db, workers=1)
+            app.start()
+            try:
+                app.cache.put("k", {"scenario": "s", "backend": "fuzz", "runs": 12})
+                _damage_verdict(db, "k", "flip")
+                status, doc = await _ask(app, "GET", "/v1/verdicts/k", None)
+                assert status == 404
+                status, metrics = await _ask(app, "GET", "/v1/metrics", None)
+                assert metrics["counters"]["cache/corrupt"] == 1
+            finally:
+                app.close()
+
+        _run(scenario())
+
+    def test_corrupt_artifact_route_is_500(self, db):
+        witness = {"schema": "repro-replay", "events": [[0, "propose", [1]]]}
+        digest = artifact_hash(witness)
+
+        async def scenario():
+            app = ServiceApp(cache_path=db, workers=1)
+            app.start()
+            try:
+                app.cache.put(
+                    "k",
+                    {"scenario": "s", "backend": "fuzz", "counterexample": witness},
+                )
+                _damage_artifact(db, digest)
+                status, doc = await _ask(app, "GET", f"/v1/artifacts/{digest}", None)
+                assert status == 500
+                assert "corrupt" in doc["error"] and digest in doc["error"]
+                assert "events" not in doc
+                status, metrics = await _ask(app, "GET", "/v1/metrics", None)
+                assert metrics["counters"]["cache/corrupt"] == 1
+            finally:
+                app.close()
+
+        _run(scenario())
+
+
+async def _until_done(app, reply):
+    """Poll a submitted request until it leaves ``pending``."""
+    while reply["status"] == "pending":
+        await asyncio.sleep(0.05)
+        _, reply = await _ask(app, "GET", f"/v1/verify/{reply['id']}", None)
+    assert reply["status"] == "done", reply
+    return reply
 
 
 async def _http(reader, writer, method, path, body=None):
@@ -442,6 +723,108 @@ class TestHttpServer:
 
         _run(scenario())
 
+
+    @staticmethod
+    async def _eof_after(request, db, within=5.0):
+        """Send ``request`` raw to an in-process server; the bytes the
+        server sent before closing the connection (fails after
+        ``within`` seconds without EOF)."""
+        app = ServiceApp(cache_path=db, workers=1)
+        server = await start_service(app, host="127.0.0.1", port=0)
+        host, port = server.sockets[0].getsockname()[:2]
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(request)
+            await writer.drain()
+            try:
+                return await asyncio.wait_for(reader.read(), within)
+            except asyncio.TimeoutError:
+                pytest.fail(f"no EOF within {within} s")
+            finally:
+                writer.close()
+        finally:
+            server.close()
+            await server.wait_closed()
+            app.close()
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nConnection: Close\r\n\r\n",
+            b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nConnection: TE, close\r\n\r\n",
+            b"GET /v1/healthz HTTP/1.0\r\nHost: x\r\n\r\n",
+        ],
+        ids=["close-any-case", "close-token-list", "http-1.0-default"],
+    )
+    def test_connection_close_reaches_eof(self, db, request_bytes):
+        received = _run(self._eof_after(request_bytes, db))
+        assert received.startswith(b"HTTP/1.1 200"), received
+        assert b"Connection: close\r\n" in received
+
+    def test_http_1_0_keep_alive_stays_open(self, db):
+        async def scenario():
+            app = ServiceApp(cache_path=db, workers=1)
+            server = await start_service(app, host="127.0.0.1", port=0)
+            host, port = server.sockets[0].getsockname()[:2]
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                for _ in range(2):
+                    writer.write(
+                        b"GET /v1/healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
+                    )
+                    head = await reader.readuntil(b"\r\n\r\n")
+                    assert b"Connection: keep-alive" in head
+                    length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+                    await reader.readexactly(length)
+                writer.close()
+            finally:
+                server.close()
+                await server.wait_closed()
+                app.close()
+
+        _run(scenario())
+
+    def test_idle_connection_is_closed(self, db, monkeypatch):
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT", 0.3)
+        started = time.monotonic()
+        received = _run(
+            self._eof_after(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n", db)
+        )
+        assert received.startswith(b"HTTP/1.1 200"), received
+        assert b"Connection: keep-alive" in received
+        assert time.monotonic() - started < 5.0
+
+    def test_idle_mid_body_is_closed_quietly(self, db, monkeypatch, caplog):
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT", 0.3)
+        received = _run(
+            self._eof_after(
+                b"POST /v1/verify HTTP/1.1\r\nContent-Length: 10\r\n\r\n{", db
+            )
+        )
+        assert received == b""
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+    def test_busy_connection_stays_open(self, db, monkeypatch):
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT", 0.3)
+
+        async def scenario():
+            app = ServiceApp(cache_path=db, workers=1)
+            server = await start_service(app, host="127.0.0.1", port=0)
+            host, port = server.sockets[0].getsockname()[:2]
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                started = time.monotonic()
+                while time.monotonic() - started < 1.2:
+                    status, raw = await _http(reader, writer, "GET", "/v1/healthz")
+                    assert status == 200
+                    await asyncio.sleep(0.1)
+                writer.close()
+            finally:
+                server.close()
+                await server.wait_closed()
+                app.close()
+
+        _run(scenario())
 
     @staticmethod
     def _serve(db):
