@@ -72,7 +72,7 @@ from repro.campaign import (
     run_campaign,
     store_all_ok,
 )
-from repro.util.errors import UsageError
+from repro.util.errors import StoreError, UsageError
 from repro.util.params import parse_params
 
 #: Default campaign store path (override with ``--store``).
@@ -1041,7 +1041,7 @@ def cmd_cache(arguments) -> int:
             evicted = cache.gc()
             remaining = cache.stats()["verdicts"]
         print(
-            f"{path}: evicted {evicted} stale verdict(s), "
+            f"{path}: evicted {evicted} stale or corrupt verdict(s), "
             f"{remaining} remaining"
         )
         return 0
@@ -1067,7 +1067,8 @@ def _add_cache_parser(subparsers) -> None:
         )
 
     gc = cache_sub.add_parser(
-        "gc", help="evict verdicts recorded under a different code version"
+        "gc", help="evict verdicts recorded under a different code version "
+        "or failing their digest"
     )
     db_arg(gc)
     stats = cache_sub.add_parser(
@@ -1212,6 +1213,9 @@ def main(argv: List[str] = None) -> int:
     except UsageError as error:
         print(f"usage error: {error}", file=sys.stderr)
         return 2
+    except StoreError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

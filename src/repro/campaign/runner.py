@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 import time
 
 from typing import Any, Dict, Optional
@@ -47,6 +48,7 @@ from repro.engine.batch import default_parallelism
 from repro.obs.metrics import metrics_document
 from repro.obs.recorder import active as _obs_active, recording as _obs_recording
 from repro.obs.trace import write_trace_fragment
+from repro.util.errors import StoreError
 
 
 def _run(record: JobRecord):
@@ -120,23 +122,29 @@ def _worker_main(
     # module docstring).
     os.environ["REPRO_ENGINE_PARALLEL"] = "0"
     worker = f"{local_worker_id()}#{worker_index}"
-    with CampaignStore.open(store_path) as store:
-        if obs_dir is None:
-            _drain(store, worker)
-            return
-        # Tracing run: a worker-lifetime recorder absorbs every per-job
-        # recorder's events, then lands on disk as one fragment per
-        # worker — the parent merges fragments into one timeline with
-        # a lane per pid.
-        with _obs_recording(label=f"worker:{worker}", trace=True) as rec:
-            with rec.span("campaign/worker"):
-                _drain(store, worker, metrics=True)
-        write_trace_fragment(
-            os.path.join(obs_dir, f"worker-{worker_index}.json"),
-            worker,
-            os.getpid(),
-            rec.trace_events,
-        )
+    try:
+        with CampaignStore.open(store_path) as store:
+            if obs_dir is None:
+                _drain(store, worker)
+                return
+            # Tracing run: a worker-lifetime recorder absorbs every
+            # per-job recorder's events, then lands on disk as one
+            # fragment per worker — the parent merges fragments into
+            # one timeline with a lane per pid.
+            with _obs_recording(label=f"worker:{worker}", trace=True) as rec:
+                with rec.span("campaign/worker"):
+                    _drain(store, worker, metrics=True)
+    except StoreError as error:
+        # The parent reports the unfinished jobs; the worker's own
+        # diagnosis is one line, not a traceback.
+        print(f"error: {error}", file=sys.stderr)
+        raise SystemExit(1) from None
+    write_trace_fragment(
+        os.path.join(obs_dir, f"worker-{worker_index}.json"),
+        worker,
+        os.getpid(),
+        rec.trace_events,
+    )
 
 
 def run_campaign(

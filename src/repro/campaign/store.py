@@ -18,10 +18,16 @@ Claims left behind by dead workers are recovered by
 :meth:`CampaignStore.reclaim_dead` (workers are identified as
 ``host:pid``; a claim whose pid no longer exists on this host goes back
 to pending) or explicitly by :meth:`CampaignStore.reset`.
+
+Faults end in :class:`~repro.util.errors.StoreError` naming the file: a
+write that waits longer than ``BUSY_TIMEOUT`` for another process's
+lock, and a job row whose JSON no longer decodes (the message also
+names the job's fingerprint).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import socket
@@ -32,10 +38,14 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.campaign.spec import CampaignSpec, Job, canonical_json
-from repro.util.errors import UsageError
+from repro.util.errors import StoreError, UsageError
 
 #: Bump on any incompatible schema or fingerprint-contract change.
 SCHEMA_VERSION = 1
+
+#: Seconds a write waits for another connection's lock before the
+#: store gives up with a :class:`StoreError`.
+BUSY_TIMEOUT = 30.0
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -103,19 +113,27 @@ class JobRecord:
     metrics: Optional[Dict[str, Any]] = None
 
     @staticmethod
-    def from_row(row: sqlite3.Row) -> "JobRecord":
-        return JobRecord(
-            fingerprint=row["fingerprint"],
-            experiment=row["experiment"],
-            params=json.loads(row["params"]),
-            status=row["status"],
-            worker=row["worker"],
-            attempts=row["attempts"],
-            elapsed=row["elapsed"],
-            error=row["error"],
-            result=json.loads(row["result"]) if row["result"] else None,
-            metrics=json.loads(row["metrics"]) if row["metrics"] else None,
-        )
+    def from_row(row: sqlite3.Row, path: str) -> "JobRecord":
+        """Decode one job row of the store at ``path``; a column whose
+        JSON does not decode raises :class:`StoreError`."""
+        try:
+            return JobRecord(
+                fingerprint=row["fingerprint"],
+                experiment=row["experiment"],
+                params=json.loads(row["params"]),
+                status=row["status"],
+                worker=row["worker"],
+                attempts=row["attempts"],
+                elapsed=row["elapsed"],
+                error=row["error"],
+                result=json.loads(row["result"]) if row["result"] else None,
+                metrics=json.loads(row["metrics"]) if row["metrics"] else None,
+            )
+        except ValueError as exc:
+            raise StoreError(
+                f"campaign store {path!r}: job {row['fingerprint']} is "
+                f"corrupt: {exc}"
+            ) from None
 
 
 class CampaignStore:
@@ -128,7 +146,7 @@ class CampaignStore:
                 "'python -m repro campaign init'"
             )
         self.path = path
-        self._conn = sqlite3.connect(path, timeout=30.0)
+        self._conn = sqlite3.connect(path, timeout=BUSY_TIMEOUT)
         self._conn.row_factory = sqlite3.Row
         try:
             self._conn.execute("PRAGMA journal_mode=WAL")
@@ -141,7 +159,8 @@ class CampaignStore:
                         ("schema_version", str(SCHEMA_VERSION)),
                     )
             version = self.get_meta("schema_version")
-            self._migrate_columns()
+            if version == str(SCHEMA_VERSION):
+                self._migrate_columns()
         except sqlite3.DatabaseError as exc:
             # not SQLite at all, or SQLite without our schema
             self._conn.close()
@@ -167,6 +186,20 @@ class CampaignStore:
                     self._conn.execute(
                         f"ALTER TABLE jobs ADD COLUMN {name} {column_type}"
                     )
+
+    @contextlib.contextmanager
+    def _transaction(self, immediate: bool = False):
+        """One write transaction (taking the write lock up front when
+        ``immediate``), committed on success and rolled back on an
+        exception.  A lock held past ``BUSY_TIMEOUT``, or any other
+        SQLite fault, raises :class:`StoreError` naming the file."""
+        try:
+            with self._conn:
+                if immediate:
+                    self._conn.execute("BEGIN IMMEDIATE")
+                yield self._conn
+        except sqlite3.OperationalError as exc:
+            raise StoreError(f"campaign store {self.path!r}: {exc}") from None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -200,8 +233,8 @@ class CampaignStore:
     # -- meta ---------------------------------------------------------------
 
     def set_meta(self, key: str, value: str) -> None:
-        with self._conn:
-            self._conn.execute(
+        with self._transaction() as conn:
+            conn.execute(
                 "INSERT INTO meta (key, value) VALUES (?, ?) "
                 "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
                 (key, value),
@@ -226,14 +259,14 @@ class CampaignStore:
             (job.fingerprint, job.experiment_id, canonical_json(dict(job.params)))
             for job in jobs
         ]
-        with self._conn:
-            before = self._conn.total_changes
-            self._conn.executemany(
+        with self._transaction() as conn:
+            before = conn.total_changes
+            conn.executemany(
                 "INSERT OR IGNORE INTO jobs (fingerprint, experiment, params) "
                 "VALUES (?, ?, ?)",
                 rows,
             )
-            return self._conn.total_changes - before
+            return conn.total_changes - before
 
     # -- the worker protocol ------------------------------------------------
 
@@ -245,26 +278,19 @@ class CampaignStore:
         exports are reproducible.
         """
         worker = worker or local_worker_id()
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
-            row = self._conn.execute(
+        with self._transaction(immediate=True) as conn:
+            row = conn.execute(
                 "SELECT * FROM jobs WHERE status = 'pending' "
                 "ORDER BY experiment, fingerprint LIMIT 1"
             ).fetchone()
             if row is None:
-                self._conn.execute("COMMIT")
                 return None
-            self._conn.execute(
+            conn.execute(
                 "UPDATE jobs SET status = 'claimed', worker = ?, "
                 "claimed_at = ?, attempts = attempts + 1, error = NULL "
                 "WHERE fingerprint = ?",
                 (worker, time.time(), row["fingerprint"]),
             )
-            self._conn.execute("COMMIT")
-        except BaseException:
-            if self._conn.in_transaction:  # BEGIN itself may have failed
-                self._conn.execute("ROLLBACK")
-            raise
         return self.job(row["fingerprint"])
 
     def complete(
@@ -278,8 +304,8 @@ class CampaignStore:
         result payload, wall-clock timing, and (metrics-enabled runs)
         its ``repro-metrics`` document.  The metrics column is always
         overwritten — a re-executed job replaces, never accumulates."""
-        with self._conn:
-            self._conn.execute(
+        with self._transaction() as conn:
+            conn.execute(
                 "UPDATE jobs SET status = 'done', finished_at = ?, "
                 "elapsed = ?, result = ?, error = NULL, metrics = ? "
                 "WHERE fingerprint = ?",
@@ -301,8 +327,8 @@ class CampaignStore:
     ) -> None:
         """Record a failed job (``claimed`` → ``failed``) with its
         error log."""
-        with self._conn:
-            self._conn.execute(
+        with self._transaction() as conn:
+            conn.execute(
                 "UPDATE jobs SET status = 'failed', finished_at = ?, "
                 "elapsed = ?, error = ?, result = NULL, metrics = ? "
                 "WHERE fingerprint = ?",
@@ -340,8 +366,8 @@ class CampaignStore:
         if experiment is not None:
             query += " AND experiment = ?"
             arguments.append(experiment)
-        with self._conn:
-            return self._conn.execute(query, arguments).rowcount
+        with self._transaction() as conn:
+            return conn.execute(query, arguments).rowcount
 
     def reclaim_dead(self) -> int:
         """Return claims of dead local workers to ``pending``.
@@ -356,7 +382,7 @@ class CampaignStore:
         rows = self._conn.execute(
             "SELECT fingerprint, worker FROM jobs WHERE status = 'claimed'"
         ).fetchall()
-        with self._conn:
+        with self._transaction() as conn:
             for row in rows:
                 worker = row["worker"] or ""
                 worker_host, _, pid_text = worker.rpartition(":")
@@ -373,7 +399,7 @@ class CampaignStore:
                 # but keeps the invariant airtight: a job going back to
                 # pending never carries a stale metrics document that a
                 # merged export could double-count after re-execution.
-                cursor = self._conn.execute(
+                cursor = conn.execute(
                     "UPDATE jobs SET status = 'pending', worker = NULL, "
                     "claimed_at = NULL, metrics = NULL "
                     "WHERE fingerprint = ? "
@@ -389,7 +415,7 @@ class CampaignStore:
         row = self._conn.execute(
             "SELECT * FROM jobs WHERE fingerprint = ?", (fingerprint,)
         ).fetchone()
-        return None if row is None else JobRecord.from_row(row)
+        return None if row is None else JobRecord.from_row(row, self.path)
 
     def jobs(self, status: Optional[str] = None) -> List[JobRecord]:
         if status is None:
@@ -402,7 +428,7 @@ class CampaignStore:
                 "ORDER BY experiment, fingerprint",
                 (status,),
             ).fetchall()
-        return [JobRecord.from_row(row) for row in rows]
+        return [JobRecord.from_row(row, self.path) for row in rows]
 
     def counts(self) -> Dict[str, int]:
         """Job counts by status (every status present, zeros included)."""

@@ -13,9 +13,11 @@ from :mod:`repro` beyond the standard library.  The model is small:
   is installed, :func:`active` returns ``None`` — the **no-op fast
   path**: instrumented hot loops fetch the recorder once per phase and
   guard each increment with a single ``is not None`` check, so the
-  disabled overhead is one pointer comparison (the ``obs-smoke`` CI
-  gate asserts it is unmeasurable on the BENCH_fuzz throughput
-  measurement);
+  disabled overhead is one pointer comparison.  No benchmark measures
+  that cost: the ``obs-smoke`` CI gate (``benchmarks/gates.py obs``)
+  compares recorder-off checked fuzz runs with an earlier run of the
+  same call, so both sides execute the same instrumented code and the
+  gate bounds runner noise only;
 * :func:`span` always *times* (it is how ``verify()`` produces its
   normalized ``elapsed`` stat) but only *records* when a recorder is
   active — timing one span per verify call is free at any scale.

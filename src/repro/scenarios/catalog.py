@@ -9,10 +9,11 @@ time; :mod:`repro.scenarios` imports this module, so
 ``from repro.scenarios import iter_scenarios`` always sees the full
 catalog.
 
-The plans mirror the exhaustive benchmarks (``benchmarks/
-engine_timing.py``), so ``agp-opacity`` here is the same instance whose
-snapshot-vs-replay timings ``BENCH_engine.json`` records — fuzz-vs-
-exhaustive throughput comparisons are therefore like for like.  The
+The exhaustive benchmarks and the CI gates (``benchmarks/
+bench_exhaustive.py``, ``benchmarks/gates.py``) take their workloads
+from here, so ``agp-opacity`` is the one instance whose snapshot-vs-
+replay, fuzz-vs-exhaustive and cached-verify ratios are gated — the
+comparisons are therefore like for like.  The
 ``-deep`` and 3-process variants open the regime exhaustive search
 cannot reach; they are fuzz-only (no ``small`` tag).
 
@@ -202,7 +203,7 @@ _scenario(
     OpacityChecker,
     kind="tm",
     small=True,
-    notes="the BENCH_engine.json reference TM instance",
+    notes="the reference TM instance of every CI gate (benchmarks/gates.py)",
 )
 _scenario(
     "i12-opacity",

@@ -9,15 +9,18 @@ that shrank to the same witness share one artifact row.
 Byte-identity contract: :meth:`VerdictCache.get` returns exactly the
 canonical JSON text :meth:`VerdictCache.put` stored, so a cached
 re-verify serialises byte-identically to the cold run that populated
-it — the property the ``serve-smoke`` CI job and ``bench_service`` gate
-assert.  The service sends that text to the socket unparsed.
+it — the property the ``serve-smoke`` CI job and the service gate
+(``benchmarks/gates.py service``) assert.  The service sends that text
+to the socket unparsed.
 
 Verified reads: every verdict row carries ``digest``, the SHA-256 of
 its stored text, and ``get`` serves a row only when the two still
 match; artifacts are checked against their content address the same
-way.  A row that fails the check counts ``cache/corrupt`` and is a miss
-(the caller recomputes it, and a ``readwrite`` caller rewrites it).  A
-row without a digest — one written under schema 1 — is a plain miss.
+way.  A row that fails the check — including one whose text is not
+valid UTF-8 — counts ``cache/corrupt`` and is a miss (the caller
+recomputes it, and a ``readwrite`` caller rewrites it).  A row without a
+digest — one written under schema 1 — is a plain miss.  ``gc`` evicts
+both kinds, since neither can ever be served.
 
 Hit counts build up in memory and land in the ``hits`` column in one
 transaction, on :meth:`VerdictCache.stats` and :meth:`VerdictCache.close`,
@@ -54,6 +57,9 @@ CACHE_SCHEMA_VERSION = 2
 #: ``verify()`` cache modes: disabled entirely, read-only (hits served,
 #: misses computed but not stored), or read-write (the service default).
 CACHE_MODES = ("off", "read", "readwrite")
+
+#: Seconds a statement waits for another connection's write lock.
+BUSY_TIMEOUT = 30.0
 
 #: Default cache path; ``REPRO_CACHE_DB`` overrides it process-wide
 #: (the campaign worker pool inherits it through the environment).
@@ -105,10 +111,29 @@ def artifact_hash(document: Dict[str, Any]) -> str:
     return canonical_fingerprint(document)
 
 
-def _sha256(text: str) -> str:
-    """The digest of a stored canonical text (for an artifact, its
-    content address: ``artifact_hash`` of the document it encodes)."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _sha256(stored: bytes) -> str:
+    """The digest of a stored canonical text's UTF-8 bytes (for an
+    artifact, its content address: ``artifact_hash`` of the document it
+    encodes)."""
+    return hashlib.sha256(stored).hexdigest()
+
+
+def _verified(stored: bytes, digest: Optional[str]) -> Optional[str]:
+    """The stored text when its bytes still match ``digest``, else
+    ``None``.  Rows are read as bytes (``CAST(document AS BLOB)``), so
+    text that is not valid UTF-8 fails the check instead of raising."""
+    if digest is not None and _sha256(stored) == digest:
+        return stored.decode("utf-8")
+    return None
+
+
+def _embedded_artifacts(document: Dict[str, Any]) -> List[str]:
+    """Content addresses of a verdict document's counterexample/lasso."""
+    return [
+        artifact_hash(document[field])
+        for field in ("counterexample", "lasso")
+        if field in document
+    ]
 
 
 class CorruptCacheEntry(ReproError):
@@ -124,7 +149,7 @@ class VerdictCache:
         self.path = path
         #: Hits served since the last flush, by key (see module docstring).
         self._hits: Dict[str, int] = {}
-        self._conn = sqlite3.connect(path, timeout=30.0)
+        self._conn = sqlite3.connect(path, timeout=BUSY_TIMEOUT)
         self._conn.row_factory = sqlite3.Row
         try:
             self._conn.execute("PRAGMA journal_mode=WAL")
@@ -198,19 +223,19 @@ class VerdictCache:
         the row's ``hits`` column on the next flush.
         """
         row = self._conn.execute(
-            "SELECT document, digest FROM verdicts WHERE key = ?", (key,)
+            "SELECT CAST(document AS BLOB), digest FROM verdicts WHERE key = ?",
+            (key,),
         ).fetchone()
+        text = None if row is None else _verified(*row)
         recorder = _obs_active()
-        if row is not None and row[1] is not None:
-            text = row[0]
-            if isinstance(text, str) and _sha256(text) == row[1]:
-                if recorder is not None:
-                    recorder.count("cache/hit")
-                self._hits[key] = self._hits.get(key, 0) + 1
-                return text
+        if text is not None:
             if recorder is not None:
-                recorder.count("cache/corrupt")
+                recorder.count("cache/hit")
+            self._hits[key] = self._hits.get(key, 0) + 1
+            return text
         if recorder is not None:
+            if row is not None and row[1] is not None:
+                recorder.count("cache/corrupt")
             recorder.count("cache/miss")
         return None
 
@@ -221,12 +246,12 @@ class VerdictCache:
         when the stored text no longer hashes to ``hash_``: a corrupt
         artifact is never returned."""
         row = self._conn.execute(
-            "SELECT document FROM artifacts WHERE hash = ?", (hash_,)
+            "SELECT CAST(document AS BLOB) FROM artifacts WHERE hash = ?",
+            (hash_,),
         ).fetchone()
         if row is None:
             return None
-        text = row["document"]
-        if not isinstance(text, str) or _sha256(text) != hash_:
+        if _sha256(row[0]) != hash_:
             recorder = _obs_active()
             if recorder is not None:
                 recorder.count("cache/corrupt")
@@ -234,22 +259,18 @@ class VerdictCache:
                 f"artifact {hash_} in {self.path!r} is corrupt: its stored "
                 "text no longer hashes to its content address"
             )
-        return json.loads(text)
+        return json.loads(row[0])
 
     def artifact_hashes(self, key: str) -> List[str]:
         """Content addresses of the artifacts embedded in the verdict
-        stored under ``key`` (empty when no violation was witnessed)."""
-        document = self._conn.execute(
-            "SELECT document FROM verdicts WHERE key = ?", (key,)
+        stored under ``key`` (empty when no violation was witnessed, or
+        when no servable verdict is stored there)."""
+        row = self._conn.execute(
+            "SELECT CAST(document AS BLOB), digest FROM verdicts WHERE key = ?",
+            (key,),
         ).fetchone()
-        if document is None:
-            return []
-        loaded = json.loads(document["document"])
-        return [
-            artifact_hash(loaded[field])
-            for field in ("counterexample", "lasso")
-            if field in loaded
-        ]
+        text = None if row is None else _verified(*row)
+        return [] if text is None else _embedded_artifacts(json.loads(text))
 
     # -- the write path -----------------------------------------------------
 
@@ -273,6 +294,7 @@ class VerdictCache:
             if field in document
         ]
         text = canonical_json(document)
+        digest = _sha256(text.encode("utf-8"))
         with self._conn:
             self._conn.execute(
                 "INSERT INTO verdicts "
@@ -287,7 +309,7 @@ class VerdictCache:
                     code if code is not None else code_version(),
                     text,
                     time.time(),
-                    _sha256(text),
+                    digest,
                 ),
             )
             self._conn.executemany(
@@ -314,20 +336,28 @@ class VerdictCache:
 
     def gc(self, keep_code: Optional[str] = None) -> int:
         """Evict verdicts whose code-version component differs from
-        ``keep_code`` (default: the current :func:`code_version`), then
-        drop artifacts no surviving verdict references.  Returns the
-        number of verdict rows evicted."""
+        ``keep_code`` (default: the current :func:`code_version`) and
+        verdicts that can never be served (text that fails its digest,
+        or no digest at all), then drop artifacts no surviving verdict
+        references.  Returns the number of verdict rows evicted."""
         keep = keep_code if keep_code is not None else code_version()
         with self._conn:
             evicted = self._conn.execute(
                 "DELETE FROM verdicts WHERE code != ?", (keep,)
             ).rowcount
-            referenced = set()
-            for row in self._conn.execute("SELECT document FROM verdicts"):
-                loaded = json.loads(row["document"])
-                for field in ("counterexample", "lasso"):
-                    if field in loaded:
-                        referenced.add(artifact_hash(loaded[field]))
+            referenced, unservable = set(), []
+            for key, stored, digest in self._conn.execute(
+                "SELECT key, CAST(document AS BLOB), digest FROM verdicts"
+            ).fetchall():
+                text = _verified(stored, digest)
+                if text is None:
+                    unservable.append((key,))
+                else:
+                    referenced.update(_embedded_artifacts(json.loads(text)))
+            self._conn.executemany(
+                "DELETE FROM verdicts WHERE key = ?", unservable
+            )
+            evicted += len(unservable)
             for row in self._conn.execute("SELECT hash FROM artifacts"):
                 if row["hash"] not in referenced:
                     self._conn.execute(

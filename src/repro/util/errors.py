@@ -86,3 +86,13 @@ class ModelError(ReproError):
     Examples: a claimed safety property that is not prefix-closed, or an
     implementation whose history set is not input-enabled.
     """
+
+
+class StoreError(ReproError):
+    """A persistent store cannot be read or written: a row that no
+    longer decodes, or a lock another process held past the busy
+    timeout.
+
+    The message names the file (and, for a corrupt row, the row).  The
+    CLI prints it on one line and exits 1.
+    """

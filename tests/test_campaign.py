@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+import sqlite3
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.campaign import (
     run_campaign,
     store_all_ok,
 )
+from repro.campaign import store as store_module
 from repro.campaign.spec import Job, job_fingerprint, parse_axis_values
 from repro.util.errors import UsageError
 
@@ -207,6 +209,27 @@ class TestStore:
         with pytest.raises(UsageError, match="schema version"):
             CampaignStore.open(path)
 
+    def test_rejected_store_is_not_migrated(self, tmp_path):
+        # A store of an unknown schema version is rejected before the
+        # additive column migration could alter it.
+        path = str(tmp_path / "c.db")
+        make_store(tmp_path / "c.db").close()
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.execute("ALTER TABLE jobs DROP COLUMN metrics")
+            connection.execute(
+                "UPDATE meta SET value = '9' WHERE key = 'schema_version'"
+            )
+        columns = connection.execute("PRAGMA table_info(jobs)").fetchall()
+        connection.close()
+        with pytest.raises(UsageError, match="schema version"):
+            CampaignStore.open(path)
+        connection = sqlite3.connect(path)
+        try:
+            assert connection.execute("PRAGMA table_info(jobs)").fetchall() == columns
+        finally:
+            connection.close()
+
     def test_seed_axis_without_random_family_rejected(self):
         from repro.analysis.experiments import run_fig1a
 
@@ -295,6 +318,45 @@ class TestCampaignCli:
 
     def test_status_missing_store_is_usage_error(self, tmp_path):
         assert self.run_cli("status", "--store", str(tmp_path / "nope.db")) == 2
+
+    def test_corrupt_result_row_is_a_diagnosed_exit(self, tmp_path, capsys):
+        store = str(tmp_path / "c.db")
+        assert self.run_cli("init", "--store", store, "--grid", "thm44") == 0
+        assert self.run_cli("run", "--store", store) == 0
+        connection = sqlite3.connect(store)
+        with connection:
+            (fingerprint,) = connection.execute(
+                "SELECT fingerprint FROM jobs WHERE result IS NOT NULL"
+            ).fetchone()
+            connection.execute(
+                "UPDATE jobs SET result = substr(result, 1, 20) "
+                "WHERE fingerprint = ?", (fingerprint,),
+            )
+        connection.close()
+        capsys.readouterr()
+        assert self.run_cli("export", "--store", store) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert store in err and fingerprint in err
+
+    def test_locked_store_is_a_diagnosed_exit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        store = str(tmp_path / "c.db")
+        make_store(tmp_path / "c.db").close()
+        monkeypatch.setattr(store_module, "BUSY_TIMEOUT", 0.2)
+        holder = sqlite3.connect(store)
+        try:
+            holder.execute("BEGIN IMMEDIATE")
+            capsys.readouterr()
+            assert self.run_cli("run", "--store", store, "--workers", "1") == 1
+        finally:
+            holder.close()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert store in err and "locked" in err
+        with CampaignStore.open(store) as reopened:
+            assert reopened.counts()["pending"] == len(reopened.jobs())
 
     def test_run_with_unreclaimable_claim_is_not_success(self, tmp_path):
         # A claim held by a foreign (unprobeable) worker means the

@@ -45,6 +45,8 @@ FAST = "consensus-grid:impl=cas,n=2,proposals=alt"
 #: Fast *violating* scenario: its verdict embeds a counterexample
 #: artifact, exercising the content-addressed artifact table.
 VIOLATING = "inventing-consensus"
+#: Ways a stored verdict row can go bad (see ``_damaged``).
+DAMAGE = ("truncate", "flip", "undecodable")
 
 
 @pytest.fixture(autouse=True)
@@ -126,6 +128,32 @@ class TestVerdictCache:
             assert cache.get("old") is None
             assert cache.get("new") is not None
 
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_gc_evicts_corrupt_verdict(self, db, damage):
+        witness = {"events": [[0, "w", [1]]]}
+        with VerdictCache.open(db) as cache:
+            cache.put("k", {"scenario": "s", "runs": 12, "counterexample": witness})
+            cache.put("other", {"scenario": "s", "backend": "fuzz"})
+        _damage_verdict(db, "k", damage)
+        with VerdictCache.open(db) as cache:
+            assert cache.artifact_hashes("k") == []
+            assert cache.gc() == 1
+            assert cache.stats()["verdicts"] == 1
+            assert cache.artifact(artifact_hash(witness)) is None
+            assert cache.get("other") is not None
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_cli_gc_evicts_corrupt_verdict(self, db, damage, capsys):
+        from repro.__main__ import main
+
+        with VerdictCache.open(db) as cache:
+            cache.put("k", {"scenario": "s", "backend": "fuzz", "runs": 12})
+        _damage_verdict(db, "k", damage)
+        assert main(["cache", "gc", "--cache-db", db]) == 0
+        assert "evicted 1" in capsys.readouterr().out
+        assert main(["cache", "stats", "--cache-db", db]) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"] == 0
+
     def test_gc_drops_unreferenced_artifacts(self, db):
         witness = {"events": [[0, "w", [1]]]}
         stale = {
@@ -157,7 +185,7 @@ class TestVerdictCache:
         with VerdictCache.open(db) as cache:
             assert cache.stats()["hits"] == 4
 
-    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    @pytest.mark.parametrize("damage", DAMAGE)
     def test_corrupt_verdict_is_a_counted_miss(self, db, damage):
         with VerdictCache.open(db) as cache:
             cache.put("k", {"scenario": "s", "backend": "fuzz", "runs": 12})
@@ -252,9 +280,12 @@ def _schema_1_file(db, key, document):
 
 
 def _damaged(text, damage):
-    """``text`` truncated, or with one digit flipped (still valid JSON)."""
+    """``text`` truncated, with one digit flipped (still valid JSON), or
+    as bytes that are not valid UTF-8 (stored as TEXT by the caller)."""
     if damage == "truncate":
         return text[: len(text) // 2]
+    if damage == "undecodable":
+        return text.encode("utf-8")[:-1] + b"\xff"
     at = next(index for index, char in enumerate(text) if char.isdigit())
     flipped = text[:at] + ("8" if text[at] == "9" else "9") + text[at + 1:]
     json.loads(flipped)
@@ -277,7 +308,7 @@ def _damage_verdict(db, key, damage):
     connection = sqlite3.connect(db)
     with connection:
         connection.execute(
-            "UPDATE verdicts SET document = ? WHERE key = ?",
+            "UPDATE verdicts SET document = CAST(? AS TEXT) WHERE key = ?",
             (_damaged(text, damage), key),
         )
     connection.close()
@@ -379,7 +410,7 @@ class TestVerifyCaching:
         with pytest.raises(UsageError):
             verify(FAST, cache="sideways", cache_path=db)
 
-    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    @pytest.mark.parametrize("damage", DAMAGE)
     def test_corrupt_row_recomputed_and_rewritten(self, db, damage, fixed_elapsed):
         cold = verify(FAST, cache="readwrite", cache_path=db)
         intact = _damage_verdict(db, cold.cache_key, damage)
@@ -549,7 +580,7 @@ class TestServiceApp:
 
         _run(scenario())
 
-    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    @pytest.mark.parametrize("damage", DAMAGE)
     def test_corrupt_row_recomputed_and_rewritten(self, db, damage, fixed_elapsed):
         body = {"scenario": FAST, "backend": "exhaustive"}
 
