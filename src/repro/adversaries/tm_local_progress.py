@@ -39,7 +39,6 @@ from repro.objects.tm import ABORTED, COMMITTED
 from repro.sim.drivers import InvokeDecision, StepDecision, StopDecision
 from repro.util.errors import AdversaryError
 from repro.util.freeze import freeze
-from repro.util.plaincopy import plain_copy
 from repro.adversaries.base import AdversaryDriver
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -167,21 +166,20 @@ class TMLocalProgressAdversary(AdversaryDriver):
         # Deliberately NOT machine_state(): that freeze()s the stored
         # read values for hashing, and restoring frozen encodings would
         # corrupt the strategy's later writes for non-scalar values.
-        # Capture the raw values (copied — they may be mutable).
+        # Capture the raw values, shared: they are TM read responses,
+        # which are immutable, hashable values by the kernel contract.
         return (
             self._pc,
             self._awaiting,
-            plain_copy(self._v_prime),
-            plain_copy(self._v_second),
+            self._v_prime,
+            self._v_second,
             self._stopped,
             self.escaped,
         )
 
     def restore_state(self, state: Hashable) -> None:
-        (self._pc, self._awaiting, v_prime, v_second,
+        (self._pc, self._awaiting, self._v_prime, self._v_second,
          self._stopped, self.escaped) = state
-        self._v_prime = plain_copy(v_prime)
-        self._v_second = plain_copy(v_second)
 
     def reset(self) -> None:
         super().reset()

@@ -16,9 +16,14 @@ Every base object exposes:
 * ``capture_state()`` / ``restore_state(state)`` — a *restorable* copy
   of the full mutable state, used by the exploration engine
   (:mod:`repro.engine`) to snapshot configurations instead of replaying
-  whole schedules.  The default implementation copies ``__dict__`` and
-  works for every state layout made of plain data; objects holding
-  non-copyable resources must override both.
+  whole schedules.  The default implementation is a shallow copy of
+  ``__dict__`` and works for every object whose attributes hold
+  immutable, hashable values (a primitive rebinds an attribute, never
+  mutates what it holds).  Objects that keep a list or dict and mutate
+  it in place must override both: capture an immutable image (a tuple
+  of the cells) and rebuild the container on restore.  The default
+  capture raises :class:`~repro.util.errors.SimulationError` on an
+  unhashable attribute rather than share it between snapshots.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from abc import ABC, abstractmethod
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.util.errors import SimulationError
-from repro.util.plaincopy import plain_copy
+from repro.util.freeze import unhashable_item
 
 
 class BaseObject(ABC):
@@ -72,22 +77,36 @@ class BaseObject(ABC):
     def capture_state(self) -> Any:
         """A restorable copy of the full mutable state.
 
-        The default copies ``__dict__`` structurally via
-        :func:`~repro.util.plaincopy.plain_copy`; objects whose state is
-        not plain data must override both capture and restore.
+        The default is a shallow copy of ``__dict__``: attribute values
+        are immutable, so the copy shares them.  An attribute that is
+        not hashable (a list or dict mutated in place) would alias the
+        live object, so it raises :class:`SimulationError` instead;
+        such objects override both capture and restore.
         """
-        return plain_copy(self.__dict__)
+        state = dict(self.__dict__)
+        culprit = unhashable_item(state)
+        if culprit is not None:
+            attribute, value = culprit
+            raise SimulationError(
+                f"base object {self.name!r} ({type(self).__name__}) "
+                f"attribute {attribute!r} holds an unhashable "
+                f"{type(value).__name__}; the default capture_state shares "
+                "attribute values between snapshots, so override "
+                "capture_state/restore_state to capture an immutable image "
+                "of it"
+            )
+        return state
 
     def restore_state(self, state: Any) -> None:
         """Restore state previously returned by :meth:`capture_state`.
 
-        The captured value is copied again on restore, so one capture
-        may seed any number of restores (the engine restores the same
-        snapshot once per explored successor) and captured states are
-        never mutated — which is what lets the pool share them between
-        snapshots copy-on-write.
+        Captured states are never mutated, so one capture may seed any
+        number of restores (the engine restores the same snapshot once
+        per explored successor) — which is what lets the pool share
+        them between snapshots copy-on-write.  The default rebinds the
+        captured attribute values, which are immutable.
         """
-        self.__dict__.update(plain_copy(state))
+        self.__dict__.update(state)
 
     def _reject(self, method: str) -> Any:
         raise SimulationError(

@@ -54,6 +54,12 @@ class RegisterFile(BaseObject):
                          key=repr)),
         )
 
+    def capture_state(self) -> Any:
+        return tuple(self._cells.items())
+
+    def restore_state(self, state: Any) -> None:
+        self._cells = dict(state)
+
     def cells_matching(self, predicate) -> Dict[Hashable, Any]:
         """Cells whose key satisfies ``predicate`` (used by liveness
         abstractions to project away dead rounds)."""

@@ -103,5 +103,11 @@ class RegisterArray(BaseObject):
     def snapshot_state(self) -> Hashable:
         return ("register-array", tuple(self._cells))
 
+    def capture_state(self) -> Any:
+        return tuple(self._cells)
+
+    def restore_state(self, state: Any) -> None:
+        self._cells = list(state)
+
     def reset(self) -> None:
         self._cells = [self._initial] * self.size

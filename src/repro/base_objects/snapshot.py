@@ -71,5 +71,11 @@ class AtomicSnapshot(BaseObject):
     def snapshot_state(self) -> Hashable:
         return ("snapshot", tuple(self._components))
 
+    def capture_state(self) -> Any:
+        return tuple(self._components)
+
+    def restore_state(self, state: Any) -> None:
+        self._components = list(state)
+
     def reset(self) -> None:
         self._components = [self._initial] * self.size

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.campaign.spec import CampaignSpec, Job, canonical_json
-from repro.util.errors import StoreError, UsageError
+from repro.util.errors import StoreError, UsageError, is_busy
 
 #: Bump on any incompatible schema or fingerprint-contract change.
 SCHEMA_VERSION = 1
@@ -162,8 +162,10 @@ class CampaignStore:
             if version == str(SCHEMA_VERSION):
                 self._migrate_columns()
         except sqlite3.DatabaseError as exc:
-            # not SQLite at all, or SQLite without our schema
             self._conn.close()
+            if is_busy(exc):
+                raise StoreError(f"campaign store {path!r}: {exc}") from None
+            # not SQLite at all, or SQLite without our schema
             raise UsageError(f"{path!r} is not a campaign store: {exc}") from None
         if version != str(SCHEMA_VERSION):
             self._conn.close()

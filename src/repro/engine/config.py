@@ -23,14 +23,18 @@ behaviour is a function of ``(operation, args, memory, results so
 far)``, and primitive results are hashable (hence value-like) by the
 fingerprint contract.
 
-Snapshots are copy-on-write in the practical sense: the immutable parts
-(events, invocations, result logs, invoke-time and idle memories) are
-shared by reference between a snapshot and every configuration
-restored from it; only the genuinely mutable parts (pool state, the
-memory of an in-flight operation, stats) are copied per restore.  And
-restores are deltas: a process or base object the scratch configuration
-already holds, untouched, in exactly the snapshot's state is skipped
-(see :meth:`KernelConfig.restore_from`).
+Snapshots share state instead of copying it.  Every value the kernel
+holds is immutable and hashable (the contract of :mod:`repro.sim.kernel`),
+so the only mutable things are the containers around those values: a
+process memory dict, a base object's ``__dict__`` and the few lists or
+dicts some base objects keep.  The immutable parts (events,
+invocations, result logs, invoke-time and idle memories) are shared by
+reference between a snapshot and every configuration restored from it;
+a restore copies only containers, one level deep (the memory of an
+in-flight operation, the attributes of a restored base object, stats),
+never the values they hold.  And restores are deltas: a process or base
+object the scratch configuration already holds, untouched, in exactly
+the snapshot's state is skipped (see :meth:`KernelConfig.restore_from`).
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from repro.sim.record import ProcessStats
 from repro.sim.runtime import Runtime
 from repro.util.errors import SimulationError
 from repro.util.freeze import HashedKey
-from repro.util.plaincopy import plain_copy
 
 #: Factory producing a fresh implementation instance per restore/replay.
 ImplementationFactory = Callable[[], Implementation]
@@ -262,7 +265,7 @@ class KernelConfig:
             _restore_stats(runtime.stats[pid], process_snapshot.stats)
             if process_snapshot.frame is not None:
                 invocation, results = process_snapshot.frame
-                state.memory = plain_copy(process_snapshot.memory)
+                state.memory = dict(process_snapshot.memory)
                 state.frame = _fast_forward_frame(
                     self.implementation,
                     pid,
@@ -303,12 +306,16 @@ class KernelConfig:
         rec = _obs_active()
         if rec is not None:
             rec.count("kernel/decisions")
-        self.runtime.apply_decision(decision)
+        runtime = self.runtime
+        runtime.apply_decision(decision)
         pid = decision.pid
         self._process_fps[pid] = None
         self._process_snaps[pid] = None
-        self._events_tuple = None
-        self._events_key = None
+        # An internal step appends no event: the cached history stays.
+        events = self._events_tuple
+        if events is not None and len(events) != len(runtime.events):
+            self._events_tuple = None
+            self._events_key = None
 
     def invalidate(self, pids: Iterable[int]) -> None:
         """Drop the cached state of processes stepped behind our back.
@@ -443,7 +450,12 @@ class KernelConfig:
             rec = _obs_active()
             if rec is not None:
                 rec.count("kernel/fingerprint_misses")
-            fp = HashedKey(self.runtime.processes[pid].fingerprint())
+            state = self.runtime.processes[pid]
+            try:
+                fp = HashedKey(state.fingerprint())
+            except TypeError:
+                state.check_hashable()  # names an unhashable memory value
+                raise
             self._process_fps[pid] = fp
         return fp
 

@@ -47,7 +47,13 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs.recorder import active as _obs_active
 from repro.service.keys import code_version
-from repro.util.errors import ReproError, UsageError, unknown_choice
+from repro.util.errors import (
+    ReproError,
+    StoreError,
+    UsageError,
+    is_busy,
+    unknown_choice,
+)
 from repro.util.hashing import canonical_fingerprint, canonical_json
 
 #: Bump on any schema or key-contract change.  Schema 2 added the
@@ -181,6 +187,8 @@ class VerdictCache:
                     )
         except sqlite3.DatabaseError as exc:
             self._conn.close()
+            if is_busy(exc):
+                raise StoreError(f"verdict cache {path!r}: {exc}") from None
             raise UsageError(
                 f"{path!r} is not a verdict cache: {exc}"
             ) from None

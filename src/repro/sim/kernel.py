@@ -25,6 +25,16 @@ exact lasso detection must keep all mutable operation-local state in the
 survive across yields).  All algorithms shipped in
 :mod:`repro.algorithms` follow this contract.
 
+Memory *values*, operation arguments and primitive results are
+immutable, hashable values (numbers, strings, ``None``, tuples,
+frozensets, frozen dataclasses): an algorithm rebinds a memory key,
+never mutates what it holds.  That is what lets the engine share a
+memory's values between snapshots with a one-level ``dict`` copy and
+fingerprint a memory as its sorted items, no structural walk needed.
+A memory value that is not hashable raises
+:class:`~repro.util.errors.SimulationError` naming the process and the
+key, at the process's next invocation or fingerprint.
+
 The same contract is what lets the exploration engine snapshot and
 restore configurations (:mod:`repro.engine.config` rebuilds a generator
 by fast-forwarding a fresh one through its recorded primitive results);
@@ -43,7 +53,7 @@ from repro.core.events import Invocation
 from repro.core.object_type import ObjectType
 from repro.obs.recorder import active as _obs_active
 from repro.util.errors import SimulationError
-from repro.util.freeze import freeze
+from repro.util.freeze import unhashable_item
 
 #: Type alias for algorithm coroutines.
 Algorithm = Generator["Op", Any, Any]
@@ -177,13 +187,14 @@ class ProcessFrame:
 
     def fingerprint(self) -> Hashable:
         """Frame part of the global configuration fingerprint."""
+        pending = self.pending_op
         return (
             self.invocation.operation,
-            freeze(self.invocation.args),
+            self.invocation.args,
             self.primitives_issued,
-            freeze(self.last_result),
-            freeze(self.pending_op.args) if self.pending_op else None,
-            (self.pending_op.obj, self.pending_op.method) if self.pending_op else None,
+            self.last_result,
+            pending.args if pending else None,
+            (pending.obj, pending.method) if pending else None,
         )
 
 
@@ -226,9 +237,22 @@ class ProcessState:
         return (
             self.pid,
             self.crashed,
-            freeze(self.memory),
+            tuple(sorted(self.memory.items())),
             self.frame.fingerprint() if self.frame else None,
         )
+
+    def check_hashable(self) -> None:
+        """Raise :class:`SimulationError` if a memory value is not
+        hashable, naming the process and the key."""
+        culprit = unhashable_item(self.memory)
+        if culprit is not None:
+            key, value = culprit
+            raise SimulationError(
+                f"p{self.pid} memory[{key!r}] holds an unhashable "
+                f"{type(value).__name__} ({value!r}); process memory values "
+                "must be immutable, hashable values (use a tuple or "
+                "frozenset and rebind the key)"
+            )
 
 
 def run_step(frame: ProcessFrame, pool: ObjectPool) -> Tuple[bool, Any]:

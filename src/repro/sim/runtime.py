@@ -42,7 +42,6 @@ from repro.sim.kernel import (
 from repro.sim.lasso import LassoDetector
 from repro.sim.record import ProcessStats, RunResult
 from repro.util.errors import SimulationError
-from repro.util.plaincopy import plain_copy
 
 
 class RuntimeView:
@@ -227,16 +226,22 @@ class Runtime:
         invocation = Invocation(
             process=decision.pid, operation=decision.operation, args=decision.args
         )
+        # Memory values are immutable (the kernel contract), checked here
+        # once per operation: a mutable value left behind by the previous
+        # operation would be shared between snapshots by the copy below.
+        state.check_hashable()
         # Memory is copied *before* algorithm() runs: implementations may
         # mutate memory at generator-creation time, and the snapshot
         # restore path replays that mutation by calling algorithm() again.
         # The operation works on the copy and the pre-invoke dict is kept
         # untouched: an idle process's memory is never mutated, which is
-        # what lets snapshots share it instead of copying it.
+        # what lets snapshots share it instead of copying it.  A one-level
+        # copy suffices, since an operation rebinds keys and never
+        # mutates the values they hold.
         memory_before = None
         if self.record_replay_log:
             memory_before = state.memory
-            state.memory = plain_copy(memory_before)
+            state.memory = dict(memory_before)
         generator = self.implementation.algorithm(
             decision.pid, decision.operation, decision.args, state.memory
         )

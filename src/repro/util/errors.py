@@ -96,3 +96,15 @@ class StoreError(ReproError):
     The message names the file (and, for a corrupt row, the row).  The
     CLI prints it on one line and exits 1.
     """
+
+
+def is_busy(error: Exception) -> bool:
+    """Whether a ``sqlite3`` error means another connection held a lock
+    past the busy timeout (``SQLITE_BUSY``/``SQLITE_LOCKED``): a fault
+    of the moment, reported as :class:`StoreError`, not evidence that
+    the file is not a store."""
+    code = getattr(error, "sqlite_errorcode", None)  # Python >= 3.11
+    if code is not None:
+        return (code & 0xFF) in (5, 6)
+    message = str(error)
+    return "database is locked" in message or "is busy" in message

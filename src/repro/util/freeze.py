@@ -1,9 +1,11 @@
 """Recursive freezing of plain data into hashable fingerprints.
 
-The lasso detector fingerprints process-local memories (dicts of plain
-data) and base-object states; :func:`freeze` converts any composition of
-dicts, lists, tuples, sets and hashable leaves into a canonical hashable
-value such that equal structures freeze equal.
+:func:`freeze` converts any composition of dicts, lists, tuples, sets
+and hashable leaves into a canonical hashable value such that equal
+structures freeze equal.  Kernel fingerprints do not need it — process
+memories hold immutable, hashable values by the kernel contract
+(:mod:`repro.sim.kernel`); some liveness abstractions and the register
+file's fingerprint still use it.
 
 :class:`HashedKey` wraps such a value as a dictionary key whose hash is
 computed once: the exploration engine's configuration keys are large
@@ -12,7 +14,7 @@ nested tuples that every dict lookup would otherwise re-hash in full.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 
 _LEAF_TYPES = frozenset((int, float, str, bool, bytes, type(None)))
@@ -42,6 +44,22 @@ def freeze(value: Any) -> Hashable:
         return freeze(frozenset(value))
     hash(value)  # raise early if a leaf is unhashable
     return value
+
+
+def unhashable_item(mapping: Dict[Any, Any]) -> Optional[Tuple[Any, Any]]:
+    """The first ``(key, value)`` of ``mapping`` whose value is not
+    hashable, or ``None``: one hash call when all are, a walk only to
+    name the culprit."""
+    try:
+        hash(tuple(mapping.values()))
+        return None
+    except TypeError:
+        for key, value in mapping.items():
+            try:
+                hash(value)
+            except TypeError:
+                return key, value
+        return None
 
 
 class HashedKey:

@@ -21,7 +21,7 @@ from repro.campaign import (
 )
 from repro.campaign import store as store_module
 from repro.campaign.spec import Job, job_fingerprint, parse_axis_values
-from repro.util.errors import UsageError
+from repro.util.errors import StoreError, UsageError
 
 #: Cheap pure-set-model experiments for store/runner tests.
 FAST = ["thm44", "thm49"]
@@ -201,6 +201,21 @@ class TestStore:
         with pytest.raises(UsageError):
             CampaignStore.open(str(bogus))
 
+    def test_locked_open_is_a_store_error(self, tmp_path, monkeypatch):
+        # A lock held past the busy timeout is a fault of the moment,
+        # not evidence that the file is not a store.
+        path = str(tmp_path / "c.db")
+        make_store(tmp_path / "c.db").close()
+        monkeypatch.setattr(store_module, "BUSY_TIMEOUT", 0.2)
+        holder = sqlite3.connect(path)
+        try:
+            holder.execute("BEGIN IMMEDIATE")
+            with pytest.raises(StoreError, match="locked") as caught:
+                CampaignStore.create(path, CampaignSpec.from_cli(FAST, []))
+        finally:
+            holder.close()
+        assert path in str(caught.value)
+
     def test_open_wrong_schema_version_rejected(self, tmp_path):
         path = str(tmp_path / "c.db")
         make_store(tmp_path / "c.db").close()
@@ -357,6 +372,24 @@ class TestCampaignCli:
         assert store in err and "locked" in err
         with CampaignStore.open(store) as reopened:
             assert reopened.counts()["pending"] == len(reopened.jobs())
+
+    def test_locked_init_is_a_diagnosed_exit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        store = str(tmp_path / "c.db")
+        make_store(tmp_path / "c.db").close()
+        monkeypatch.setattr(store_module, "BUSY_TIMEOUT", 0.2)
+        holder = sqlite3.connect(store)
+        try:
+            holder.execute("BEGIN IMMEDIATE")
+            capsys.readouterr()
+            assert self.run_cli("init", "--store", store, "--grid", "thm44") == 1
+        finally:
+            holder.close()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert store in err and "locked" in err
+        assert "not a campaign store" not in err
 
     def test_run_with_unreclaimable_claim_is_not_success(self, tmp_path):
         # A claim held by a foreign (unprobeable) worker means the

@@ -33,10 +33,11 @@ from repro.service import (
     code_version,
     default_cache_path,
 )
+from repro.service import cache as cache_module
 from repro.service import server as server_module
 from repro.service.app import ServiceApp
 from repro.service.server import start_service
-from repro.util.errors import UsageError
+from repro.util.errors import StoreError, UsageError
 from repro.util.hashing import canonical_json
 
 #: Exhaustible in a few milliseconds — cheap enough to run cold in
@@ -226,6 +227,25 @@ class TestVerdictCache:
             ).fetchone() == ("2",)
         finally:
             connection.close()
+
+    def test_non_database_file_rejected(self, db):
+        pathlib.Path(db).write_text("this is not a sqlite database at all....")
+        with pytest.raises(UsageError, match="not a verdict cache"):
+            VerdictCache.open(db)
+
+    def test_locked_open_is_a_store_error(self, db, monkeypatch):
+        # A lock held past the busy timeout is a fault of the moment,
+        # not evidence that the file is not a verdict cache.
+        VerdictCache.open(db).close()
+        monkeypatch.setattr(cache_module, "BUSY_TIMEOUT", 0.2)
+        holder = sqlite3.connect(db)
+        try:
+            holder.execute("BEGIN IMMEDIATE")
+            with pytest.raises(StoreError, match="locked") as caught:
+                VerdictCache.open(db)
+        finally:
+            holder.close()
+        assert db in str(caught.value)
 
     def test_unknown_schema_rejected(self, db):
         VerdictCache.open(db).close()
@@ -957,6 +977,23 @@ class TestCli:
         assert stats["verdicts"] == 1
         assert main(["cache", "gc", "--cache-db", db]) == 0
         assert "evicted 0" in capsys.readouterr().out
+
+    def test_locked_cache_is_a_diagnosed_exit(self, db, capsys, monkeypatch):
+        from repro.__main__ import main
+
+        VerdictCache.open(db).close()
+        monkeypatch.setattr(cache_module, "BUSY_TIMEOUT", 0.2)
+        holder = sqlite3.connect(db)
+        try:
+            holder.execute("BEGIN IMMEDIATE")
+            capsys.readouterr()
+            assert main(["cache", "gc", "--cache-db", db]) == 1
+        finally:
+            holder.close()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert db in err and "locked" in err
+        assert "not a verdict cache" not in err
 
     def test_cache_stats_missing_file(self, tmp_path, capsys):
         from repro.__main__ import main
