@@ -14,8 +14,8 @@ Subpackages
     memory: drivers, schedulers, workloads, crash plans, lassos.
 ``repro.objects``
     Shared-object types and safety checkers (consensus agreement &
-    validity, linearizability, opacity, strict serializability, the
-    Section 5.3 property ``S``).
+    validity, opacity, strict serializability, mutual exclusion,
+    k-set agreement, the Section 5.3 property ``S``).
 ``repro.algorithms``
     Implementations under evaluation: register/CAS/TAS consensus,
     AGP and Algorithm 1 (``I(1,2)``) TMs, trivial/blocking/intent TMs,
@@ -23,8 +23,6 @@ Subpackages
 ``repro.adversaries``
     The paper's adversary strategies as drivers, plus the mechanised
     valency schedule search.
-``repro.automata``
-    Faithful I/O automata (Section 2).
 ``repro.setmodel``
     Exact finite set-theoretic models of Theorems 4.4/4.9.
 ``repro.scenarios``

@@ -26,9 +26,9 @@ experiment.
 
 Fingerprinting: the machine state includes the stored read values,
 which grow by one per cycle against a committing TM — so such runs end
-at the horizon (documented in EXPERIMENTS.md).  Against the trivial
-always-abort TM the stored values never change and runs end in a
-proved lasso.
+at the horizon (the ``agp-local-progress`` scenario's verdict is horizon
+evidence, not a lasso).  Against the trivial always-abort TM the stored
+values never change and runs end in a proved lasso.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """The experiment registry: every table/figure/theorem of the paper.
 
-Each experiment id from DESIGN.md §4 maps to a runner returning an
-:class:`ExperimentResult` — a list of *claims* comparing what the paper
-states with what the artifact measures, plus rendered artifacts
-(Figure-1 panels, Hasse diagrams, adversary-set certificates).  The
-benchmark harness times the runners and prints the renderings;
-EXPERIMENTS.md records the outcomes.
+Each experiment id (the README's paper → code map pairs the ids with
+the paper items) maps to a runner returning an :class:`ExperimentResult`
+— a list of *claims* comparing what the paper states with what the
+artifact measures, plus rendered artifacts (Figure-1 panels, Hasse
+diagrams, adversary-set certificates).  ``python -m repro run <id>``
+prints the claim table and the renderings; ``tests/test_experiments.py``
+asserts every claim.
 
 The runners are thin *claim evaluators*: the schedule batteries they
 quantify over live in :mod:`repro.analysis.batteries`, the named

@@ -13,7 +13,7 @@ artifact can certify the two directions differently:
   :mod:`repro.setmodel` for finite micro types.)
 
 The report dataclasses here are the common currency between the
-adversaries, the analysis layer, the benchmarks and EXPERIMENTS.md.
+adversaries and the analysis layer.
 """
 
 from __future__ import annotations

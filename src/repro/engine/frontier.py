@@ -1,19 +1,18 @@
 """The generic deduplicated graph search every exhaustive search drives.
 
 Every exhaustive search in the repository — history exploration over
-kernel configurations (:mod:`repro.sim.explore`), reachability and
-cycle enumeration over I/O automata (:mod:`repro.automata.explorer`),
-and the valency-style schedule search (:mod:`repro.adversaries.valency`)
-— is an instance of the same loop: pop a node from a frontier, dedup it
-by key, expand its labelled successors, push the new ones.  This module
-factors that loop out once.
+kernel configurations (:mod:`repro.sim.explore`) and the valency-style
+schedule search (:mod:`repro.adversaries.valency`) — is an instance of
+the same loop: pop a node from a frontier, dedup it by key, expand its
+labelled successors, push the new ones.  This module factors that loop
+out once.
 
 :class:`GraphSearch` is deliberately small: clients supply *roots* and
 an ``expand(node) -> iterable[(label, child)]`` callback, and get back a
 lazy iterator of :class:`Visit` records plus, on the search object,
 ``parents`` (key → (parent key, label)) and — when ``record_edges`` is
 on — ``edges`` (key → {label: child key}), including edges that close
-back into already-visited nodes, which is what cycle detection needs.
+back into already-visited nodes.
 
 The frontier is one ``deque``; the strategy is which end it pops:
 ``bfs`` pops the oldest entry (breadth first, and therefore shortest
@@ -110,7 +109,7 @@ class GraphSearch:
         self.max_depth = max_depth
         self.on_budget = on_budget
         self.record_edges = record_edges
-        #: key -> (parent key, edge label); roots map to (None, root label).
+        #: key -> (parent key, edge label); roots map to (None, None).
         self.parents: Dict[Hashable, Tuple[Optional[Hashable], Optional[Label]]] = {}
         #: key -> {label: child key}; only when ``record_edges``.
         self.edges: Dict[Hashable, Dict[Label, Hashable]] = {}
@@ -125,17 +124,9 @@ class GraphSearch:
 
     # -- public API --------------------------------------------------------
 
-    def run(
-        self, roots: Iterable[Any], expand: Expand, root_labels: bool = False
-    ) -> Iterator[Visit]:
-        """Lazily yield one :class:`Visit` per unique node.
-
-        ``roots`` is an iterable of nodes, or of ``(node, label)`` pairs
-        when ``root_labels`` is set (the label is stored as the root's
-        parent edge — useful when the roots are themselves successors of
-        a virtual pre-root, as in cycle search).
-        """
-        return self._search(list(roots), expand, root_labels)
+    def run(self, roots: Iterable[Any], expand: Expand) -> Iterator[Visit]:
+        """Lazily yield one :class:`Visit` per unique node."""
+        return self._search(list(roots), expand)
 
     def push_revisit(self, node: Any, key: Hashable, depth: Optional[int] = None) -> None:
         """Re-queue an already-visited key for another expansion pass.
@@ -154,37 +145,9 @@ class GraphSearch:
         is being consumed."""
         self._frontier.append((node, key, self.depths[key] if depth is None else depth))
 
-    def path_labels(self, key: Hashable) -> Tuple[Label, ...]:
-        """Edge labels along the discovered path from a root to ``key``
-        (including the root's own label when roots were labelled)."""
-        labels: List[Label] = []
-        cursor: Optional[Hashable] = key
-        while cursor is not None:
-            parent, label = self.parents[cursor]
-            if label is not None:
-                labels.append(label)
-            cursor = parent
-        labels.reverse()
-        return tuple(labels)
-
-    def path_keys(self, key: Hashable) -> Tuple[Hashable, ...]:
-        """Node keys along the discovered path from a root to ``key``."""
-        keys: List[Hashable] = [key]
-        cursor: Optional[Hashable] = key
-        while True:
-            parent, _label = self.parents[cursor]
-            if parent is None:
-                break
-            keys.append(parent)
-            cursor = parent
-        keys.reverse()
-        return tuple(keys)
-
     # -- internals ---------------------------------------------------------
 
-    def _search(
-        self, roots: List[Any], expand: Expand, root_labels: bool
-    ) -> Iterator[Visit]:
+    def _search(self, roots: List[Any], expand: Expand) -> Iterator[Visit]:
         self.parents.clear()
         self.edges.clear()
         self.depths.clear()
@@ -195,12 +158,11 @@ class GraphSearch:
         rec = _obs_active()
         bound = self.max_depth
         fresh_roots = []
-        for entry in roots:
-            node, label = entry if root_labels else (entry, None)
+        for node in roots:
             key = self.key(node)
             if key in self.parents:
                 continue
-            self.parents[key] = (None, label)
+            self.parents[key] = (None, None)
             self.depths[key] = 0
             fresh_roots.append((node, key))
         # Roots count against the budget like any other visit.
@@ -209,7 +171,7 @@ class GraphSearch:
             visited = self._check_budget(visited)
             if visited is None:
                 return
-            yield Visit(node, key, 0, None, self.parents[key][1])
+            yield Visit(node, key, 0, None, None)
             frontier.append((node, key, 0))
         while frontier:
             node, key, depth = pop()

@@ -5,11 +5,6 @@ from repro.objects.consensus import (
     ConsensusSpec,
     consensus_object_type,
 )
-from repro.objects.register_obj import (
-    WRITE_OK,
-    RegisterSpec,
-    register_object_type,
-)
 from repro.objects.tm import (
     ABORTED,
     COMMITTED,
@@ -30,15 +25,10 @@ from repro.objects.opacity import (
     SearchBudgetExceeded,
     StrictSerializability,
 )
-from repro.objects.linearizability import (
-    LinearizabilityChecker,
-    LinearizabilitySearchExceeded,
-)
 from repro.objects.counterexample_s import (
     TimestampAbortRule,
     counterexample_safety,
 )
-from repro.objects.sequential_consistency import SequentialConsistencyChecker
 from repro.objects.set_agreement import (
     KSetAgreement,
     OwnValueSetAgreement,
@@ -49,9 +39,6 @@ __all__ = [
     "AgreementValidity",
     "ConsensusSpec",
     "consensus_object_type",
-    "WRITE_OK",
-    "RegisterSpec",
-    "register_object_type",
     "ABORTED",
     "COMMITTED",
     "OK",
@@ -68,11 +55,8 @@ __all__ = [
     "OpacityChecker",
     "SearchBudgetExceeded",
     "StrictSerializability",
-    "LinearizabilityChecker",
-    "LinearizabilitySearchExceeded",
     "TimestampAbortRule",
     "counterexample_safety",
-    "SequentialConsistencyChecker",
     "KSetAgreement",
     "OwnValueSetAgreement",
     "set_agreement_object_type",

@@ -4,8 +4,7 @@ A :class:`RunResult` carries the externally visible history, per-process
 step statistics, the stop reason, and — when the lasso detector fired —
 a certificate of the infinite continuation.  Its :meth:`RunResult.summary`
 method derives the :class:`~repro.core.properties.ExecutionSummary` that
-liveness properties consume, applying the finite/lasso/horizon semantics
-documented in DESIGN.md §5:
+liveness properties consume, applying one of three semantics:
 
 * **finite, fairness-complete** runs — nobody takes infinitely many
   steps; progressors are the processes whose demands were met

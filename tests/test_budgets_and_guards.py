@@ -3,12 +3,7 @@
 import pytest
 
 from repro.core.history import History
-from repro.objects.linearizability import (
-    LinearizabilityChecker,
-    LinearizabilitySearchExceeded,
-)
 from repro.objects.opacity import OpacityChecker, SearchBudgetExceeded
-from repro.objects.register_obj import WRITE_OK, RegisterSpec
 from repro.objects.tm import COMMITTED, OK
 
 from conftest import inv, res
@@ -41,18 +36,6 @@ class TestSearchBudgets:
             tight.check_history(history)
         # With a real budget the same history verifies fine.
         assert OpacityChecker(deep=False).check_history(history).holds
-
-    def test_linearizability_budget_raises(self):
-        events = []
-        for pid in range(5):
-            events.append(inv(pid, "write", pid))
-        for pid in range(5):
-            events.append(res(pid, "write", WRITE_OK))
-        history = History(events)
-        tight = LinearizabilityChecker(RegisterSpec(0), max_nodes=2)
-        with pytest.raises(LinearizabilitySearchExceeded):
-            tight.check_history(history)
-        assert LinearizabilityChecker(RegisterSpec(0)).check_history(history).holds
 
     def test_setmodel_exponent_guard(self):
         from repro.setmodel import theorem44

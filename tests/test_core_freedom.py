@@ -90,7 +90,8 @@ class TestLKFreedom:
 
     def test_union_equals_conditional_with_correct_consequent(self):
         """The paper's claim (l,k)-freedom = LF_l ∪ OF_k, under the
-        'correct' reading of the obstruction consequent (DESIGN.md §5)."""
+        'correct' reading of the obstruction consequent
+        (:mod:`repro.core.freedom`)."""
         space = enumerate_summaries(4)
         for l, k in ((1, 1), (1, 3), (2, 2), (2, 4), (4, 4)):
             conditional = LKFreedom(l, k, semantics="conditional")
@@ -98,7 +99,7 @@ class TestLKFreedom:
             assert conditional.admits(space) == union.admits(space), (l, k)
 
     def test_union_differs_under_steppers_consequent(self):
-        """The witness from DESIGN.md §5: one progressing stepper among
+        """The witness for the literal reading: one progressing stepper among
         three correct processes satisfies OF_2[steppers] (hence the
         union) but not Definition 5.1's conditional form."""
         witness = summary(correct=[0, 1, 2], steppers=[0], progressors=[0])

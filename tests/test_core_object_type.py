@@ -10,7 +10,6 @@ from repro.core.object_type import (
     SequentialSpec,
 )
 from repro.objects.consensus import ConsensusSpec, consensus_object_type
-from repro.objects.register_obj import RegisterSpec, register_object_type
 from repro.util.errors import SpecificationError, UsageError
 
 
@@ -37,8 +36,8 @@ class TestObjectType:
         assert Response(0, "propose", 1) in alphabet
 
     def test_signature_lookup(self):
-        object_type = register_object_type()
-        assert object_type.signature("read").name == "read"
+        object_type = consensus_object_type()
+        assert object_type.signature("propose").name == "propose"
         with pytest.raises(UsageError, match="unknown operation"):
             object_type.signature("nope")
 
@@ -66,30 +65,24 @@ class TestObjectType:
 
 
 class TestSequentialSpec:
-    def test_register_spec_read_write(self):
-        spec = RegisterSpec(initial=0)
-        state, value = spec.apply(spec.initial_state(), "read", ())
-        assert value == 0
-        state, value = spec.apply(state, "write", (7,))
-        state, value = spec.apply(state, "read", ())
-        assert value == 7
-
-    def test_register_spec_rejects_unknown_operation(self):
-        spec = RegisterSpec()
+    def test_consensus_spec_rejects_unknown_operation(self):
+        spec = ConsensusSpec()
         with pytest.raises(SpecificationError):
             spec.apply(spec.initial_state(), "cas", (1, 2))
 
     def test_consensus_spec_first_proposal_wins(self):
         spec = ConsensusSpec()
+        assert spec.initial_state() is None
         state, decided = spec.apply(spec.initial_state(), "propose", (4,))
         assert decided == 4
         state, decided = spec.apply(state, "propose", (9,))
         assert decided == 4
 
     def test_accepts_checks_sequential_runs(self):
-        spec = RegisterSpec(initial=0)
-        assert spec.accepts([("read", (), 0), ("write", (5,), "ok"), ("read", (), 5)])
-        assert not spec.accepts([("read", (), 3)])
+        spec = ConsensusSpec()
+        assert spec.accepts([("propose", (5,), 5), ("propose", (2,), 5)])
+        assert not spec.accepts([("propose", (5,), 5), ("propose", (2,), 2)])
+        assert not spec.accepts([("propose", (1,), 3)])
 
     def test_accepts_handles_nondeterminism(self):
         class CoinSpec(SequentialSpec):

@@ -94,12 +94,6 @@ class TestGraphSearch:
                 strategy=strategy,
             )
 
-    def test_path_reconstruction(self):
-        search = GraphSearch(strategy="bfs")
-        list(search.run(["a"], diamond_expand))
-        assert search.path_keys("d") in (("a", "b", "d"), ("a", "c", "d"))
-        assert len(search.path_labels("d")) == 2
-
     def test_budget_raise(self):
         search = GraphSearch(strategy="bfs", max_nodes=2)
         with pytest.raises(SearchBudgetExceeded):

@@ -62,6 +62,10 @@ class TestOtherSizes:
         assert set(grid.implementable_points()) == {(1, 1), (1, 2)}
         assert grid.excluded_points() == [(2, 2)]
 
+    def test_fig1b_n4(self):
+        result = run_fig1b(n=4, max_steps=200, transactions=1)
+        assert result.all_ok, result.render()
+
     @pytest.mark.slow
     def test_fig1a_n4(self):
         result = run_fig1a(n=4, max_steps=30_000)

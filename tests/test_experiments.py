@@ -57,8 +57,9 @@ class TestGridExperiments:
         assert grid.implementable_points() == [(1, 1)]
 
     def test_fig1a_union_semantics_agrees(self):
-        """DESIGN.md §5: the classification is semantics-independent on
-        every grid point the paper uses."""
+        """The classification is the same under the conditional and the
+        union form of (l,k)-freedom (:mod:`repro.core.freedom`) on every
+        grid point the paper uses."""
         conditional = run_experiment("fig1a", n=3, semantics="conditional")
         union = run_experiment("fig1a", n=3, semantics="union")
         grid_c = conditional.artifacts["grid"]
@@ -75,10 +76,16 @@ class TestGridExperiments:
     def test_thm52(self):
         result = run_experiment("thm52", n=3, max_steps=20_000)
         assert result.all_ok, result.render()
+        assert result.artifacts["witness"] is not None
 
     def test_thm53(self):
         result = run_experiment("thm53", n=3, max_steps=240)
         assert result.all_ok, result.render()
+
+    def test_cor45(self):
+        result = run_experiment("cor45", max_steps=20_000)
+        assert result.all_ok, result.render()
+        assert result.artifacts["certificate"].gmax_is_empty
 
     def test_cor46(self):
         result = run_experiment("cor46", n=2, max_steps=240)

@@ -1,17 +1,12 @@
 """Property-based tests: safety checkers are prefix-closed
-(Definition 3.1's closure, tested on random histories), and the
-linearizability checker agrees with brute force on small histories.
+(Definition 3.1's closure, tested on random histories).
 """
-
-import itertools
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.history import History
 from repro.objects.consensus import AgreementValidity
-from repro.objects.linearizability import LinearizabilityChecker
 from repro.objects.opacity import OpacityChecker, StrictSerializability
-from repro.objects.register_obj import WRITE_OK, RegisterSpec
 from repro.objects.tm import ABORTED, COMMITTED, OK
 
 from conftest import inv, res
@@ -34,30 +29,6 @@ def consensus_events(draw, n_processes=3, max_ops=3):
             value = draw(st.integers(min_value=0, max_value=2))
             events.append(inv(pid, "propose", value))
             pending[pid] = True
-    return events
-
-
-@st.composite
-def register_events(draw, n_processes=2, max_ops=4):
-    """Random register histories over values {0,1}."""
-    events = []
-    pending = {}
-    count = draw(st.integers(min_value=0, max_value=max_ops * 2))
-    for _ in range(count):
-        pid = draw(st.integers(min_value=0, max_value=n_processes - 1))
-        if pid in pending:
-            operation = pending.pop(pid)
-            if operation == "read":
-                events.append(res(pid, "read", draw(st.sampled_from([0, 1]))))
-            else:
-                events.append(res(pid, "write", WRITE_OK))
-        else:
-            operation = draw(st.sampled_from(["read", "write"]))
-            if operation == "write":
-                events.append(inv(pid, "write", draw(st.sampled_from([0, 1]))))
-            else:
-                events.append(inv(pid, "read"))
-            pending[pid] = operation
     return events
 
 
@@ -113,12 +84,6 @@ class TestPrefixClosure:
         checker = AgreementValidity()
         assert checker.check_prefix_closure(History(events)).holds
 
-    @given(register_events())
-    @settings(max_examples=100, deadline=None)
-    def test_linearizability_prefix_closed(self, events):
-        checker = LinearizabilityChecker(RegisterSpec(initial=0))
-        assert checker.check_prefix_closure(History(events)).holds
-
     @given(tm_events_random())
     @settings(max_examples=60, deadline=None)
     def test_opacity_prefix_closed(self, events):
@@ -131,58 +96,3 @@ class TestPrefixClosure:
         history = History(events)
         if OpacityChecker().check_history(history).holds:
             assert StrictSerializability().check_history(history).holds
-
-
-def brute_force_linearizable(history, spec):
-    """Reference implementation: try every permutation of operations
-    (with every subset of pending operations dropped)."""
-    operations = history.drop_crashes().operations()
-    pending = [op for op in operations if op.is_pending]
-    completed = [op for op in operations if not op.is_pending]
-    for keep_mask in range(2 ** len(pending)):
-        kept = completed + [
-            op for i, op in enumerate(pending) if keep_mask >> i & 1
-        ]
-        for order in itertools.permutations(kept):
-            if any(
-                b.precedes(a)
-                for i, a in enumerate(order)
-                for b in order[i + 1:]
-            ):
-                continue
-            state = spec.initial_state()
-            legal = True
-            for op in order:
-                try:
-                    outcomes = list(
-                        spec.successors(
-                            state, op.invocation.operation, op.invocation.args
-                        )
-                    )
-                except Exception:
-                    legal = False
-                    break
-                if op.is_pending:
-                    state = outcomes[0][0] if outcomes else state
-                    continue
-                matching = [
-                    s for s, v in outcomes if v == op.response.value
-                ]
-                if not matching:
-                    legal = False
-                    break
-                state = matching[0]
-            if legal:
-                return True
-    return False
-
-
-class TestLinearizabilityVsBruteForce:
-    @given(register_events(n_processes=2, max_ops=3))
-    @settings(max_examples=120, deadline=None)
-    def test_checker_agrees_with_brute_force(self, events):
-        history = History(events)
-        spec = RegisterSpec(initial=0)
-        fast = LinearizabilityChecker(spec).check_history(history).holds
-        slow = brute_force_linearizable(history, spec)
-        assert fast == slow

@@ -1,4 +1,5 @@
-"""Direct unit tests for RunResult summary semantics (DESIGN.md §5)."""
+"""Direct unit tests for RunResult summary semantics (the finite, lasso
+and horizon cases of :meth:`repro.sim.record.RunResult.summary`)."""
 
 from repro.core.history import History
 from repro.core.object_type import ProgressMode
