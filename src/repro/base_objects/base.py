@@ -154,16 +154,23 @@ class ObjectPool:
         try:
             return self._objects[name]
         except KeyError:
-            raise SimulationError(
-                f"unknown base object {name!r}; pool has {sorted(self._objects)}"
-            ) from None
+            raise self._unknown(name) from None
+
+    def _unknown(self, name: str) -> SimulationError:
+        return SimulationError(
+            f"unknown base object {name!r}; pool has {sorted(self._objects)}"
+        )
 
     def apply(self, name: str, method: str, args: Tuple[Any, ...]) -> Any:
         """Route one atomic primitive application."""
+        try:
+            obj = self._objects[name]
+        except KeyError:
+            raise self._unknown(name) from None
         self._dirty.add(name)
         self._fp_cache.pop(name, None)
         self._state = None
-        return self.get(name).apply(method, args)
+        return obj.apply(method, args)
 
     def footprint(
         self, name: str, method: str, args: Tuple[Any, ...]

@@ -153,7 +153,6 @@ def _fast_forward_frame(
     frame.memory_at_invoke = memory_at_invoke
     if not results:
         return frame
-    frame.started = True
     try:
         op = next(generator)
         for result in results[:-1]:

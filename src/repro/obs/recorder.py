@@ -17,7 +17,9 @@ from :mod:`repro` beyond the standard library.  The model is small:
   that cost: the ``obs-smoke`` CI gate (``benchmarks/gates.py obs``)
   compares recorder-off checked fuzz runs with an earlier run of the
   same call, so both sides execute the same instrumented code and the
-  gate bounds runner noise only;
+  gate bounds runner noise only.  A one-off comparison with the sites
+  stripped found no difference beyond run-to-run spread
+  (``docs/architecture.md``, "The recorder model");
 * :func:`span` always *times* (it is how ``verify()`` produces its
   normalized ``elapsed`` stat) but only *records* when a recorder is
   active — timing one span per verify call is free at any scale.

@@ -87,8 +87,9 @@ class Footprint:
     declaration, where ``None`` means the whole object.
 
     A completing step has an *empty* pool footprint by construction:
-    :func:`run_step` sees the generator's ``StopIteration`` before any
-    new primitive is applied.
+    the step body of :meth:`~repro.sim.runtime.Runtime.apply_decision`
+    sees the generator's ``StopIteration`` before any new primitive is
+    applied.
     """
 
     pid: int
@@ -178,7 +179,6 @@ class ProcessFrame:
 
     invocation: Invocation
     generator: Algorithm
-    started: bool = False
     primitives_issued: int = 0
     last_result: Any = None
     pending_op: Optional[Op] = None
@@ -227,10 +227,10 @@ class ProcessState:
         """Process part of the global configuration fingerprint."""
         # This is the O(memory) hash the engine's incremental caches
         # exist to avoid; counting it here (not at cached call sites)
-        # measures the real hashing work.  `run_step` itself stays
-        # uninstrumented — at ~400ns/step even a guard check would be
-        # measurable, so step totals are flushed in aggregate from
-        # `step_count` deltas by the drivers.
+        # measures the real hashing work.  The step body
+        # (`Runtime.apply_decision`, about 2-3 µs a decision on a 2-core
+        # VM) stays uninstrumented: the drivers flush step totals in
+        # aggregate instead.
         rec = _obs_active()
         if rec is not None:
             rec.count("kernel/state_hashes")
@@ -253,31 +253,3 @@ class ProcessState:
                 "must be immutable, hashable values (use a tuple or "
                 "frozenset and rebind the key)"
             )
-
-
-def run_step(frame: ProcessFrame, pool: ObjectPool) -> Tuple[bool, Any]:
-    """Advance one frame by one step.
-
-    Returns ``(finished, response_value_or_None)``.  If the generator
-    yields another :class:`Op`, the primitive is applied atomically and
-    its result buffered for the next step; if it returns, the operation
-    is complete.
-    """
-    try:
-        if not frame.started:
-            frame.started = True
-            op = next(frame.generator)
-        else:
-            op = frame.generator.send(frame.last_result)
-    except StopIteration as stop:
-        return True, stop.value
-    if not isinstance(op, Op):
-        raise SimulationError(
-            f"algorithm for {frame.invocation} yielded {op!r}; expected Op"
-        )
-    frame.pending_op = op
-    frame.last_result = pool.apply(op.obj, op.method, op.args)
-    frame.primitives_issued += 1
-    if frame.result_log is not None:
-        frame.result_log.append(frame.last_result)
-    return False, None

@@ -19,11 +19,10 @@ driver, never a legal behaviour.
 from __future__ import annotations
 
 
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 from repro.core.events import Crash, Invocation, Response
 from repro.core.history import History
-from repro.core.object_type import ProgressMode
 from repro.sim.drivers import (
     CrashDecision,
     Decision,
@@ -35,9 +34,9 @@ from repro.sim.drivers import (
 from repro.sim.kernel import (
     Footprint,
     Implementation,
+    Op,
     ProcessFrame,
     ProcessState,
-    run_step,
 )
 from repro.sim.lasso import LassoDetector
 from repro.sim.record import ProcessStats, RunResult
@@ -191,6 +190,7 @@ class Runtime:
         # only the DPOR-enabled exploration engine consumes footprints.
         self.record_footprints = False
         self.last_footprint: Optional[Footprint] = None
+        self._is_good = implementation.object_type.is_good
         self._view = RuntimeView(self)
         self._detector = LassoDetector(check_every=lasso_stride)
 
@@ -215,115 +215,126 @@ class Runtime:
 
     # -- decision application ---------------------------------------------------
 
-    def _apply_invoke(self, decision: InvokeDecision) -> None:
-        state = self.processes[decision.pid]
-        if state.crashed:
-            raise SimulationError(f"cannot invoke on crashed p{decision.pid}")
-        if not state.idle:
-            raise SimulationError(
-                f"cannot invoke on p{decision.pid}: operation already pending"
-            )
-        invocation = Invocation(
-            process=decision.pid, operation=decision.operation, args=decision.args
-        )
-        # Memory values are immutable (the kernel contract), checked here
-        # once per operation: a mutable value left behind by the previous
-        # operation would be shared between snapshots by the copy below.
-        state.check_hashable()
-        # Memory is copied *before* algorithm() runs: implementations may
-        # mutate memory at generator-creation time, and the snapshot
-        # restore path replays that mutation by calling algorithm() again.
-        # The operation works on the copy and the pre-invoke dict is kept
-        # untouched: an idle process's memory is never mutated, which is
-        # what lets snapshots share it instead of copying it.  A one-level
-        # copy suffices, since an operation rebinds keys and never
-        # mutates the values they hold.
-        memory_before = None
-        if self.record_replay_log:
-            memory_before = state.memory
-            state.memory = dict(memory_before)
-        generator = self.implementation.algorithm(
-            decision.pid, decision.operation, decision.args, state.memory
-        )
-        state.frame = ProcessFrame(invocation=invocation, generator=generator)
-        if self.record_replay_log:
-            state.frame.result_log = []
-            state.frame.memory_at_invoke = memory_before
-        self.events.append(invocation)
-        self.stats[decision.pid].invocations += 1
+    def apply_decision(self, decision: Decision) -> None:
+        """Apply one non-stop decision: the one step path of the kernel.
 
-    def _apply_step(self, decision: StepDecision) -> None:
-        state = self.processes[decision.pid]
-        if state.crashed:
-            raise SimulationError(f"cannot step crashed p{decision.pid}")
-        if state.frame is None:
-            raise SimulationError(
-                f"cannot step p{decision.pid}: no pending operation"
-            )
-        stats = self.stats[decision.pid]
-        stats.steps += 1
-        stats.last_step = self.step_count
-        frame = state.frame
-        finished, value = run_step(frame, self.pool)
-        if self.record_footprints:
-            if finished:
-                # StopIteration precedes any primitive application in
-                # run_step, so a completing step touches no pool cell.
-                self.last_footprint = Footprint(decision.pid, "response")
-            else:
-                op = frame.pending_op
+        Every stepping client goes through here: :meth:`run`, the
+        exploration engine (via
+        :meth:`~repro.engine.config.KernelConfig.apply`), the fuzzer's
+        walks, the liveness search and certificate replay.  The same
+        validity rules apply everywhere and ``step_count`` advances by
+        one per decision.  Dispatch is on the decision's exact class,
+        steps first (they are nearly every decision), and each kind is
+        one flat body: a step is the kernel's hot loop.
+        """
+        kind = type(decision)
+        if kind is StepDecision:
+            pid = decision.pid
+            state = self.processes[pid]
+            frame = state.frame
+            if frame is None or state.crashed:
+                if state.crashed:
+                    raise SimulationError(f"cannot step crashed p{pid}")
+                raise SimulationError(f"cannot step p{pid}: no pending operation")
+            stats = self.stats[pid]
+            stats.steps += 1
+            stats.last_step = self.step_count
+            # One step: resume the generator with the result of its
+            # previous primitive (``None`` starts a fresh one), then
+            # apply the next primitive it requests atomically.
+            try:
+                op = frame.generator.send(frame.last_result)
+            except StopIteration as stop:
+                response = Response(
+                    process=pid, operation=frame.invocation.operation, value=stop.value
+                )
+                state.frame = None
+                self.events.append(response)
+                self.last_response[pid] = response
+                stats.responses += 1
+                if self._is_good(response):
+                    stats.good_responses += 1
+                    stats.good_response_steps.append(self.step_count)
+                if self.record_footprints:
+                    # The generator returned before requesting a
+                    # primitive, so a completing step touches no cell.
+                    self.last_footprint = Footprint(pid, "response")
+                self.step_count += 1
+                return
+            if not isinstance(op, Op):
+                raise SimulationError(
+                    f"algorithm for {frame.invocation} yielded {op!r}; expected Op"
+                )
+            frame.pending_op = op
+            result = frame.last_result = self.pool.apply(op.obj, op.method, op.args)
+            frame.primitives_issued += 1
+            if frame.result_log is not None:
+                frame.result_log.append(result)
+            if self.record_footprints:
                 mode, key = self.pool.footprint(op.obj, op.method, op.args)
                 cells = ((op.obj, key),)
                 self.last_footprint = Footprint(
-                    decision.pid,
+                    pid,
                     "step",
                     reads=cells if mode == "read" else (),
                     writes=cells if mode == "write" else (),
                 )
-        if finished:
-            response = Response(
-                process=decision.pid,
-                operation=state.frame.invocation.operation,
-                value=value,
+        elif kind is InvokeDecision:
+            pid = decision.pid
+            state = self.processes[pid]
+            if state.crashed:
+                raise SimulationError(f"cannot invoke on crashed p{pid}")
+            if state.frame is not None:
+                raise SimulationError(
+                    f"cannot invoke on p{pid}: operation already pending"
+                )
+            invocation = Invocation(
+                process=pid, operation=decision.operation, args=decision.args
             )
-            state.frame = None
-            self.events.append(response)
-            self.last_response[decision.pid] = response
-            stats.responses += 1
-            if self.implementation.object_type.is_good(response):
-                stats.good_responses += 1
-                stats.good_response_steps.append(self.step_count)
-
-    def _apply_crash(self, decision: CrashDecision) -> None:
-        state = self.processes[decision.pid]
-        if state.crashed:
-            raise SimulationError(f"p{decision.pid} is already crashed")
-        if state.frame is not None:
-            state.frame.generator.close()
-            state.frame = None
-        state.crashed = True
-        self.stats[decision.pid].crashed = True
-        self.events.append(Crash(process=decision.pid))
-
-    def apply_decision(self, decision: Decision) -> None:
-        """Apply one non-stop decision outside the driver loop.
-
-        The exploration engine drives a runtime decision-by-decision
-        (there is no driver to consult); the same validity rules apply
-        and ``step_count`` advances exactly as in :meth:`run`.
-        """
-        if isinstance(decision, InvokeDecision):
-            self._apply_invoke(decision)
+            # Memory values are immutable (the kernel contract), checked
+            # here once per operation: a mutable value left behind by the
+            # previous operation would be shared between snapshots by the
+            # copy below.
+            state.check_hashable()
+            # Memory is copied *before* algorithm() runs: implementations
+            # may mutate memory at generator-creation time, and the
+            # snapshot restore path replays that mutation by calling
+            # algorithm() again.  The operation works on the copy and the
+            # pre-invoke dict is kept untouched: an idle process's memory
+            # is never mutated, which is what lets snapshots share it
+            # instead of copying it.  A one-level copy suffices, since an
+            # operation rebinds keys and never mutates the values they
+            # hold.
+            memory_before = None
+            if self.record_replay_log:
+                memory_before = state.memory
+                state.memory = dict(memory_before)
+            generator = self.implementation.algorithm(
+                pid, decision.operation, decision.args, state.memory
+            )
+            state.frame = ProcessFrame(invocation=invocation, generator=generator)
+            if self.record_replay_log:
+                state.frame.result_log = []
+                state.frame.memory_at_invoke = memory_before
+            self.events.append(invocation)
+            self.stats[pid].invocations += 1
             if self.record_footprints:
                 # Creating the generator runs no algorithm code (the
                 # body starts on the first step) and touches no pool.
-                self.last_footprint = Footprint(decision.pid, "invoke")
-        elif isinstance(decision, StepDecision):
-            self._apply_step(decision)
-        elif isinstance(decision, CrashDecision):
-            self._apply_crash(decision)
+                self.last_footprint = Footprint(pid, "invoke")
+        elif kind is CrashDecision:
+            pid = decision.pid
+            state = self.processes[pid]
+            if state.crashed:
+                raise SimulationError(f"p{pid} is already crashed")
+            if state.frame is not None:
+                state.frame.generator.close()
+                state.frame = None
+            state.crashed = True
+            self.stats[pid].crashed = True
+            self.events.append(Crash(process=pid))
             if self.record_footprints:
-                self.last_footprint = Footprint(decision.pid, "crash")
+                self.last_footprint = Footprint(pid, "crash")
         else:
             raise SimulationError(f"unknown decision {decision!r}")
         self.step_count += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.util.errors import UsageError
 
@@ -74,6 +74,20 @@ class DeterministicRng:
         if not items:
             raise ValueError("cannot choose from an empty sequence")
         return items[self._random.randrange(len(items))]
+
+    @property
+    def getrandbits(self) -> Callable[[int], int]:
+        """The stream's ``getrandbits``, for loops that inline :meth:`choice`.
+
+        :meth:`choice` draws ``items[r]`` by rejection sampling: with
+        ``n = len(items)`` and ``k = n.bit_length()``, ``r =
+        getrandbits(k)`` is redrawn while ``r >= n`` (CPython's
+        ``Random._randbelow``).  A loop that draws the same way consumes
+        the same stream and picks the same items, without the three
+        Python frames per draw of ``choice`` → ``randrange`` →
+        ``_randbelow``.  ``tests/test_util.py`` pins the equivalence.
+        """
+        return self._random.getrandbits
 
     def shuffle(self, items: List[T]) -> None:
         """Shuffle ``items`` in place."""

@@ -38,6 +38,7 @@ from repro.engine import (
     SearchBudgetExceeded,
 )
 from repro.fuzz.driver import FuzzDriver
+from repro.fuzz.trace import schedule_to_decisions
 from repro.scenarios import get_scenario
 from repro.sim import explore_histories
 from repro.sim.drivers import CrashDecision, InvokeDecision, StepDecision
@@ -337,7 +338,56 @@ class TestDeltaRestore:
         for target in targets:
             # The fast walk steps the runtime directly, past
             # KernelConfig.apply; it must invalidate what it moved.
-            driver._fast_walk()
+            prefix, tail = driver._fast_walk()
+            assert len(prefix) + len(tail) == driver.max_depth or not successors(
+                driver._config
+            )
+            _assert_restore_exact(
+                driver._config, scenario.factory, target, successors, rng
+            )
+
+    @pytest.mark.parametrize("scenario_id", DELTA_SCENARIOS)
+    def test_after_fuzz_explore_walk(self, scenario_id):
+        scenario = get_scenario(scenario_id)
+        successors = plan_successors(scenario.plan)
+        rng = DeterministicRng(f"delta-explore-{scenario_id}")
+        # Exploration walks only, capturing from depth 1, with the
+        # swarm's crash points: the corpus holds many mid-walk captures.
+        driver = FuzzDriver(
+            scenario.factory,
+            scenario.plan,
+            seed=5,
+            max_depth=16,
+            min_corpus_depth=1,
+            explore_every=1,
+            crash_probability=0.5,
+        )
+        driver.run(40)
+        entries = list(driver._corpus)
+        assert len(entries) > 1
+        assert any(
+            label[0] == "crash" for entry in entries for label in entry.schedule
+        )
+        for entry in entries:
+            # The walk steps the runtime directly, past KernelConfig.apply;
+            # a capture taken mid-walk must still be the state its
+            # schedule reaches.
+            restored = KernelConfig.from_snapshot(scenario.factory, entry.snapshot)
+            replayed = KernelConfig.replay(
+                scenario.factory,
+                schedule_to_decisions(scenario.plan, entry.schedule),
+            )
+            assert restored.fingerprint() == replayed.fingerprint()
+            assert restored.history().events == replayed.history().events
+            assert restored.runtime.stats == replayed.runtime.stats
+        targets = [driver._root] + [entry.snapshot for entry in entries]
+        for index, target in enumerate(targets):
+            schedule = driver._explore_walk(driver._rng.fork(("delta", index)))
+            # The walk tracks eligibility itself; it stops only at its
+            # depth cap or where no process has a move left.
+            assert len(schedule) == driver.max_depth or not successors(
+                driver._config
+            )
             _assert_restore_exact(
                 driver._config, scenario.factory, target, successors, rng
             )

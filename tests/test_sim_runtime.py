@@ -1,8 +1,10 @@
 """Unit/integration tests for the simulation kernel and runtime."""
 
+import re
+
 import pytest
 
-from repro.base_objects import AtomicRegister, ObjectPool
+from repro.base_objects import AtomicRegister, ObjectPool, RegisterArray
 from repro.core.events import Crash, Invocation, Response
 from repro.core.object_type import ObjectType, OperationSignature, ProgressMode
 from repro.sim import (
@@ -19,6 +21,7 @@ from repro.sim import (
     StopDecision,
     play,
 )
+from repro.sim.kernel import Footprint
 from repro.sim.workload import OneShotWorkload
 from repro.util.errors import SimulationError
 
@@ -101,6 +104,92 @@ class TestStepSemantics:
         response = [e for e in result.history if isinstance(e, Response)][0]
         assert response.process == 0
         assert response.value == 1
+
+
+class YieldListImplementation(Implementation):
+    """Each operation yields a fixed list of values, then returns 0."""
+
+    name = "yield-list"
+
+    def __init__(self, yields):
+        super().__init__(ECHO_TYPE, 1)
+        self._yields = tuple(yields)
+
+    def create_pool(self):
+        return ObjectPool(
+            [AtomicRegister("cell", initial=None), RegisterArray("arr", size=2)]
+        )
+
+    def algorithm(self, pid, operation, args, memory):
+        return self._run()
+
+    def _run(self):
+        for item in self._yields:
+            yield item
+        return 0
+
+
+def _invoked_runtime(yields):
+    runtime = Runtime(
+        YieldListImplementation(yields), driver=None, detect_lasso=False
+    )
+    runtime.record_footprints = True
+    runtime.apply_decision(InvokeDecision(0, "echo", (1,)))
+    return runtime
+
+
+class TestStepPathGuards:
+    """The checks and footprints of the one step path every client
+    (drivers, the engine, the fuzzer, replay) goes through."""
+
+    def test_non_op_yield_names_the_invocation(self):
+        runtime = _invoked_runtime(["oops"])
+        invocation = runtime.processes[0].frame.invocation
+        with pytest.raises(
+            SimulationError,
+            match=re.escape(f"algorithm for {invocation} yielded 'oops'; expected Op"),
+        ):
+            runtime.apply_decision(StepDecision(0))
+
+    def test_unknown_object_names_the_pool(self):
+        runtime = _invoked_runtime([Op("nope", "read")])
+        with pytest.raises(
+            SimulationError,
+            match=re.escape("unknown base object 'nope'; pool has ['arr', 'cell']"),
+        ):
+            runtime.apply_decision(StepDecision(0))
+
+    @pytest.mark.parametrize("decision", [StopDecision("done"), object()])
+    def test_unknown_decision_rejected(self, decision):
+        runtime = _invoked_runtime([])
+        with pytest.raises(SimulationError, match="unknown decision"):
+            runtime.apply_decision(decision)
+        assert runtime.step_count == 1
+
+    def test_completing_step_records_response_footprint(self):
+        runtime = _invoked_runtime([])
+        assert runtime.last_footprint == Footprint(0, "invoke")
+        runtime.apply_decision(StepDecision(0))
+        footprint = runtime.last_footprint
+        assert footprint == Footprint(0, "response")
+        assert footprint.reads == () and footprint.writes == ()
+        assert runtime.events[-1] == Response(process=0, operation="echo", value=0)
+
+    def test_primitive_step_records_declared_cell(self):
+        runtime = _invoked_runtime(
+            [Op("arr", "write", (1, 5)), Op("arr", "read", (1,))]
+        )
+        runtime.apply_decision(StepDecision(0))
+        assert runtime.last_footprint == Footprint(
+            0, "step", reads=(), writes=(("arr", 1),)
+        )
+        runtime.apply_decision(StepDecision(0))
+        assert runtime.last_footprint == Footprint(
+            0, "step", reads=(("arr", 1),), writes=()
+        )
+        assert runtime.processes[0].frame.last_result == 5
+        runtime.apply_decision(CrashDecision(0))
+        assert runtime.last_footprint == Footprint(0, "crash")
 
 
 class TestCrashes:

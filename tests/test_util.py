@@ -81,6 +81,23 @@ class TestDeterministicRng:
         sampled = rng.sample(range(10), 3)
         assert len(set(sampled)) == 3
 
+    def test_inlined_choice_draws_the_same_stream(self):
+        # The fuzzer's walk loops inline choice() through getrandbits;
+        # their schedules stay those of choice() only while this holds.
+        reference = DeterministicRng("inline")
+        inlined = DeterministicRng("inline")
+        getrandbits = inlined.getrandbits
+        for step in range(2_000):
+            items = list(range(1 + step % 9))
+            expected = reference.choice(items)
+            count = len(items)
+            bits = count.bit_length()
+            index = getrandbits(bits)
+            while index >= count:
+                index = getrandbits(bits)
+            assert items[index] == expected
+        assert inlined.random() == reference.random()
+
     def test_stable_choice_is_pure(self):
         assert stable_choice([10, 20, 30], 4) == stable_choice([10, 20, 30], 4)
         assert stable_choice([10, 20, 30], 4) == 20
