@@ -252,14 +252,25 @@ class FuzzDriver:
         the per-iteration cost is restore + the tail's kernel steps.
         """
         rng = self._walk_rng
-        if self._corpus:
+        corpus = self._corpus
+        if corpus:
             # Power-of-two-choices, biased deep: sample two corpus
             # entries and restart from the deeper one.  Deeper restarts
             # mean shorter (cheaper) tails while the pair-sampling keeps
             # the restart distribution spread over the whole pool.
-            count = len(self._corpus)
-            entry = self._corpus[rng.randint(0, count - 1)]
-            other = self._corpus[rng.randint(0, count - 1)]
+            # Both draws are rng.randint(0, count - 1), inlined (see
+            # getrandbits); unlike the walk's pick they draw at count 1.
+            getrandbits = rng.getrandbits
+            count = len(corpus)
+            bits = count.bit_length()
+            index = getrandbits(bits)
+            while index >= count:
+                index = getrandbits(bits)
+            entry = corpus[index]
+            index = getrandbits(bits)
+            while index >= count:
+                index = getrandbits(bits)
+            other = corpus[index]
             if other.depth > entry.depth:
                 entry = other
             self._config.restore_from(entry.snapshot)
@@ -374,7 +385,14 @@ class FuzzDriver:
         if len(self._corpus) < self.corpus_size:
             self._corpus.append(entry)
         else:  # reservoir-style replacement keeps the pool fresh
-            self._corpus[rng.randint(0, self.corpus_size - 1)] = entry
+            # rng.randint(0, corpus_size - 1), inlined (see getrandbits).
+            getrandbits = rng.getrandbits
+            size = self.corpus_size
+            bits = size.bit_length()
+            index = getrandbits(bits)
+            while index >= size:
+                index = getrandbits(bits)
+            self._corpus[index] = entry
 
     # -- the fuzz loop ------------------------------------------------------
 

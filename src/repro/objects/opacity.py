@@ -100,6 +100,11 @@ class SearchBudgetExceeded(ReproError):
 _UNCHECKED = object()
 
 
+def _freeze_state(state: Dict[Any, Any]) -> Tuple:
+    """A hashable form of a memory state, for the search's dead memo."""
+    return tuple(sorted(state.items(), key=lambda kv: repr(kv[0])))
+
+
 class _PrefixNode:
     """One prefix in the checker's trie, reached from its parent by the
     prefix's last event.  ``failure`` is ``None`` (opaque), the failure
@@ -329,7 +334,13 @@ class OpacityChecker(SafetyProperty):
         """Backtracking enumeration of the legal total orders of the
         committed transactions (real time respected, every read sees the
         latest write), each with the memory state after every prefix of
-        the order.  All orders share one ``max_nodes`` budget."""
+        the order.  All orders share one ``max_nodes`` budget.
+
+        Depth-first over an explicit stack rather than a recursive
+        nested generator: a closure that calls itself is a reference
+        cycle, and one per search would keep this checker and its trie
+        alive until the cyclic collector reached them (see "Memory and
+        the cyclic collector" in docs/architecture.md)."""
         n = len(committed)
         if n == 0:
             yield [], [dict(self.initial_values)]
@@ -342,35 +353,45 @@ class OpacityChecker(SafetyProperty):
         reads = [facts[id(t)][0] for t in committed]
         writes = [facts[id(t)][1] for t in committed]
         default = self.default_initial
+        max_nodes = self.max_nodes
 
         # ``(placed, state)`` nodes whose subtree holds no legal order;
         # a subtree that did yield orders may yield them again from a
         # different prefix, whose states the aborted placement sees.
         dead: set = set()
-        nodes = [0]
+        nodes = 0
         order: List[int] = []
         states: List[Dict[Any, Any]] = [dict(self.initial_values)]
-
-        def freeze_state(state: Dict[Any, Any]) -> Tuple:
-            return tuple(sorted(state.items(), key=lambda kv: repr(kv[0])))
-
-        def search(placed: FrozenSet[int]) -> Iterator[
-            Tuple[List[Transaction], List[Dict[Any, Any]]]
-        ]:
-            nodes[0] += 1
-            if nodes[0] > self.max_nodes:
-                raise SearchBudgetExceeded(
-                    f"{self.name} search exceeded {self.max_nodes} nodes"
-                )
-            if len(placed) == n:
-                yield [committed[i] for i in order], list(states)
-                return
+        # The open nodes of the depth-first path, one per placed prefix:
+        # [placed, dead key, next candidate to try, subtree found an order].
+        path: List[List[Any]] = []
+        # The placed set of the node to enter next; ``None`` resumes the
+        # deepest open node.
+        entering: Optional[FrozenSet[int]] = frozenset()
+        while True:
+            if entering is not None:
+                placed, entering = entering, None
+                nodes += 1
+                if nodes > max_nodes:
+                    raise SearchBudgetExceeded(
+                        f"{self.name} search exceeded {max_nodes} nodes"
+                    )
+                if len(placed) == n:
+                    yield [committed[i] for i in order], list(states)
+                    path[-1][3] = True
+                    states.pop()
+                    order.pop()
+                    continue
+                key = (placed, _freeze_state(states[-1]))
+                if key in dead:  # never the root: ``dead`` starts empty
+                    states.pop()
+                    order.pop()
+                    continue
+                path.append([placed, key, 0, False])
+            node = path[-1]
+            placed = node[0]
             state = states[-1]
-            key = (placed, freeze_state(state))
-            if key in dead:
-                return
-            found = False
-            for candidate in range(n):
+            for candidate in range(node[2], n):
                 if candidate in placed:
                     continue
                 if any(pred not in placed for pred in before[candidate]):
@@ -380,19 +401,23 @@ class OpacityChecker(SafetyProperty):
                     for variable, value in reads[candidate]
                 ):
                     continue
+                node[2] = candidate + 1
                 new_state = dict(state)
                 new_state.update(writes[candidate])
                 order.append(candidate)
                 states.append(new_state)
-                for complete in search(placed | {candidate}):
-                    found = True
-                    yield complete
+                entering = placed | {candidate}
+                break
+            else:
+                path.pop()
+                if not node[3]:
+                    dead.add(node[1])
+                if not path:
+                    return
+                if node[3]:
+                    path[-1][3] = True
                 states.pop()
                 order.pop()
-            if not found:
-                dead.add(key)
-
-        yield from search(frozenset())
 
     # -- aborted placement -----------------------------------------------------------
 

@@ -22,7 +22,14 @@ from :mod:`repro` beyond the standard library.  The model is small:
   (``docs/architecture.md``, "The recorder model");
 * :func:`span` always *times* (it is how ``verify()`` produces its
   normalized ``elapsed`` stat) but only *records* when a recorder is
-  active — timing one span per verify call is free at any scale.
+  active — timing one span per verify call is free at any scale;
+* while a recorder is installed, a :data:`gc.callbacks` hook times
+  every cyclic-collector pass into a span per generation (``gc/gen0``,
+  ``gc/gen1``, ``gc/gen2``).  A profiler charges each pause to whichever
+  function happened to allocate, so these spans are the only place the
+  collector's cost shows.  Collections are not deterministic: the spans
+  stay out of every count the benchmarks compare and out of verdicts.
+  With no recorder installed, no hook is installed either.
 
 Nesting and merging
 -------------------
@@ -44,6 +51,7 @@ Chrome traces show one lane per worker.
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 import time
@@ -86,7 +94,7 @@ class Span:
     def __exit__(self, *exc_info) -> None:
         self.elapsed = time.perf_counter() - self._t0
         if self.recorder is not None:
-            self.recorder._finish_span(self)
+            self.recorder._finish_span(self.name, self._ts_us, self.elapsed)
 
     @property
     def elapsed_stat(self) -> float:
@@ -115,6 +123,10 @@ class Recorder:
         self.spans: Dict[str, List[float]] = {}
         self.trace_events: List[Dict[str, Any]] = []
         self.dropped_trace_events = 0
+        #: ``perf_counter`` and trace timestamp of the collection in
+        #: progress (see :func:`_time_collection`).
+        self._collection_t0 = 0.0
+        self._collection_ts_us = 0
 
     # -- the three instruments ---------------------------------------------
 
@@ -138,17 +150,17 @@ class Recorder:
 
     # -- span/trace plumbing ------------------------------------------------
 
-    def _finish_span(self, span: Span) -> None:
-        entry = self.spans.get(span.name)
+    def _finish_span(self, name: str, ts_us: int, elapsed: float) -> None:
+        entry = self.spans.get(name)
         if entry is None:
-            self.spans[span.name] = [1, span.elapsed, span.elapsed]
+            self.spans[name] = [1, elapsed, elapsed]
         else:
             entry[0] += 1
-            entry[1] += span.elapsed
-            if span.elapsed > entry[2]:
-                entry[2] = span.elapsed
+            entry[1] += elapsed
+            if elapsed > entry[2]:
+                entry[2] = elapsed
         if self.trace:
-            self._trace_event(span.name, span._ts_us, span.elapsed)
+            self._trace_event(name, ts_us, elapsed)
 
     def _trace_event(self, name: str, ts_us: int, elapsed: float) -> None:
         if len(self.trace_events) >= MAX_TRACE_EVENTS:
@@ -225,11 +237,35 @@ def active() -> Optional[Recorder]:
 
 def install(recorder: Optional[Recorder]) -> Optional[Recorder]:
     """Install (or, with ``None``, clear) the active recorder; returns
-    the previously installed one."""
+    the previously installed one.  The collector hook is registered
+    exactly while some recorder is installed."""
     global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = recorder
+    if recorder is None:
+        if _time_collection in gc.callbacks:
+            gc.callbacks.remove(_time_collection)
+    elif _time_collection not in gc.callbacks:
+        gc.callbacks.append(_time_collection)
     return previous
+
+
+def _time_collection(phase: str, info: Dict[str, int]) -> None:
+    """The :data:`gc.callbacks` hook: one ``gc/gen<N>`` span per
+    collection, recorded into the active recorder."""
+    recorder = _ACTIVE
+    if recorder is None:
+        return
+    if phase == "start":
+        if recorder.trace:
+            recorder._collection_ts_us = time.time_ns() // 1_000
+        recorder._collection_t0 = time.perf_counter()
+    else:
+        recorder._finish_span(
+            f"gc/gen{info['generation']}",
+            recorder._collection_ts_us,
+            time.perf_counter() - recorder._collection_t0,
+        )
 
 
 @contextmanager

@@ -59,10 +59,12 @@ library level alike.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 
-from typing import Any, Dict, Optional, Tuple, Union
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.engine.dpor import DporParityError, check_reduction
 from repro.engine.frontier import SearchBudgetExceeded
@@ -147,6 +149,38 @@ EXHAUSTIVE_ONLY_OVERRIDES = tuple(
 #: the opacity checker's per-history serialization-search budget (two
 #: distinct classes sharing a name).
 _BUDGET_ERRORS = (SearchBudgetExceeded, CheckerBudgetExceeded)
+
+
+#: The young-generation threshold every verify runs under (CPython's
+#: default is 700).  A search keeps tens of thousands of live tracked
+#: objects (dedup keys, snapshots, the checkers' prefix tries) and makes
+#: almost no cyclic garbage, so at the default the collector mostly
+#: re-traverses live state.  Chosen from a sweep over the proof-sweep
+#: requests; docs/architecture.md, "Memory and the cyclic collector".
+YOUNG_GC_THRESHOLD = 200_000
+
+
+@contextmanager
+def _collector_policy() -> Iterator[None]:
+    """Run the body with the young-generation threshold raised to
+    :data:`YOUNG_GC_THRESHOLD`, then restore the caller's thresholds
+    and enabled state exactly (on errors and in nested calls too).  A
+    caller's threshold of 0 (automatic collection off) or above the
+    constant is left as it is.  The settings are process-wide: with
+    ``verify()`` calls overlapping in several threads, the last to
+    return restores what it saw on entry."""
+    thresholds = gc.get_threshold()
+    enabled = gc.isenabled()
+    if 0 < thresholds[0] < YOUNG_GC_THRESHOLD:
+        gc.set_threshold(YOUNG_GC_THRESHOLD, *thresholds[1:])
+    try:
+        yield
+    finally:
+        gc.set_threshold(*thresholds)
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 def resolve_backend(scenario: Union[str, Scenario], backend: str) -> str:
@@ -702,6 +736,10 @@ def verify(
     in-memory verdict only: :meth:`Verdict.to_document` excludes it, so
     serialized verdicts are byte-identical with metrics on or off, and
     with no recorder installed the stats gain no keys at all.
+
+    The backend (not the cache lookup) runs under
+    :func:`_collector_policy`: a raised young-generation threshold,
+    undone on return.
     """
     scenario = get_scenario(scenario)
     resolved = resolve_backend(scenario, backend)
@@ -718,11 +756,12 @@ def verify(
         }
 
     def dispatch() -> Verdict:
-        if resolved == "exhaustive":
-            return _verify_exhaustive(scenario, overrides)
-        if resolved == "liveness":
-            return _verify_liveness(scenario, overrides)
-        return _verify_fuzz(scenario, overrides)
+        with _collector_policy():
+            if resolved == "exhaustive":
+                return _verify_exhaustive(scenario, overrides)
+            if resolved == "liveness":
+                return _verify_liveness(scenario, overrides)
+            return _verify_fuzz(scenario, overrides)
 
     def observed() -> Verdict:
         parent = _obs_active()

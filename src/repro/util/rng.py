@@ -77,15 +77,18 @@ class DeterministicRng:
 
     @property
     def getrandbits(self) -> Callable[[int], int]:
-        """The stream's ``getrandbits``, for loops that inline :meth:`choice`.
+        """The stream's ``getrandbits``, for loops that inline :meth:`choice`
+        or ``randint(0, n - 1)``.
 
         :meth:`choice` draws ``items[r]`` by rejection sampling: with
         ``n = len(items)`` and ``k = n.bit_length()``, ``r =
         getrandbits(k)`` is redrawn while ``r >= n`` (CPython's
-        ``Random._randbelow``).  A loop that draws the same way consumes
-        the same stream and picks the same items, without the three
-        Python frames per draw of ``choice`` → ``randrange`` →
-        ``_randbelow``.  ``tests/test_util.py`` pins the equivalence.
+        ``Random._randbelow``); ``randint(0, n - 1)`` draws ``r`` the
+        same way, at ``n = 1`` too.  A loop that draws the same way
+        consumes the same stream and picks the same values, without the
+        three Python frames per draw of ``choice``/``randint`` →
+        ``randrange`` → ``_randbelow``.  ``tests/test_util.py`` pins the
+        equivalence.
         """
         return self._random.getrandbits
 

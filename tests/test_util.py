@@ -82,20 +82,26 @@ class TestDeterministicRng:
         assert len(set(sampled)) == 3
 
     def test_inlined_choice_draws_the_same_stream(self):
-        # The fuzzer's walk loops inline choice() through getrandbits;
-        # their schedules stay those of choice() only while this holds.
+        # The fuzzer's walk loops inline choice() and its corpus picks
+        # inline randint(0, n - 1) through getrandbits; their schedules
+        # stay those of the library calls only while this holds (n = 1
+        # included: randint draws there too).
         reference = DeterministicRng("inline")
         inlined = DeterministicRng("inline")
         getrandbits = inlined.getrandbits
-        for step in range(2_000):
-            items = list(range(1 + step % 9))
-            expected = reference.choice(items)
-            count = len(items)
+
+        def below(count):
             bits = count.bit_length()
             index = getrandbits(bits)
             while index >= count:
                 index = getrandbits(bits)
-            assert items[index] == expected
+            return index
+
+        for step in range(2_000):
+            items = list(range(1 + step % 9))
+            assert items[below(len(items))] == reference.choice(items)
+            count = 1 + step % 130
+            assert below(count) == reference.randint(0, count - 1)
         assert inlined.random() == reference.random()
 
     def test_stable_choice_is_pure(self):
