@@ -6,24 +6,33 @@ external actions are *invocations* ``inv_i`` and *responses* ``res_i``
 process.  A history is the subsequence of an execution consisting only of
 these external actions.
 
-This module defines the three event kinds as small frozen dataclasses.  They
-are hashable and totally ordered (by a stable sort key) so they can be used
-as alphabet symbols in the finite set-theoretic model (``repro.setmodel``)
-as well as as trace entries in the simulator (``repro.sim``).
+This module defines the three event kinds as immutable tuples: each
+event is a tuple subclass whose first item, ``tag``, is its class name,
+so events of different kinds never compare or hash equal, and equality
+and hashing are the tuple's own C code.  A verification builds and
+hashes events millions of times; a frozen dataclass costs about 1.4
+times as much to build and 2.5–3.5 times as much to hash
+(``docs/architecture.md``, "Value types on the step path").  Events are
+hashable and totally ordered (by a stable sort key) so they can be used
+as alphabet symbols in the finite set-theoretic model
+(``repro.setmodel``) as well as as trace entries in the simulator
+(``repro.sim``).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Any, Tuple, Union
+
+_tuple_new = tuple.__new__
 
 # ---------------------------------------------------------------------------
 # Event kinds
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Invocation:
+class Invocation(namedtuple("Invocation", ("tag", "process", "operation", "args"))):
     """An invocation action ``inv_i`` of the shared object.
 
     Attributes
@@ -37,9 +46,20 @@ class Invocation:
         Operation arguments; must be hashable.
     """
 
-    process: int
-    operation: str
-    args: Tuple[Any, ...] = ()
+    __slots__ = ()
+    __match_args__ = ("process", "operation", "args")
+
+    def __new__(cls, process: int, operation: str, args: Tuple[Any, ...] = ()):
+        return _tuple_new(cls, ("Invocation", process, operation, args))
+
+    def __getnewargs__(self) -> Tuple[Any, ...]:
+        return self[1:]
+
+    def __repr__(self) -> str:
+        return (
+            f"Invocation(process={self[1]!r}, operation={self[2]!r}, "
+            f"args={self[3]!r})"
+        )
 
     def sort_key(self) -> Tuple[Any, ...]:
         """A stable total-order key used by the finite model."""
@@ -50,8 +70,7 @@ class Invocation:
         return f"{self.operation}({rendered})_{self.process}"
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(namedtuple("Response", ("tag", "process", "operation", "value"))):
     """A response action ``res_i`` of the shared object.
 
     Attributes
@@ -70,9 +89,20 @@ class Response:
         ``ABORTED``) or a read value.
     """
 
-    process: int
-    operation: str
-    value: Any = None
+    __slots__ = ()
+    __match_args__ = ("process", "operation", "value")
+
+    def __new__(cls, process: int, operation: str, value: Any = None):
+        return _tuple_new(cls, ("Response", process, operation, value))
+
+    def __getnewargs__(self) -> Tuple[Any, ...]:
+        return self[1:]
+
+    def __repr__(self) -> str:
+        return (
+            f"Response(process={self[1]!r}, operation={self[2]!r}, "
+            f"value={self[3]!r})"
+        )
 
     def sort_key(self) -> Tuple[Any, ...]:
         return (1, self.process, self.operation, repr(self.value))
@@ -81,15 +111,24 @@ class Response:
         return f"{self.operation}->{self.value!r}_{self.process}"
 
 
-@dataclass(frozen=True)
-class Crash:
+class Crash(namedtuple("Crash", ("tag", "process"))):
     """The special input action ``crash_i`` (Section 2).
 
     After ``crash_i`` occurs, process ``p_i`` takes no further steps; a
     history containing an event of ``p_i`` after ``crash_i`` is ill-formed.
     """
 
-    process: int
+    __slots__ = ()
+    __match_args__ = ("process",)
+
+    def __new__(cls, process: int):
+        return _tuple_new(cls, ("Crash", process))
+
+    def __getnewargs__(self) -> Tuple[Any, ...]:
+        return self[1:]
+
+    def __repr__(self) -> str:
+        return f"Crash(process={self[1]!r})"
 
     def sort_key(self) -> Tuple[Any, ...]:
         return (2, self.process, "", "")

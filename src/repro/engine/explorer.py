@@ -35,7 +35,6 @@ Modes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import (
     Any,
@@ -44,6 +43,7 @@ from typing import (
     Hashable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -69,12 +69,12 @@ class EngineParityError(AssertionError):
     """Snapshot-mode and replay-mode exploration diverged."""
 
 
-@dataclass
-class ConfigVisit:
+class ConfigVisit(NamedTuple):
     """One unique configuration, visited at discovery time.
 
     ``config`` is live only until the iterator advances (the engine
     recycles it); consumers must extract what they need immediately.
+    A named tuple, since one is built per explored configuration.
     """
 
     config: KernelConfig
@@ -360,11 +360,7 @@ class KernelExplorer:
             node: _Node = visit.node
             config, node.config = node.config, None
             yield ConfigVisit(
-                config=config,
-                fingerprint=node.fingerprint,
-                schedule=node.schedule,
-                depth=visit.depth,
-                choices=node.choices,
+                config, node.fingerprint, node.schedule, visit.depth, node.choices
             )
 
     def _repair_revisit(

@@ -22,7 +22,6 @@ paths in ``parents``), ``dfs`` the newest (depth first).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -31,6 +30,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Tuple,
     TypeVar,
@@ -61,9 +61,9 @@ class SearchBudgetExceeded(RuntimeError):
     """The search would visit more unique nodes than its budget allows."""
 
 
-@dataclass(frozen=True)
-class Visit:
-    """One newly visited (deduplicated) node."""
+class Visit(NamedTuple):
+    """One newly visited (deduplicated) node (a named tuple: one is
+    built per visited node)."""
 
     node: Any
     key: Hashable

@@ -50,9 +50,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Set, Tuple
 
 from repro.engine.config import KernelConfig, KernelSnapshot
+from repro.fuzz.trace import LabelDecoder
 from repro.obs.recorder import active as _obs_active
 from repro.sim.crash import CrashPlan, parse_crash_spec
-from repro.sim.drivers import CrashDecision, InvokeDecision, StepDecision
+from repro.sim.drivers import CrashDecision
 from repro.sim.explore import Choice, InvocationPlan
 from repro.sim.schedulers import (
     PriorityScheduler,
@@ -194,17 +195,12 @@ class FuzzDriver:
         self._root = self._config.capture()
         self._corpus: List[_CorpusEntry] = []
         self._checked: Set[Tuple[Any, ...]] = set()
-        # Decisions are immutable, so the walk loop reuses one instance
-        # per (pid) step and per (pid, cursor) invocation instead of
-        # allocating a dataclass per applied step.
-        self._step_decisions = {pid: StepDecision(pid) for pid in self._pids}
-        self._invoke_decisions = {
-            pid: [
-                InvokeDecision(pid, operation, tuple(args))
-                for operation, args in self.plan[pid]
-            ]
-            for pid in self._pids
-        }
+        # Decisions are immutable, so the walk loop reuses the decoder's
+        # one instance per (pid) step and per (pid, cursor) invocation
+        # instead of allocating a dataclass per applied step.
+        decoder = LabelDecoder(self.plan)
+        self._step_decisions = decoder.steps
+        self._invoke_decisions = decoder.invokes
         self._step_labels = {pid: ("step", pid) for pid in self._pids}
         self._invoke_labels = {pid: ("invoke", pid) for pid in self._pids}
         self._plan_lengths = {pid: len(ops) for pid, ops in self.plan.items()}

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.history import History
 from repro.core.properties import SafetyProperty
 from repro.engine.config import KernelConfig, KernelSnapshot
-from repro.fuzz.trace import label_to_decision, replay_schedule
+from repro.fuzz.trace import LabelDecoder, replay_schedule
 from repro.obs.recorder import active as _obs_active
 from repro.sim.explore import Choice, InvocationPlan
 from repro.util.errors import SimulationError, UsageError
@@ -83,7 +83,7 @@ class WitnessCheckpoints:
     """
 
     def __init__(self, factory, plan: InvocationPlan, witness: Sequence[Choice]):
-        self.plan = plan
+        self.decoder = LabelDecoder(plan)
         self.config = KernelConfig(factory())
         self.witness: Tuple[Choice, ...] = ()
         self.snapshots: List[KernelSnapshot] = [self.config.capture()]
@@ -126,7 +126,7 @@ class WitnessCheckpoints:
 
     def _apply(self, label: Choice) -> None:
         config = self.config
-        decision = label_to_decision(self.plan, label, config.invocations_of)
+        decision = self.decoder.decision(label, config.invocations_of)
         self.steps += 1
         config.apply(decision)
 

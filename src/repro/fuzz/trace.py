@@ -71,39 +71,63 @@ def _tupled(value: Any) -> Any:
     return value
 
 
-def label_to_decision(
-    plan: InvocationPlan, label: Choice, invoked: Callable[[int], int]
-) -> Decision:
-    """Translate one schedule label into a runtime decision.
+class LabelDecoder:
+    """Translates schedule labels into runtime decisions over one plan.
 
     ``invoked(pid)`` is how many invocations the process has issued so
     far: ``("invoke", pid)`` takes the plan's next one.  Over-running
     the plan raises :class:`~repro.util.errors.SimulationError` like any
     other invalid schedule, so shrink candidates that drop too much
     fail cleanly.
+
+    Decisions are immutable, so the decoder builds each one once and
+    returns the same instance whenever a label asks for it again: one
+    step decision per process and one invoke decision per (process,
+    plan cursor).  Shrinking replays the same labels thousands of
+    times; the decoder lives as long as the replays that share it.
     """
-    kind, pid = label[0], int(label[1])
-    if kind == "invoke":
-        operations = plan.get(pid, ())
-        cursor = invoked(pid) if operations else 0
-        if cursor >= len(operations):
-            raise SimulationError(
-                f"schedule invokes p{pid} beyond its plan (cursor {cursor})"
-            )
-        operation, args = operations[cursor]
-        return InvokeDecision(pid, operation, tuple(args))
-    if kind == "step":
-        return StepDecision(pid)
-    if kind == "crash":
-        return CrashDecision(pid)
-    raise UsageError(f"unknown schedule label kind {kind!r}")
+
+    __slots__ = ("steps", "invokes")
+
+    def __init__(self, plan: InvocationPlan):
+        #: pid -> its step decision (the planned processes' built up front).
+        self.steps: Dict[int, StepDecision] = {pid: StepDecision(pid) for pid in plan}
+        #: pid -> its invoke decisions, in plan order.
+        self.invokes: Dict[int, List[InvokeDecision]] = {
+            pid: [
+                InvokeDecision(pid, operation, tuple(args))
+                for operation, args in operations
+            ]
+            for pid, operations in plan.items()
+        }
+
+    def decision(self, label: Choice, invoked: Callable[[int], int]) -> Decision:
+        """The decision for one label, given the invocation counts."""
+        kind, pid = label[0], int(label[1])
+        if kind == "step":
+            step = self.steps.get(pid)
+            if step is None:
+                step = self.steps[pid] = StepDecision(pid)
+            return step
+        if kind == "invoke":
+            invokes = self.invokes.get(pid, ())
+            cursor = invoked(pid) if invokes else 0
+            if cursor >= len(invokes):
+                raise SimulationError(
+                    f"schedule invokes p{pid} beyond its plan (cursor {cursor})"
+                )
+            return invokes[cursor]
+        if kind == "crash":
+            return CrashDecision(pid)
+        raise UsageError(f"unknown schedule label kind {kind!r}")
 
 
 def schedule_to_decisions(
     plan: InvocationPlan, schedule: Sequence[Choice]
 ) -> List[Decision]:
     """Translate a whole labelled schedule into runtime decisions
-    (:func:`label_to_decision` with a per-pid cursor over ``plan``)."""
+    (:meth:`LabelDecoder.decision` with a per-pid cursor over ``plan``)."""
+    decoder = LabelDecoder(plan)
     cursors: Dict[int, int] = {}
 
     def invoked(pid: int) -> int:
@@ -111,7 +135,7 @@ def schedule_to_decisions(
 
     decisions: List[Decision] = []
     for label in schedule:
-        decision = label_to_decision(plan, label, invoked)
+        decision = decoder.decision(label, invoked)
         if isinstance(decision, InvokeDecision):
             cursors[decision.pid] = cursors.get(decision.pid, 0) + 1
         decisions.append(decision)

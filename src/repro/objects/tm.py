@@ -28,10 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.events import Event, is_crash, is_invocation, is_response
+from repro.core.events import Crash, Event, Invocation, Response
 from repro.core.history import History
 from repro.core.object_type import ObjectType, OperationSignature, ProgressMode
 from repro.util.errors import IllFormedHistoryError
+from repro.util.slots import SlotsRecord
 
 
 class _Sentinel:
@@ -119,15 +120,31 @@ def tm_object_type(
     )
 
 
-@dataclass
-class TransactionCall:
-    """One call inside a transaction."""
+class TransactionCall(SlotsRecord):
+    """One call inside a transaction (a ``__slots__`` record: the parser
+    builds one per invocation event it is fed)."""
 
-    operation: str
-    args: Tuple[Any, ...]
-    value: Any  # response value, or None while pending
-    invocation_index: int
-    response_index: Optional[int]
+    __slots__ = (
+        "operation",
+        "args",
+        "value",
+        "invocation_index",
+        "response_index",
+    )
+
+    def __init__(
+        self,
+        operation: str,
+        args: Tuple[Any, ...],
+        value: Any,  # response value, or None while pending
+        invocation_index: int,
+        response_index: Optional[int],
+    ):
+        self.operation = operation
+        self.args = args
+        self.value = value
+        self.invocation_index = invocation_index
+        self.response_index = response_index
 
     @property
     def pending(self) -> bool:
@@ -269,16 +286,17 @@ class TransactionParser:
         """Parse the next event of the history."""
         index = self.length
         self.length = index + 1
-        pid = event.process
-        current = self.open
-        if is_crash(event):
+        kind = type(event)
+        if kind is Crash:
             # Keep the open transaction in ``open``: well-formedness
             # guarantees no further events from this process, and
             # :meth:`commit_pending` classifies it (live or
             # commit-pending) exactly like a transaction cut off by the
             # end of the prefix.
             return
-        if is_invocation(event):
+        pid = event.process
+        current = self.open
+        if kind is Invocation:
             operation = event.operation
             if operation == "start":
                 if pid in current:
@@ -297,32 +315,26 @@ class TransactionParser:
                     f"p{pid} invokes {operation} outside any transaction"
                 )
             current[pid].calls.append(
-                TransactionCall(
-                    operation=operation,
-                    args=event.args,
-                    value=None,
-                    invocation_index=index,
-                    response_index=None,
-                )
+                TransactionCall(operation, event.args, None, index, None)
             )
             return
-        if is_response(event):
+        if kind is Response:
             if pid not in current:
                 raise IllFormedHistoryError(
                     f"response {event} for p{pid} outside any transaction"
                 )
             transaction = current[pid]
             call = transaction.calls[-1]
-            call.value = event.value
+            value = call.value = event.value
             call.response_index = index
-            if event.value is ABORTED:
+            if value is ABORTED:
                 transaction.status = STATUS_ABORTED
                 transaction.end_index = index
                 del current[pid]
             elif event.operation == "tryC":
-                if event.value is not COMMITTED:
+                if value is not COMMITTED:
                     raise IllFormedHistoryError(
-                        f"tryC returned {event.value!r}; expected C or A"
+                        f"tryC returned {value!r}; expected C or A"
                     )
                 transaction.status = STATUS_COMMITTED
                 transaction.end_index = index

@@ -405,6 +405,7 @@ class LivenessSearch:
         regression tests guard against.
         """
         config = self._config
+        view = config.view
         policy = self.policy
         detector = self._detector
         rec = _obs_active()
@@ -450,7 +451,7 @@ class LivenessSearch:
                             decisions, "max-steps", False, None, "horizon"
                         )
                         break
-                    options = policy.options(config.view)
+                    options = policy.options(view)
                     if isinstance(options, StopDecision):
                         fairness = options.fair and not any(
                             s.pending for s in config.runtime.processes
@@ -522,7 +523,7 @@ class LivenessSearch:
                         f"liveness search exceeded "
                         f"{self.max_configurations} configurations"
                     )
-                policy_fp = policy.fingerprint(config.view)
+                policy_fp = policy.fingerprint(view)
                 exact = self._exact_fingerprint(policy_fp)
                 certificate = detector.observe(
                     config.runtime.step_count,

@@ -191,7 +191,6 @@ class Runtime:
         self.record_footprints = False
         self.last_footprint: Optional[Footprint] = None
         self._is_good = implementation.object_type.is_good
-        self._view = RuntimeView(self)
         self._detector = LassoDetector(check_every=lasso_stride)
 
     def reset_lasso(self) -> None:
@@ -207,11 +206,16 @@ class Runtime:
 
     @property
     def view(self) -> RuntimeView:
-        """The read-only facade handed to drivers, schedulers, and crash
-        plans.  Exposed publicly so external decision loops (the
-        exploration engine, the schedule fuzzer) can consult the same
-        components a :class:`~repro.sim.drivers.ComposedDriver` would."""
-        return self._view
+        """A read-only facade for drivers, schedulers, and crash plans.
+        Exposed publicly so external decision loops (the exploration
+        engine, the schedule fuzzer) can consult the same components a
+        :class:`~repro.sim.drivers.ComposedDriver` would.
+
+        Each call builds a fresh view, which its caller keeps for as
+        long as it steps: the runtime holds no view, so a runtime is not
+        a reference cycle and is freed as soon as its last user drops
+        it, without waiting for the cyclic collector."""
+        return RuntimeView(self)
 
     # -- decision application ---------------------------------------------------
 
@@ -245,9 +249,7 @@ class Runtime:
             try:
                 op = frame.generator.send(frame.last_result)
             except StopIteration as stop:
-                response = Response(
-                    process=pid, operation=frame.invocation.operation, value=stop.value
-                )
+                response = Response(pid, frame.invocation.operation, stop.value)
                 state.frame = None
                 self.events.append(response)
                 self.last_response[pid] = response
@@ -288,9 +290,7 @@ class Runtime:
                 raise SimulationError(
                     f"cannot invoke on p{pid}: operation already pending"
                 )
-            invocation = Invocation(
-                process=pid, operation=decision.operation, args=decision.args
-            )
+            invocation = Invocation(pid, decision.operation, decision.args)
             # Memory values are immutable (the kernel contract), checked
             # here once per operation: a mutable value left behind by the
             # previous operation would be shared between snapshots by the
@@ -305,17 +305,20 @@ class Runtime:
             # instead of copying it.  A one-level copy suffices, since an
             # operation rebinds keys and never mutates the values they
             # hold.
-            memory_before = None
+            memory_before = result_log = None
             if self.record_replay_log:
                 memory_before = state.memory
                 state.memory = dict(memory_before)
+                result_log = []
             generator = self.implementation.algorithm(
                 pid, decision.operation, decision.args, state.memory
             )
-            state.frame = ProcessFrame(invocation=invocation, generator=generator)
-            if self.record_replay_log:
-                state.frame.result_log = []
-                state.frame.memory_at_invoke = memory_before
+            state.frame = ProcessFrame(
+                invocation,
+                generator,
+                result_log=result_log,
+                memory_at_invoke=memory_before,
+            )
             self.events.append(invocation)
             self.stats[pid].invocations += 1
             if self.record_footprints:
@@ -332,7 +335,7 @@ class Runtime:
                 state.frame = None
             state.crashed = True
             self.stats[pid].crashed = True
-            self.events.append(Crash(process=pid))
+            self.events.append(Crash(pid))
             if self.record_footprints:
                 self.last_footprint = Footprint(pid, "crash")
         else:
@@ -363,8 +366,9 @@ class Runtime:
         stop_reason = "max-steps"
         fairness_complete = False
         lasso = None
+        view = RuntimeView(self)
         while self.step_count < self.max_steps:
-            decision = self.driver.decide(self._view)
+            decision = self.driver.decide(view)
             if isinstance(decision, StopDecision):
                 stop_reason = f"driver-stop: {decision.reason}"
                 fairness_complete = decision.fair and not any(

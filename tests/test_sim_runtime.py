@@ -1,6 +1,8 @@
 """Unit/integration tests for the simulation kernel and runtime."""
 
+import gc
 import re
+import weakref
 
 import pytest
 
@@ -267,7 +269,7 @@ class TestRuntimeView:
             max_steps=1,
         )
         runtime.run()
-        view = runtime._view
+        view = runtime.view
         assert view.is_pending(0)
         assert view.pending_operation(0) == "echo"
         assert view.is_idle(1)
@@ -275,3 +277,27 @@ class TestRuntimeView:
         assert view.response_count(0) == 0
         assert view.last_response(0) is None
         assert view.history[0] == Invocation(0, "echo", (1,))
+
+    def test_runtime_is_freed_without_the_cyclic_collector(self):
+        # The runtime keeps no view of itself: a played runtime is freed
+        # by reference counting alone, with everything it owns.
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            runtime = Runtime(
+                EchoImplementation(),
+                ComposedDriver(
+                    RoundRobinScheduler(), OneShotWorkload([("echo", (1,)), None])
+                ),
+                max_steps=50,
+            )
+            runtime.run()
+            assert runtime.view.response_count(0) == 1
+            alive = weakref.ref(runtime)
+            pool = weakref.ref(runtime.pool)
+            del runtime
+            assert alive() is None and pool() is None
+        finally:
+            if enabled:
+                gc.enable()
