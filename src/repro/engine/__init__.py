@@ -2,15 +2,14 @@
 
 One subsystem for every exhaustive search the repository performs:
 
-* :mod:`repro.engine.frontier` — the generic deduplicated
-  :class:`~repro.engine.frontier.GraphSearch` (breadth or depth first
-  over one deque);
 * :mod:`repro.engine.config` — snapshot/restore of kernel
   configurations, replacing per-node O(depth) replay with incremental
   restore (replay remains available behind the same interface);
-* :mod:`repro.engine.explorer` — :class:`KernelExplorer`, the
-  configuration-graph search used by history exploration and the
-  valency search, with a parity mode asserting snapshot ≡ replay;
+* :mod:`repro.engine.explorer` — :class:`KernelExplorer`, the one
+  deduplicated, budgeted, depth-bounded search loop (breadth or depth
+  first over one deque) over kernel configuration graphs, used by
+  history exploration and the valency search, with a parity mode
+  asserting snapshot ≡ replay;
 * :mod:`repro.engine.batch` — batched execution of independent plays
   for the experiment batteries, on a process pool when asked.
 
@@ -32,13 +31,12 @@ from repro.engine.explorer import (
     ConfigVisit,
     EngineParityError,
     KernelExplorer,
+    SearchBudgetExceeded,
 )
-from repro.engine.frontier import GraphSearch, SearchBudgetExceeded, Visit
 
 __all__ = [
     "ConfigVisit",
     "EngineParityError",
-    "GraphSearch",
     "ImplementationFactory",
     "KernelConfig",
     "KernelExplorer",
@@ -46,7 +44,6 @@ __all__ = [
     "PlayTask",
     "ProcessSnapshot",
     "SearchBudgetExceeded",
-    "Visit",
     "default_parallelism",
     "run_play_batch",
 ]

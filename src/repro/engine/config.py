@@ -397,15 +397,19 @@ class KernelConfig:
         building a key after one decision hashes only what it changed.
         """
         runtime = self.runtime
-        pids = range(self.n_processes)
         events = self._events_key
         if events is None:
             events = self._events_key = HashedKey(self._events())
+        # One pass per part; a process fingerprint is computed only on a
+        # cache miss.
         return HashedKey(
             (
-                tuple([(pid, runtime.stats[pid].invocations) for pid in pids]),
+                tuple([(pid, s.invocations) for pid, s in runtime.stats.items()]),
                 runtime.pool.snapshot_state(),
-                tuple([self._process_fingerprint(pid) for pid in pids]),
+                tuple([
+                    self._process_fingerprint(pid) if fp is None else fp
+                    for pid, fp in enumerate(self._process_fps)
+                ]),
                 events,
             )
         )
@@ -427,10 +431,10 @@ class KernelConfig:
         runtime = self.runtime
         return (
             runtime.pool.snapshot_state(),
-            tuple(
-                self._process_fingerprint(pid)
-                for pid in range(self.n_processes)
-            ),
+            tuple([
+                self._process_fingerprint(pid) if fp is None else fp
+                for pid, fp in enumerate(self._process_fps)
+            ]),
         )
 
     def _events(self) -> Tuple[object, ...]:

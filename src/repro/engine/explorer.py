@@ -1,10 +1,10 @@
 """Unified exploration of kernel configuration graphs.
 
-:class:`KernelExplorer` is the engine behind every search that steps a
-simulated implementation through all relevant schedules: exhaustive
-history exploration (:mod:`repro.sim.explore`) and the valency-style
-non-deciding-schedule search (:mod:`repro.adversaries.valency`) are thin
-clients.  The client supplies two callbacks —
+:class:`KernelExplorer` is the one exhaustive search loop of the
+repository: exhaustive history exploration (:mod:`repro.sim.explore`)
+and the valency-style non-deciding-schedule search
+(:mod:`repro.adversaries.valency`) are thin clients.  The client
+supplies two callbacks —
 
 * ``successors(config)``: the legal ``(label, decision)`` pairs out of a
   configuration (e.g. *invoke the next planned operation of p0* /
@@ -12,9 +12,26 @@ clients.  The client supplies two callbacks —
 * ``fingerprint(config)``: the dedup key (exact configuration by
   default; the valency client substitutes its liveness abstraction) —
 
-and the explorer walks the deduplicated configuration graph with a
-:class:`~repro.engine.frontier.GraphSearch`, yielding one
-:class:`ConfigVisit` per unique configuration.
+and the explorer walks the deduplicated configuration graph, yielding
+one :class:`ConfigVisit` per unique configuration, at discovery time.
+
+Search
+------
+The frontier is one ``deque``; the strategy is which end it pops:
+``bfs`` pops the oldest entry (breadth first, and therefore shortest
+paths in :attr:`KernelExplorer.parents`), ``dfs`` the newest (depth
+first).  Visits are discovery-ordered in both; the strategy shows in
+which parent discovers a shared child.  The search keeps, per unique
+configuration, its parent edge and its depth, and on request every
+explored edge, including edges that close back into already-visited
+configurations.  Nodes at ``max_depth`` are visited but not expanded,
+and the unique-configuration budget (the root included) either raises
+:class:`SearchBudgetExceeded` or ends the search quietly.
+
+Everything an edge costs runs in one generator frame
+(:meth:`KernelExplorer._run_single`): a frontier entry is a plain tuple,
+and the only calls per edge are the kernel's own (restore, apply,
+fingerprint, capture) and the client's callbacks.
 
 Modes
 -----
@@ -26,7 +43,8 @@ Modes
 ``replay``
     The seed behaviour, kept as a fallback behind the same interface: a
     node is identified with its decision path and every edge re-executes
-    the run from the start.
+    the run from the start.  It differs from ``snapshot`` only in how a
+    child configuration is produced.
 ``parity``
     Runs both modes in lockstep and raises :class:`EngineParityError` on
     the first divergence in fingerprint or schedule — the executable
@@ -35,6 +53,7 @@ Modes
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import zip_longest
 from typing import (
     Any,
@@ -42,16 +61,14 @@ from typing import (
     Dict,
     Hashable,
     Iterator,
-    List,
     NamedTuple,
     Optional,
     Sequence,
     Tuple,
 )
 
-from repro.engine.config import ImplementationFactory, KernelConfig, KernelSnapshot
+from repro.engine.config import ImplementationFactory, KernelConfig
 from repro.engine.dpor import SleepSets, check_reduction
-from repro.engine.frontier import GraphSearch, check_strategy
 from repro.obs.recorder import active as _obs_active
 from repro.sim.drivers import Decision
 
@@ -63,6 +80,22 @@ FingerprintFn = Callable[[KernelConfig], Hashable]
 PruneFn = Callable[[KernelConfig], bool]
 
 MODES = ("snapshot", "replay", "parity")
+
+#: The search strategies: breadth first and depth first.
+STRATEGIES = ("bfs", "dfs")
+
+
+def check_strategy(strategy: str) -> str:
+    """Validate a strategy name (one of :data:`STRATEGIES`)."""
+    if strategy not in STRATEGIES:
+        raise ValueError(
+            f"unknown search strategy {strategy!r}; expected one of {STRATEGIES}"
+        )
+    return strategy
+
+
+class SearchBudgetExceeded(RuntimeError):
+    """The search would visit more unique nodes than its budget allows."""
 
 
 class EngineParityError(AssertionError):
@@ -84,39 +117,6 @@ class ConfigVisit(NamedTuple):
     choices: Tuple[Tuple[Any, Decision], ...]
 
 
-class _Node:
-    """Internal search node: a configuration's restorable identity.
-
-    ``config`` transiently holds the live configuration between
-    discovery and the client visit; it is dropped immediately after so
-    frontier entries keep only plain-data snapshots (or, in replay mode,
-    decision paths).
-    """
-
-    __slots__ = (
-        "fingerprint", "schedule", "decisions", "snapshot", "choices", "config",
-        "sleep",
-    )
-
-    def __init__(
-        self,
-        fingerprint: Hashable,
-        schedule: Tuple[Any, ...],
-        decisions: Tuple[Decision, ...],
-        snapshot: Optional[KernelSnapshot],
-        choices: Tuple[Tuple[Any, Decision], ...],
-        config: KernelConfig,
-    ):
-        self.fingerprint = fingerprint
-        self.schedule = schedule
-        self.decisions = decisions
-        self.snapshot = snapshot
-        self.choices = choices
-        self.config = config
-        # Sleep set under DPOR (label -> Footprint); None when off.
-        self.sleep = None
-
-
 class KernelExplorer:
     """Deduplicated search over the configuration graph of one kernel.
 
@@ -131,8 +131,9 @@ class KernelExplorer:
         Decisions applied before the root configuration (e.g. the
         initial proposal invocations of the valency search).
     mode, strategy:
-        See module docstring; ``strategy`` is ``"bfs"`` or ``"dfs"`` (the
-        :class:`~repro.engine.frontier.GraphSearch` pop order).
+        See module docstring; ``strategy`` is ``"bfs"`` or ``"dfs"``
+        (the frontier's pop order), anything else raises ``ValueError``
+        here.
     fingerprint:
         Dedup key; defaults to the exact configuration-and-history key
         :meth:`~repro.engine.config.KernelConfig.fingerprint`.
@@ -140,13 +141,22 @@ class KernelExplorer:
         Children for which this returns true are dropped entirely — no
         visit, no edge (the valency search prunes fully decided
         configurations, which can never lie on a witness cycle).
-    max_depth, max_configurations, on_budget:
-        Passed to the underlying :class:`GraphSearch`; the budget counts
-        unique configurations.
+    max_depth:
+        Configurations at this depth are visited but not expanded.
+    max_configurations, on_budget:
+        Unique-configuration budget, the root included.  ``on_budget``
+        selects what hitting it does: ``"raise"`` (default) raises
+        :class:`SearchBudgetExceeded`, ``"stop"`` ends the search
+        quietly with the frontier dropped.
     record_edges:
-        Expose the explored edge relation as :attr:`edges` after the
-        run (fingerprint → {label: fingerprint}), including edges that
-        close cycles into already-visited configurations.
+        Also record every explored edge in :attr:`edges`.
+
+    While and after :meth:`run` is consumed, :attr:`parents` maps each
+    visited fingerprint to ``(parent fingerprint, label)`` (the root to
+    ``(None, None)``), :attr:`depths` to the depth it was visited at,
+    and :attr:`edges` (only with ``record_edges``) to ``{label: child
+    fingerprint}``, including edges that close cycles into
+    already-visited configurations.
     """
 
     def __init__(
@@ -166,6 +176,8 @@ class KernelExplorer:
     ):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if on_budget not in ("raise", "stop"):
+            raise ValueError(f"on_budget must be 'raise' or 'stop', got {on_budget!r}")
         # Parity between the reductions lives above the engine (the
         # verify facade runs two searches); the explorer itself only
         # knows how to search with the reduction on or off.
@@ -176,27 +188,22 @@ class KernelExplorer:
         self.root_decisions = tuple(root_decisions)
         self.mode = mode
         self.strategy = check_strategy(strategy)
-        self.fingerprint = fingerprint or (lambda config: config.fingerprint())
+        self.fingerprint = fingerprint
         self.prune = prune
         self.max_depth = max_depth
         self.max_configurations = max_configurations
         self.on_budget = on_budget
         self.record_edges = record_edges
-        self.search: Optional[GraphSearch] = None
+        #: fingerprint -> (parent fingerprint, edge label).
+        self.parents: Dict[Hashable, Tuple[Optional[Hashable], Any]] = {}
+        #: fingerprint -> depth at which the configuration was visited.
+        self.depths: Dict[Hashable, int] = {}
+        #: fingerprint -> {label: child fingerprint}; only with record_edges.
+        self.edges: Dict[Hashable, Dict[Any, Hashable]] = {}
         # One shared instance: implementations are stateless across runs
         # (their per-run state lives in pools and memories), so every
         # restore/replay can reuse it instead of paying factory() again.
         self._implementation = factory()
-        # Snapshot mode restores into this one scratch configuration per
-        # explored edge — zero runtime/pool allocation per restore.  A
-        # ConfigVisit's config is therefore only valid until the search
-        # advances, which synchronous consumers never notice.
-        self._scratch: Optional[KernelConfig] = None
-        # Exact fingerprint of the configuration currently sitting in the
-        # scratch.  When a node is expanded right after being visited (the
-        # common case under DFS) the scratch already *is* that
-        # configuration, and the first child needs no restore at all.
-        self._scratch_fingerprint: Optional[Hashable] = None
 
     # -- public API --------------------------------------------------------
 
@@ -204,192 +211,208 @@ class KernelExplorer:
         """Lazily yield one visit per unique configuration."""
         if self.mode == "parity":
             return self._run_parity()
-        return self._run_single(self.mode)
-
-    @property
-    def edges(self) -> Dict[Hashable, Dict[Any, Hashable]]:
-        """Explored edge relation (after/while consuming :meth:`run`)."""
-        if self.search is None:
-            raise RuntimeError("run() has not been started")
-        return self.search.edges
+        return self._run_single()
 
     # -- internals ---------------------------------------------------------
 
-    def _make_node(
-        self,
-        config: KernelConfig,
-        schedule: Tuple[Any, ...],
-        decisions: Tuple[Decision, ...],
-        mode: str,
-        fingerprint: Optional[Hashable] = None,
-        sleep: Optional[Dict[Any, Any]] = None,
-    ) -> _Node:
-        if fingerprint is None:
-            fingerprint = self.fingerprint(config)
-        choices = tuple(self.successors(config))
-        # A snapshot is only taken when the node can actually be
-        # expanded later; leaves and depth-capped nodes never need one,
-        # and neither does a DPOR node whose every choice is asleep
-        # (expanding it restores nothing).
-        capture = (
-            mode == "snapshot"
-            and bool(choices)
-            and (self.max_depth is None or len(schedule) < self.max_depth)
-            and not (sleep and all(label in sleep for label, _ in choices))
-        )
-        if capture:
-            rec = _obs_active()
-            if rec is not None:
-                rec.count("engine/snapshot_captures")
-        node = _Node(
-            fingerprint=fingerprint,
-            schedule=schedule,
-            decisions=decisions,
-            snapshot=config.capture() if capture else None,
-            choices=choices,
-            config=config,
-        )
-        node.sleep = sleep
-        return node
-
-    def _child_config(self, node: _Node, decision: Decision, mode: str) -> KernelConfig:
-        rec = _obs_active()
-        if mode == "snapshot":
-            if self._scratch is None:
-                self._scratch = KernelConfig(self._implementation)
-                self._scratch.runtime.record_footprints = self.reduction == "dpor"
-            config = self._scratch
-            if self._scratch_fingerprint != node.fingerprint:
-                config.restore_from(node.snapshot)
-                if rec is not None:
-                    rec.count("engine/snapshot_restores")
-            elif rec is not None:
-                rec.count("engine/scratch_reuses")
-            self._scratch_fingerprint = None  # stale while mutating
-            config.apply(decision)
-            return config
-        if rec is not None:
-            rec.count("engine/replays")
-            rec.count(
-                "kernel/replayed_decisions",
-                len(self.root_decisions) + len(node.decisions) + 1,
-            )
-        config = KernelConfig(self._implementation)
-        config.runtime.record_footprints = self.reduction == "dpor"
-        return config.apply_all(
-            self.root_decisions + node.decisions + (decision,)
-        )
-
-    def _expandable(self, node: _Node) -> bool:
-        return bool(node.choices) and (
-            self.max_depth is None or len(node.schedule) < self.max_depth
-        )
-
-    def _run_single(self, mode: str) -> Iterator[ConfigVisit]:
+    def _run_single(self) -> Iterator[ConfigVisit]:
+        # The whole search is this one frame: everything per edge is a
+        # local.  A frontier entry is (fingerprint, depth, schedule,
+        # decisions, snapshot, choices, sleep): ``decisions`` is the
+        # path replay mode re-executes (empty in snapshot mode),
+        # ``snapshot`` is None where the node will never be restored,
+        # and ``sleep`` is the DPOR sleep set (label -> Footprint; None
+        # when the reduction is off).  A node's depth is its search
+        # depth; a DPOR revisit (see _revisit) keeps the depth of the
+        # first visit while carrying the schedule of the path that
+        # forced it, so capture and expansion decisions read
+        # ``len(schedule)`` and the depth bound reads ``depth``.
         reduce = self.reduction == "dpor"
         sleeps = SleepSets() if reduce else None
-        root_config = KernelConfig(self._implementation).apply_all(self.root_decisions)
-        if self.prune is not None and self.prune(root_config):
-            return
-        root = self._make_node(
-            root_config, (), (), mode, sleep={} if reduce else None
-        )
-        if reduce and self._expandable(root):
-            sleeps.note_expansion(root.fingerprint, root.sleep)
+        snapshot = self.mode == "snapshot"
+        successors, prune, fingerprint = self.successors, self.prune, self.fingerprint
+        max_depth, budget = self.max_depth, self.max_configurations
+        self.parents = parents = {}
+        self.depths = depths = {}
+        self.edges = edges = {}
+        edges_of = edges.setdefault if self.record_edges else None
+        implementation = self._implementation
+        root_decisions = self.root_decisions
+        # Fetched once per search: the disabled-metrics cost inside the
+        # loop is a single `is not None` check per counter.
+        rec = _obs_active()
+        frontier: deque = deque()
+        pop = frontier.popleft if self.strategy == "bfs" else frontier.pop
+        push = frontier.append
+        # Snapshot mode restores into this one scratch configuration per
+        # explored edge — zero runtime/pool allocation per restore.  A
+        # ConfigVisit's config is therefore only valid until the search
+        # advances, which synchronous consumers never notice.
+        scratch = None
+        if snapshot:
+            scratch = KernelConfig(implementation)
+            scratch.runtime.record_footprints = reduce
+        # Fingerprint of the configuration sitting in the scratch.  When
+        # a node is expanded right after being visited (the common case
+        # under DFS) the scratch already *is* that configuration, and
+        # its first child needs no restore at all.
+        held: Optional[Hashable] = None
 
-        def expand(node: _Node) -> Iterator[Tuple[Any, _Node]]:
-            rec = _obs_active() if reduce else None
-            explored: List[Tuple[Any, Any]] = []  # (label, Footprint)
+        config = KernelConfig(implementation).apply_all(root_decisions)
+        if prune is not None and prune(config):
+            return
+        key = config.fingerprint() if fingerprint is None else fingerprint(config)
+        choices = tuple(successors(config))
+        sleep = {} if reduce else None
+        expandable = bool(choices) and (max_depth is None or max_depth > 0)
+        if reduce and expandable:
+            sleeps.note_expansion(key, sleep)
+        snap = None
+        if snapshot and expandable:
+            if rec is not None:
+                rec.count("engine/snapshot_captures")
+            snap = config.capture()
+        parents[key] = (None, None)
+        depths[key] = 0
+        # Roots count against the budget like any other visit.
+        if budget is not None and budget < 1:
+            self._budget_hit()
+            return
+        visited = 1
+        yield ConfigVisit(config, key, (), 0, choices)
+        push((key, 0, (), (), snap, choices, sleep))
+
+        while frontier:
+            key, depth, schedule, decisions, snap, choices, sleep = pop()
+            if rec is not None:
+                rec.count("engine/frontier_pops")
+            if max_depth is not None and depth >= max_depth:
+                continue
+            explored = []  # (label, Footprint) of expanded siblings, DPOR only
             blocked = 0
-            for label, decision in node.choices:
-                if reduce and label in node.sleep:
+            child_sleep = None
+            for label, decision in choices:
+                if reduce and label in sleep:
                     # An equivalent interleaving taking this decision
                     # first was already explored from a sibling.
                     blocked += 1
                     if rec is not None:
                         rec.count("dpor/sleep_blocked")
                     continue
-                config = self._child_config(node, decision, mode)
-                if self.prune is not None and self.prune(config):
+                if snapshot:
+                    config = scratch
+                    if held is not key and held != key:
+                        config.restore_from(snap)
+                        if rec is not None:
+                            rec.count("engine/snapshot_restores")
+                    elif rec is not None:
+                        rec.count("engine/scratch_reuses")
+                    held = None  # stale while mutating
+                    config.apply(decision)
+                    child_decisions = ()
+                else:
+                    child_decisions = decisions + (decision,)
+                    if rec is not None:
+                        rec.count("engine/replays")
+                        rec.count(
+                            "kernel/replayed_decisions",
+                            len(root_decisions) + len(child_decisions),
+                        )
+                    config = KernelConfig(implementation)
+                    config.runtime.record_footprints = reduce
+                    config.apply_all(root_decisions + child_decisions)
+                if prune is not None and prune(config):
                     continue
-                child_sleep = None
                 if reduce:
                     executed = config.runtime.last_footprint
-                    child_sleep = sleeps.child_sleep(node.sleep, explored, executed)
+                    child_sleep = sleeps.child_sleep(sleep, explored, executed)
                     explored.append((label, executed))
-                fingerprint = self.fingerprint(config)
-                if config is self._scratch:
-                    self._scratch_fingerprint = fingerprint
-                if fingerprint in search.parents:
-                    if reduce:
-                        self._repair_revisit(
-                            search, sleeps, config, fingerprint,
-                            node.schedule + (label,),
-                            node.decisions + (decision,),
-                            child_sleep, mode, rec,
-                        )
-                    # Already visited: the search only records the edge,
-                    # so skip the successor scan and snapshot capture.
-                    yield label, _Node(fingerprint, (), (), None, (), None)
-                    continue
-                child = self._make_node(
-                    config,
-                    node.schedule + (label,),
-                    node.decisions + (decision,),
-                    mode,
-                    fingerprint=fingerprint,
-                    sleep=child_sleep,
+                child_key = (
+                    config.fingerprint() if fingerprint is None else fingerprint(config)
                 )
-                if reduce and self._expandable(child):
-                    sleeps.note_expansion(fingerprint, child_sleep)
-                yield label, child
-            if reduce and blocked and blocked == len(node.choices):
+                if snapshot:
+                    held = child_key
+                if edges_of is not None:
+                    edges_of(key, {})[label] = child_key
+                if child_key in parents:
+                    if rec is not None:
+                        rec.count("engine/dedup_hits")
+                    if reduce:
+                        revisit = self._revisit(
+                            sleeps, config, child_key, child_sleep, snapshot, rec
+                        )
+                        if revisit is not None:
+                            push((
+                                child_key, depths[child_key], schedule + (label,),
+                                child_decisions, *revisit,
+                            ))
+                    continue
+                child_schedule = schedule + (label,)
+                child_choices = tuple(successors(config))
+                expandable = bool(child_choices) and (
+                    max_depth is None or len(child_schedule) < max_depth
+                )
+                if reduce and expandable:
+                    sleeps.note_expansion(child_key, child_sleep)
+                # A snapshot is only taken when the node can actually be
+                # expanded later; leaves and depth-capped nodes never
+                # need one, and neither does a DPOR node whose every
+                # choice is asleep (expanding it restores nothing).
+                child_snap = None
+                if snapshot and expandable and not (
+                    child_sleep
+                    and all(choice in child_sleep for choice, _ in child_choices)
+                ):
+                    if rec is not None:
+                        rec.count("engine/snapshot_captures")
+                    child_snap = config.capture()
+                if budget is not None and visited >= budget:
+                    self._budget_hit()
+                    return
+                visited += 1
+                parents[child_key] = (key, label)
+                depths[child_key] = depth + 1
                 if rec is not None:
-                    rec.count("dpor/pruned")
+                    rec.count("engine/frontier_pushes")
+                yield ConfigVisit(
+                    config, child_key, child_schedule, depth + 1, child_choices
+                )
+                push((
+                    child_key, depth + 1, child_schedule, child_decisions,
+                    child_snap, child_choices, child_sleep,
+                ))
+            if blocked and blocked == len(choices) and rec is not None:
+                rec.count("dpor/pruned")
 
-        search = GraphSearch(
-            strategy=self.strategy,
-            key=lambda node: node.fingerprint,  # revisit nodes are re-pushed, not re-keyed
-            max_nodes=self.max_configurations,
-            max_depth=self.max_depth,
-            on_budget=self.on_budget,
-            record_edges=self.record_edges,
-        )
-        self.search = search
-        for visit in search.run([root], expand):
-            node: _Node = visit.node
-            config, node.config = node.config, None
-            yield ConfigVisit(
-                config, node.fingerprint, node.schedule, visit.depth, node.choices
+    def _budget_hit(self) -> None:
+        """The next visit would exceed the budget: raise, or return to
+        end the search quietly (``on_budget="stop"``)."""
+        if self.on_budget == "raise":
+            raise SearchBudgetExceeded(
+                f"search exceeded {self.max_configurations} unique nodes"
             )
 
-    def _repair_revisit(
-        self, search, sleeps, config, fingerprint, schedule, decisions,
-        child_sleep, mode, rec,
-    ) -> None:
+    def _revisit(self, sleeps, config, key, sleep, snapshot, rec):
         """State-caching repair: re-expand a visited state when this
         path arrives with decisions awake that its first expansion had
         asleep (see :mod:`repro.engine.dpor`).  ``config`` is live (the
         child just produced), so the enabled set and a fresh snapshot
-        are at hand."""
+        are at hand.  Returns the re-queued entry's ``(snapshot,
+        choices, sleep)``, or ``None`` when plain dedup is sound.
+
+        The re-queued state is popped and expanded like any frontier
+        entry but yields no new visit (it was already visited, counted
+        and reported) and leaves :attr:`parents` untouched; only the
+        not-yet-seen children it produces surface as visits.  It keeps
+        the depth of its first visit, so the re-expansion inherits the
+        depth budget its subtree was originally measured under."""
         choices = tuple(self.successors(config))
-        merged = sleeps.revisit_sleep(
-            fingerprint, child_sleep, (label for label, _ in choices)
-        )
+        merged = sleeps.revisit_sleep(key, sleep, (label for label, _ in choices))
         if merged is None:
-            return
+            return None
         if rec is not None:
             rec.count("dpor/revisit_repairs")
-        revisit = _Node(
-            fingerprint=fingerprint,
-            schedule=schedule,
-            decisions=decisions,
-            snapshot=config.capture() if mode == "snapshot" else None,
-            choices=choices,
-            config=None,
-        )
-        revisit.sleep = merged
-        search.push_revisit(revisit, fingerprint)
+        return (config.capture() if snapshot else None), choices, merged
 
     def _run_parity(self) -> Iterator[ConfigVisit]:
         snapshot_side = self._clone(mode="snapshot")
@@ -409,7 +432,9 @@ class KernelExplorer:
                 raise EngineParityError(
                     f"schedule divergence: {snap.schedule!r} != {rep.schedule!r}"
                 )
-            self.search = snapshot_side.search
+            self.parents = snapshot_side.parents
+            self.depths = snapshot_side.depths
+            self.edges = snapshot_side.edges
             yield snap
 
     def _clone(self, mode: str) -> "KernelExplorer":

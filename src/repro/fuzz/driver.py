@@ -47,7 +47,7 @@ from __future__ import annotations
 import time
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Set, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.engine.config import KernelConfig, KernelSnapshot
 from repro.fuzz.trace import LabelDecoder
@@ -101,8 +101,10 @@ class FuzzReport:
         return self.interleavings / self.elapsed if self.elapsed > 0 else 0.0
 
 
-@dataclass
-class _CorpusEntry:
+class _CorpusEntry(NamedTuple):
+    """A restart point: a mid-walk snapshot and the labels reaching it
+    (a named tuple: one is built per corpus capture)."""
+
     snapshot: KernelSnapshot
     schedule: Tuple[Choice, ...]
     depth: int

@@ -25,7 +25,6 @@ opacity checker carries one along each history it walks);
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.events import Crash, Event, Invocation, Response
@@ -151,20 +150,38 @@ class TransactionCall(SlotsRecord):
         return self.response_index is None
 
 
-@dataclass
-class Transaction:
-    """A parsed transaction of one process.
+class Transaction(SlotsRecord):
+    """A parsed transaction of one process (a ``__slots__`` record: the
+    parser builds one per ``start`` invocation it is fed).
 
     ``number`` is the 1-based index of the transaction within its
     process's projection (the paper's "t-th transaction in ``h|p_i``").
     """
 
-    process: int
-    number: int
-    calls: List[TransactionCall] = field(default_factory=list)
-    status: str = STATUS_LIVE
-    start_index: int = -1
-    end_index: Optional[int] = None
+    __slots__ = (
+        "process",
+        "number",
+        "calls",
+        "status",
+        "start_index",
+        "end_index",
+    )
+
+    def __init__(
+        self,
+        process: int,
+        number: int,
+        calls: Optional[List[TransactionCall]] = None,
+        status: str = STATUS_LIVE,
+        start_index: int = -1,
+        end_index: Optional[int] = None,
+    ):
+        self.process = process
+        self.number = number
+        self.calls = [] if calls is None else calls
+        self.status = status
+        self.start_index = start_index
+        self.end_index = end_index
 
     @property
     def committed(self) -> bool:

@@ -67,7 +67,7 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.engine.dpor import DporParityError, check_reduction
-from repro.engine.frontier import SearchBudgetExceeded
+from repro.engine.explorer import SearchBudgetExceeded
 from repro.objects.opacity import (
     SearchBudgetExceeded as CheckerBudgetExceeded,
 )

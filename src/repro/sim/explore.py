@@ -39,8 +39,7 @@ from repro.core.history import History
 from repro.core.properties import SafetyProperty
 from repro.engine.config import KernelConfig
 from repro.engine.dpor import DporParityError, check_reduction
-from repro.engine.explorer import KernelExplorer
-from repro.engine.frontier import SearchBudgetExceeded
+from repro.engine.explorer import KernelExplorer, SearchBudgetExceeded
 from repro.obs.recorder import active as _obs_active
 from repro.sim.drivers import Decision, InvokeDecision, StepDecision
 from repro.sim.kernel import Implementation

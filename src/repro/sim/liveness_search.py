@@ -18,7 +18,7 @@ every choice the policy offers, and classifies each maximal run:
   approximate (``Certainty.HORIZON``).
 
 Engine budget overruns raise
-:class:`~repro.engine.frontier.SearchBudgetExceeded`, which the
+:class:`~repro.engine.explorer.SearchBudgetExceeded`, which the
 ``verify`` facade folds into its ``budget-exhausted`` outcome.
 
 Branch bookkeeping
@@ -56,7 +56,7 @@ from repro.core.events import Response
 from repro.core.history import History
 from repro.engine.config import KernelConfig
 from repro.engine.dpor import Sleep, SleepSets, check_reduction
-from repro.engine.frontier import SearchBudgetExceeded
+from repro.engine.explorer import SearchBudgetExceeded
 from repro.sim.drivers import (
     Decision,
     Driver,
@@ -277,7 +277,7 @@ class LivenessSearch:
         Step horizon: runs still alive here are classified ``horizon``.
     max_configurations:
         Budget on explored configurations across all branches; raises
-        :class:`~repro.engine.frontier.SearchBudgetExceeded`.
+        :class:`~repro.engine.explorer.SearchBudgetExceeded`.
     lasso_stride:
         Fingerprint every n-th step (see
         :class:`~repro.sim.lasso.LassoDetector`; a stride never misses

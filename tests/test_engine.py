@@ -9,10 +9,15 @@ The engine's load-bearing promises, in test form:
 * a delta restore (skipping what the scratch already holds) equals a
   restore into a fresh configuration, however the scratch got where it
   is — by ``apply``, by a fuzz fast walk, or by a liveness-search branch;
-* the generic graph search honours its strategy, budget, and depth
-  contracts, and rejects an unknown strategy when it is built.
+* the explorer's search honours its strategy, budget, depth and
+  edge-recording contracts, and rejects an unknown strategy when it is
+  built;
+* its visit order is pinned: three searches reproduce recorded digests
+  of their ordered schedules (and, for the valency search, edges), and
+  a DPOR revisit repair re-queues its state.
 """
 
+import hashlib
 import os
 import pickle
 import subprocess
@@ -30,18 +35,20 @@ from repro.algorithms.consensus import (
 from repro.algorithms.tm import AgpTransactionalMemory, I12TransactionalMemory
 from repro.base_objects.base import ObjectPool
 from repro.base_objects.register import AtomicRegister
+from repro.core.object_type import ObjectType, OperationSignature, ProgressMode
 from repro.engine import (
     EngineParityError,
-    GraphSearch,
     KernelConfig,
     KernelExplorer,
     SearchBudgetExceeded,
 )
 from repro.fuzz.driver import FuzzDriver
 from repro.fuzz.trace import schedule_to_decisions
+from repro.obs.recorder import recording
 from repro.scenarios import get_scenario
 from repro.sim import explore_histories
 from repro.sim.drivers import CrashDecision, InvokeDecision, StepDecision
+from repro.sim.kernel import Implementation, Op
 from repro.sim.explore import plan_successors
 from repro.sim.liveness_search import LivenessSearch, PlanPolicy
 from repro.util.freeze import HashedKey
@@ -53,41 +60,99 @@ TM_PLAN = {
     1: [("start", ()), ("read", (0,)), ("tryC", ())],
 }
 
-#: A small explicit graph: edges as {node: [(label, child), ...]}.
-DIAMOND = {
-    "a": [("l", "b"), ("r", "c")],
-    "b": [("d", "d")],
-    "c": [("d", "d")],
-    "d": [("back", "a")],
-}
+TICK_TYPE = ObjectType(
+    name="tick",
+    operations=(OperationSignature("tick", response_domain=(1,)),),
+    progress_mode=ProgressMode.EVENTUAL,
+)
 
 
-def diamond_expand(node):
-    return DIAMOND.get(node, [])
+class TwoCells(Implementation):
+    """Each process writes its own register once, then responds.
+
+    With both ticks invoked up front, the two writes commute: stepping
+    p0 then p1 and p1 then p0 reach one configuration (a diamond), and
+    the graph ends after each process has responded.
+    """
+
+    name = "two-cells"
+
+    def __init__(self):
+        super().__init__(TICK_TYPE, 2)
+
+    def create_pool(self):
+        return ObjectPool([AtomicRegister("r0", 0), AtomicRegister("r1", 0)])
+
+    def algorithm(self, pid, operation, args, memory):
+        return self._tick(pid)
+
+    @staticmethod
+    def _tick(pid):
+        yield Op(f"r{pid}", "write", (1,))
+        return 1
+
+
+def two_cells(strategy="bfs", **options):
+    """A KernelExplorer over TwoCells: labels are the stepped pid."""
+    return KernelExplorer(
+        TwoCells,
+        lambda config: [
+            (pid, StepDecision(pid)) for pid in (0, 1) if config.is_pending(pid)
+        ],
+        root_decisions=[InvokeDecision(0, "tick"), InvokeDecision(1, "tick")],
+        strategy=strategy,
+        **options,
+    )
+
+
+def fingerprints_by_schedule(explorer):
+    return {visit.schedule: visit.fingerprint for visit in explorer.run()}
 
 
 class TestGraphSearch:
+    """The explorer's search contract: strategy, budget, depth bound and
+    edge recording, over the small TwoCells configuration graph."""
+
     def test_bfs_visits_shortest_first(self):
-        search = GraphSearch(strategy="bfs")
-        visits = list(search.run(["a"], diamond_expand))
-        assert [v.node for v in visits] == ["a", "b", "c", "d"]
-        assert search.depths["d"] == 2
+        # Shortest distances from an independent BFS over the edges a
+        # DFS run records.
+        dfs = two_cells("dfs", record_edges=True)
+        root = list(dfs.run())[0].fingerprint
+        distance, layer = {root: 0}, [root]
+        while layer:
+            next_layer = []
+            for node in layer:
+                for child in dfs.edges.get(node, {}).values():
+                    if child not in distance:
+                        distance[child] = distance[node] + 1
+                        next_layer.append(child)
+            layer = next_layer
+        bfs = two_cells("bfs")
+        visits = list(bfs.run())
+        depths = [visit.depth for visit in visits]
+        assert depths == sorted(depths) and depths[-1] >= 3
+        assert bfs.depths == distance
+        for visit in visits:
+            assert len(visit.schedule) == visit.depth == bfs.depths[visit.fingerprint]
+        assert bfs.parents[visits[0].fingerprint] == (None, None)
 
     def test_dfs_expands_newest_first(self):
         # Visits are discovery-ordered in every strategy; the strategy
-        # shows in *which parent* discovers shared children.  BFS
-        # expands b before c (FIFO), DFS expands c first (LIFO).
-        bfs = GraphSearch(strategy="bfs")
-        list(bfs.run(["a"], diamond_expand))
-        assert bfs.parents["d"][0] == "b"
-        dfs = GraphSearch(strategy="dfs")
-        list(dfs.run(["a"], diamond_expand))
-        assert dfs.parents["d"][0] == "c"
+        # shows in *which parent* discovers a shared child.  Both
+        # writes done is reached from p0-wrote and from p1-wrote: BFS
+        # expands p0-wrote first (FIFO), DFS p1-wrote (LIFO).
+        bfs, dfs = two_cells("bfs"), two_cells("dfs")
+        at_bfs, at_dfs = fingerprints_by_schedule(bfs), fingerprints_by_schedule(dfs)
+        assert (0, 1) in at_bfs and (1, 0) not in at_bfs
+        assert (1, 0) in at_dfs and (0, 1) not in at_dfs
+        assert at_bfs[(0, 1)] == at_dfs[(1, 0)]
+        assert bfs.parents[at_bfs[(0, 1)]] == (at_bfs[(0,)], 1)
+        assert dfs.parents[at_dfs[(1, 0)]] == (at_dfs[(1,)], 0)
 
     @pytest.mark.parametrize("strategy", ["iterative-deepening", "BFS", "random"])
     def test_unknown_strategy_rejected_at_construction(self, strategy):
         with pytest.raises(ValueError, match="strategy"):
-            GraphSearch(strategy=strategy)
+            two_cells(strategy)
         with pytest.raises(ValueError, match="strategy"):
             KernelExplorer(
                 lambda: CasConsensus(2),
@@ -96,24 +161,141 @@ class TestGraphSearch:
             )
 
     def test_budget_raise(self):
-        search = GraphSearch(strategy="bfs", max_nodes=2)
+        # The root counts: a budget of 2 admits the root and one child.
+        run = two_cells(max_configurations=2).run()
+        assert [visit.depth for visit in (next(run), next(run))] == [0, 1]
         with pytest.raises(SearchBudgetExceeded):
-            list(search.run(["a"], diamond_expand))
+            next(run)
 
     def test_budget_stop(self):
-        search = GraphSearch(strategy="bfs", max_nodes=2, on_budget="stop")
-        visits = list(search.run(["a"], diamond_expand))
-        assert len(visits) == 2
+        explorer = two_cells(max_configurations=2, on_budget="stop")
+        visits = list(explorer.run())
+        assert [visit.schedule for visit in visits] == [(), (0,)]
+        assert len(explorer.parents) == 2
+        with pytest.raises(SearchBudgetExceeded):
+            list(two_cells(max_configurations=0).run())
+        assert list(two_cells(max_configurations=0, on_budget="stop").run()) == []
 
     def test_max_depth_limits_expansion(self):
-        search = GraphSearch(strategy="bfs", max_depth=1)
-        visited = {v.node for v in search.run(["a"], diamond_expand)}
-        assert visited == {"a", "b", "c"}  # d is at depth 2
+        visits = list(two_cells(max_depth=1).run())
+        assert [visit.schedule for visit in visits] == [(), (0,), (1,)]
+        unbounded = list(two_cells().run())
+        assert len(unbounded) > len(visits)
 
     def test_record_edges_includes_cycle_closers(self):
-        search = GraphSearch(strategy="bfs", record_edges=True)
-        list(search.run(["a"], diamond_expand))
-        assert search.edges["d"] == {"back": "a"}  # edge into a visited node
+        # Keyed on the registers alone, a process's response step leaves
+        # the key unchanged: an edge back into a visited configuration.
+        explorer = two_cells(
+            fingerprint=lambda config: config.runtime.pool.snapshot_state(),
+            record_edges=True,
+        )
+        at = fingerprints_by_schedule(explorer)
+        assert set(at) == {(), (0,), (1,), (0, 1)}
+        assert explorer.edges[at[(0,)]] == {0: at[(0,)], 1: at[(0, 1)]}
+        assert explorer.edges[at[()]] == {0: at[(0,)], 1: at[(1,)]}
+        without = two_cells(
+            fingerprint=lambda config: config.runtime.pool.snapshot_state()
+        )
+        list(without.run())
+        assert without.edges == {}
+
+
+def _digest(records):
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(repr(record).encode() + b"\n")
+    return digest.hexdigest()
+
+
+class TestVisitOrderPin:
+    """Visit order, schedules and edges of three real searches, pinned
+    by digest: any change to the search loop that reorders, adds or
+    drops a visit or an edge moves a digest."""
+
+    @pytest.mark.parametrize(
+        "scenario_id,visits,digest",
+        [
+            (
+                "agp-opacity",
+                1633,
+                "ec6e06e7582529bacf266d77b1fc5fc054b8cc44fdfd39b26d63fd95a7552bd8",
+            ),
+            (
+                "lock-mutex:impl=bakery,n=2,rounds=1",
+                17077,
+                "58d01ab0df98648d372221a9301c02a2a01527350963608b34b9cfa442dfd167",
+            ),
+        ],
+    )
+    def test_exhaustive_dfs_dpor_schedules(self, scenario_id, visits, digest):
+        scenario = get_scenario(scenario_id)
+        explorer = KernelExplorer(
+            scenario.factory,
+            plan_successors(scenario.plan),
+            strategy="dfs",
+            max_depth=scenario.bounds.max_depth,
+            max_configurations=scenario.bounds.max_configurations,
+            reduction="dpor",
+        )
+        schedules = [visit.schedule for visit in explorer.run()]
+        assert (len(schedules), _digest(schedules)) == (visits, digest)
+
+    def test_dpor_revisits_are_requeued(self):
+        # A DPOR revisit repair re-queues a visited state without a new
+        # visit, so the frontier pops the root, every pushed child and
+        # every repair.  (Here the re-expansions find no unseen child,
+        # so the schedules alone would not notice a lost repair.)
+        scenario = get_scenario("consensus-grid:impl=cas,n=3,proposals=alt")
+        explorer = KernelExplorer(
+            scenario.factory,
+            plan_successors(scenario.plan),
+            strategy="dfs",
+            max_depth=scenario.bounds.max_depth,
+            max_configurations=scenario.bounds.max_configurations,
+            reduction="dpor",
+        )
+        with recording() as rec:
+            visits = sum(1 for _ in explorer.run())
+        counters = rec.counters
+        assert (visits, counters["dpor/revisit_repairs"]) == (425, 2)
+        assert counters["engine/frontier_pushes"] == visits - 1
+        assert counters["engine/frontier_pops"] == 1 + (visits - 1) + 2
+
+    def test_valency_bfs_prune_edges(self, monkeypatch):
+        import repro.adversaries.valency as valency
+
+        searches = []
+
+        class Recording(KernelExplorer):
+            def run(self):
+                searches.append(self)
+                self.visits = []
+                for visit in super().run():
+                    self.visits.append((visit.schedule, visit.fingerprint))
+                    yield visit
+
+        monkeypatch.setattr(valency, "KernelExplorer", Recording)
+        find_nondeciding_schedule(
+            lambda: CommitAdoptConsensus(2), proposals=(0, 1), max_configs=3_000
+        )
+        (explorer,) = searches
+        schedules = [schedule for schedule, _ in explorer.visits]
+        # Fingerprints render through hash-ordered containers, so edges
+        # are digested by visit index instead.
+        index = {fingerprint: i for i, (_, fingerprint) in enumerate(explorer.visits)}
+        edges = [
+            (index[key], sorted((repr(label), index.get(child, -1))
+                                for label, child in out.items()))
+            for key, out in explorer.edges.items()
+        ]
+        assert (len(schedules), _digest(schedules)) == (
+            644,
+            "b7049496f108a590f185e892a104f66e1eb1cc58f53e16d7249b9cdb08c4d94e",
+        )
+        assert (len(edges), _digest(edges)) == (
+            632,
+            "82eb37dce809a2f8d5f55eb335a02d59f35dcb584893ed92654b733fbf7903a6",
+        )
 
 
 class TestSnapshotRestore:

@@ -73,7 +73,7 @@ class TestLivenessSearch:
         assert search.merges > 0
 
     def test_budget_overrun_raises_search_budget_exceeded(self):
-        from repro.engine.frontier import SearchBudgetExceeded
+        from repro.engine.explorer import SearchBudgetExceeded
 
         search = LivenessSearch(
             _trivial_tm, AdversaryPolicy(_f1()), max_configurations=1

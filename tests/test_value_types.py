@@ -19,8 +19,15 @@ import pytest
 
 from repro.core.events import Crash, Invocation, Response
 from repro.engine.explorer import ConfigVisit
-from repro.engine.frontier import Visit
-from repro.objects.tm import ABORTED, OK, TransactionCall
+from repro.fuzz.driver import _CorpusEntry
+from repro.objects.tm import (
+    ABORTED,
+    COMMITTED,
+    OK,
+    Transaction,
+    TransactionCall,
+    parse_transactions,
+)
 from repro.sim.kernel import Footprint, Op, ProcessFrame
 
 # (type, positional args, keyword args, repr, str, sort key or None)
@@ -145,9 +152,6 @@ class TestEventKinds:
         assert not Footprint(0, "step").visible
 
     def test_search_records_are_named_tuples(self):
-        visit = Visit("node", "key", 1, None, ("step", 0))
-        assert (visit.node, visit.key, visit.depth) == ("node", "key", 1)
-        assert (visit.parent_key, visit.label) == (None, ("step", 0))
         config_visit = ConfigVisit(None, "fp", (("step", 0),), 1, ())
         assert config_visit.fingerprint == "fp"
         assert config_visit.schedule == (("step", 0),)
@@ -193,3 +197,44 @@ class TestSlotsRecords:
             frame.extra = 1
         assert not dataclasses.is_dataclass(ProcessFrame)
         assert not dataclasses.is_dataclass(TransactionCall)
+
+    def test_transaction(self):
+        transaction = Transaction(process=1, number=2, start_index=5)
+        assert repr(transaction) == "<T p1#2 live [5..None]>"
+        assert (transaction.calls, transaction.status, transaction.end_index) == (
+            [], "live", None,
+        )
+        assert transaction == Transaction(1, 2, [], "live", 5, None)
+        assert transaction != Transaction(1, 2, [], "live", 5, 9)
+        # Each transaction gets its own call list.
+        transaction.calls.append(TransactionCall("start", (), OK, 5, 6))
+        assert Transaction(1, 2).calls == []
+        assert transaction != Transaction(1, 2, [], "live", 5, None)
+        with pytest.raises(AttributeError):
+            transaction.extra = 1
+        with pytest.raises(TypeError):
+            hash(transaction)
+        assert not dataclasses.is_dataclass(Transaction)
+        assert pickle.loads(pickle.dumps(transaction)) == transaction
+
+    def test_parsed_transactions_match_field_wise(self):
+        history = [
+            Invocation(0, "start"), Response(0, "start", OK),
+            Invocation(0, "tryC"), Response(0, "tryC", COMMITTED),
+        ]
+        (parsed,) = parse_transactions(history)
+        assert parsed == Transaction(
+            0, 1,
+            [TransactionCall("start", (), OK, 0, 1),
+             TransactionCall("tryC", (), COMMITTED, 2, 3)],
+            "committed", 0, 3,
+        )
+
+    def test_corpus_entry_is_a_named_tuple(self):
+        entry = _CorpusEntry("snapshot", (("step", 0),), 1)
+        assert isinstance(entry, tuple)
+        assert (entry.snapshot, entry.schedule, entry.depth) == (
+            "snapshot", (("step", 0),), 1,
+        )
+        with pytest.raises(AttributeError):
+            entry.depth = 2
