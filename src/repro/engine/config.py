@@ -5,36 +5,38 @@ or pickled — the reason the seed's exploration layers identified every
 configuration with the *schedule* reaching it and re-executed the whole
 run per DAG edge (O(depth) per node).  This module removes that cost.
 
-A configuration is restorable from three ingredients, all plain data:
+A configuration is restorable from plain values:
 
 * the base-object pool state (``ObjectPool.capture``);
-* each process's memory **as of its in-flight invocation**, plus the log
-  of primitive results its generator has consumed so far (recorded by
-  the runtime under ``record_replay_log``);
+* each process's memory, and the :class:`~repro.sim.kernel.OpNode` of
+  its in-flight operation, if any;
 * the external event list and per-process statistics.
 
-Restoring rebuilds each in-flight generator by creating a fresh one and
-*fast-forwarding* it through the recorded results — re-running only the
-local computation of the one in-flight operation (bounded by the
-operation's primitive count), never touching the pool and never
-re-executing the rest of the schedule.  Soundness is exactly the
-determinism contract of :mod:`repro.sim.kernel`: an algorithm's
-behaviour is a function of ``(operation, args, memory, results so
-far)``, and primitive results are hashable (hence value-like) by the
-fingerprint contract.
+An in-flight operation *is* a value: its node is identified by the
+invocation, the idle memory it was invoked on and the primitive results
+so far, and neither it nor the memory it holds is ever mutated.  So a
+capture shares the node and a restore assigns it — no generator is
+rebuilt at restore time.  The runtime steps from a node by its memo,
+and resumes or rebuilds a generator only for a step no runtime has
+taken before (:meth:`~repro.sim.runtime.Runtime.apply_decision`).
+Soundness is exactly the determinism contract of
+:mod:`repro.sim.kernel`: an algorithm's behaviour is a function of
+``(operation, args, memory, results so far)``, and primitive results
+are hashable (hence value-like) by the fingerprint contract.
 
 Snapshots share state instead of copying it.  Every value the kernel
 holds is immutable and hashable (the contract of :mod:`repro.sim.kernel`),
 so the only mutable things are the containers around those values: a
-process memory dict, a base object's ``__dict__`` and the few lists or
-dicts some base objects keep.  The immutable parts (events,
-invocations, result logs, invoke-time and idle memories) are shared by
-reference between a snapshot and every configuration restored from it;
-a restore copies only containers, one level deep (the memory of an
-in-flight operation, the attributes of a restored base object, stats),
-never the values they hold.  And restores are deltas: a process or base
-object the scratch configuration already holds, untouched, in exactly
-the snapshot's state is skipped (see :meth:`KernelConfig.restore_from`).
+base object's ``__dict__`` and the few lists or dicts some base objects
+keep.  Process memories are never mutated once a process or node holds
+them (an operation works on a dict of its own).  The immutable parts
+(events, nodes, memories) are shared by reference between a snapshot
+and every configuration restored from it; a restore copies only
+containers, one level deep (the attributes of a restored base object,
+stats), never the values they hold.  And restores are deltas: a process
+or base object the scratch configuration already holds, untouched, in
+exactly the snapshot's state is skipped (see
+:meth:`KernelConfig.restore_from`).
 """
 
 from __future__ import annotations
@@ -53,14 +55,12 @@ from typing import (
     Tuple,
 )
 
-from repro.core.events import Invocation
 from repro.core.history import History
 from repro.obs.recorder import active as _obs_active
 from repro.sim.drivers import Decision, ScriptedDriver
-from repro.sim.kernel import Implementation, ProcessFrame, ProcessState
+from repro.sim.kernel import Implementation, OpNode, ProcessState
 from repro.sim.record import ProcessStats
 from repro.sim.runtime import Runtime
-from repro.util.errors import SimulationError
 from repro.util.freeze import HashedKey
 
 #: Factory producing a fresh implementation instance per restore/replay.
@@ -70,21 +70,18 @@ ImplementationFactory = Callable[[], Implementation]
 class ProcessSnapshot(NamedTuple):
     """Restorable state of one simulated process.
 
-    ``memory`` is the live memory for idle processes, and the
-    *invoke-time* memory for processes with an operation in flight (the
-    fast-forward replays the operation's mutations on top).  Neither
-    dict is ever mutated (an invoke hands the operation a copy), so
-    snapshots and live idle processes share them.  Snapshots are
-    immutable named tuples (one is built per explored edge, several
-    times cheaper than a frozen dataclass) and are shared by identity
-    between snapshots.
+    ``memory`` is the process's memory and ``frame`` the node of its
+    in-flight operation.  Neither is ever mutated, so snapshots and live
+    processes share them.  Snapshots are immutable named tuples (one is
+    built per explored edge, several times cheaper than a frozen
+    dataclass) and are shared by identity between snapshots.
     """
 
     pid: int
     crashed: bool
     memory: Dict[str, Any]
-    #: ``None`` when idle, else ``(invocation, primitive results so far)``.
-    frame: Optional[Tuple[Invocation, Tuple[Any, ...]]]
+    #: ``None`` when idle, else the in-flight operation's current point.
+    frame: Optional[OpNode]
     stats: Tuple[int, int, int, int, int, Tuple[int, ...], bool]
     #: The process's fingerprint at capture time if one was already
     #: cached (capture never hashes); restoring seeds the
@@ -131,50 +128,12 @@ def _restore_stats(stats: ProcessStats, captured: Tuple) -> None:
     stats.good_response_steps = list(good_steps)
 
 
-def _fast_forward_frame(
-    implementation: Implementation,
-    pid: int,
-    invocation: Invocation,
-    memory: Dict[str, Any],
-    results: Tuple[Any, ...],
-    memory_at_invoke: Dict[str, Any],
-) -> ProcessFrame:
-    """Rebuild an in-flight frame by replaying recorded primitive results.
-
-    ``memory`` must already hold the invoke-time state (the generator
-    re-applies the operation's mutations while being fed), and stays the
-    process's live memory afterwards.
-    """
-    generator = implementation.algorithm(
-        pid, invocation.operation, invocation.args, memory
-    )
-    frame = ProcessFrame(invocation=invocation, generator=generator)
-    frame.result_log = list(results)
-    frame.memory_at_invoke = memory_at_invoke
-    if not results:
-        return frame
-    try:
-        op = next(generator)
-        for result in results[:-1]:
-            op = generator.send(result)
-    except StopIteration as stop:  # pragma: no cover - contract violation
-        raise SimulationError(
-            f"fast-forward of {invocation} terminated early: the algorithm "
-            f"is not deterministic in its recorded results ({stop.value!r})"
-        ) from None
-    frame.pending_op = op
-    frame.last_result = results[-1]
-    frame.primitives_issued = len(results)
-    return frame
-
-
 class KernelConfig:
     """A live, steppable kernel configuration.
 
-    Thin wrapper around a :class:`~repro.sim.runtime.Runtime` in
-    replay-log-recording mode, exposing exactly what exploration needs:
-    apply one decision, capture a snapshot, fingerprint, and read the
-    externally visible state.  Configurations are cheap to create from a
+    Thin wrapper around a :class:`~repro.sim.runtime.Runtime`, exposing
+    exactly what exploration needs: apply one decision, capture a
+    snapshot, fingerprint, and read the externally visible state.  Configurations are cheap to create from a
     snapshot and are mutated in place by :meth:`apply` — the engine
     restores one per explored edge.
     """
@@ -185,7 +144,6 @@ class KernelConfig:
             implementation,
             ScriptedDriver([], name="engine-config"),
             detect_lasso=False,
-            record_replay_log=True,
         )
         # Incremental caches, all keyed by the same invariant: an entry
         # for process pid is valid unless a decision touched pid since it
@@ -231,9 +189,9 @@ class KernelConfig:
         The restore is a delta: a process whose snapshot part *is* (by
         identity) the one this configuration was last restored from or
         captured into, and which no decision has touched since, already
-        holds exactly that state and is skipped — no memory copy, no
-        generator fast-forward.  The pool skips clean objects the same
-        way (:meth:`~repro.base_objects.base.ObjectPool.restore`).
+        holds exactly that state and is skipped.  The pool skips clean
+        objects the same way
+        (:meth:`~repro.base_objects.base.ObjectPool.restore`).
         """
         runtime = self.runtime
         runtime.pool.restore(snapshot.pool_state, snapshot.pool_fingerprints)
@@ -262,22 +220,10 @@ class KernelConfig:
             state = runtime.processes[pid]
             state.crashed = process_snapshot.crashed
             _restore_stats(runtime.stats[pid], process_snapshot.stats)
-            if process_snapshot.frame is not None:
-                invocation, results = process_snapshot.frame
-                state.memory = dict(process_snapshot.memory)
-                state.frame = _fast_forward_frame(
-                    self.implementation,
-                    pid,
-                    invocation,
-                    state.memory,
-                    results,
-                    memory_at_invoke=process_snapshot.memory,
-                )
-            else:
-                # Idle memory is never mutated (an invoke hands the
-                # operation a copy), so the snapshot's dict is shared.
-                state.memory = process_snapshot.memory
-                state.frame = None
+            # Nodes and the memories they hold are never mutated, so
+            # the snapshot's are assigned, not copied or rebuilt.
+            state.memory = process_snapshot.memory
+            state.frame = process_snapshot.frame
 
     @classmethod
     def replay(
@@ -360,22 +306,11 @@ class KernelConfig:
 
     def _capture_process(self, state: ProcessState) -> ProcessSnapshot:
         pid = state.pid
-        if state.frame is None:
-            frame = None
-            memory = state.memory  # idle: never mutated, safe to share
-        else:
-            if state.frame.result_log is None:  # pragma: no cover - guard
-                raise SimulationError(
-                    "cannot snapshot a frame without a replay log; "
-                    "the configuration was not built by KernelConfig"
-                )
-            frame = (state.frame.invocation, tuple(state.frame.result_log))
-            memory = state.frame.memory_at_invoke or {}
         return ProcessSnapshot(
             pid=pid,
             crashed=state.crashed,
-            memory=memory,
-            frame=frame,
+            memory=state.memory,
+            frame=state.frame,
             stats=_capture_stats(self.runtime.stats[pid]),
             fingerprint=self._process_fps[pid],
         )

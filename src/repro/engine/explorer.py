@@ -410,9 +410,14 @@ class KernelExplorer:
         merged = sleeps.revisit_sleep(key, sleep, (label for label, _ in choices))
         if merged is None:
             return None
+        snap = None
         if rec is not None:
             rec.count("dpor/revisit_repairs")
-        return (config.capture() if snapshot else None), choices, merged
+        if snapshot:
+            if rec is not None:
+                rec.count("engine/snapshot_captures")
+            snap = config.capture()
+        return snap, choices, merged
 
     def _run_parity(self) -> Iterator[ConfigVisit]:
         snapshot_side = self._clone(mode="snapshot")

@@ -1,6 +1,6 @@
 """Deterministic discrete-event simulator of asynchronous shared memory."""
 
-from repro.sim.kernel import Algorithm, Implementation, Op, ProcessFrame, ProcessState
+from repro.sim.kernel import Algorithm, Implementation, Op, OpNode, ProcessState
 from repro.sim.drivers import (
     ComposedDriver,
     CrashDecision,
@@ -59,7 +59,7 @@ __all__ = [
     "Algorithm",
     "Implementation",
     "Op",
-    "ProcessFrame",
+    "OpNode",
     "ProcessState",
     "ComposedDriver",
     "CrashDecision",

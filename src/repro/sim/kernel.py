@@ -1,4 +1,4 @@
-"""Simulation kernel primitives: steps, implementations, process frames.
+"""Simulation kernel primitives: steps, implementations, operation nodes.
 
 Algorithms are written as Python *generator coroutines*: the algorithm
 for one operation yields :class:`Op` requests (one atomic primitive on a
@@ -28,28 +28,41 @@ survive across yields).  All algorithms shipped in
 Memory *values*, operation arguments and primitive results are
 immutable, hashable values (numbers, strings, ``None``, tuples,
 frozensets, frozen dataclasses): an algorithm rebinds a memory key,
-never mutates what it holds.  That is what lets the engine share a
-memory's values between snapshots with a one-level ``dict`` copy and
-fingerprint a memory as its sorted items, no structural walk needed.
+never mutates what it holds.  That is what lets an operation work on
+a one-level ``dict`` copy of its memory while nodes and snapshots share
+the values, and lets a fingerprint read a memory as its sorted items,
+no structural walk needed.
 A memory value that is not hashable raises
 :class:`~repro.util.errors.SimulationError` naming the process and the
 key, at the process's next invocation or fingerprint.
 
-The same contract is what lets the exploration engine snapshot and
-restore configurations (:mod:`repro.engine.config` rebuilds a generator
-by fast-forwarding a fresh one through its recorded primitive results);
-``docs/architecture.md`` states the full determinism/fingerprint
-contract in one place.
+Operations as values
+--------------------
+The same contract is what lets an in-flight operation be a value.  A
+process's current point in its operation is an :class:`OpNode`,
+identified by the invocation, the idle memory it was invoked on and
+the primitive results fed so far; it never changes once built, so the
+exploration engine snapshots a configuration by sharing nodes and
+restores one by assigning them (:mod:`repro.engine.config`).  Each node
+memoises the step out of it (the primitive it applies or the value it
+returns, and the memory after), so
+:meth:`~repro.sim.runtime.Runtime.apply_decision` resumes a generator
+only for a step no runtime has taken before, and rebuilds one, by
+fast-forwarding a fresh generator through the node's results, only
+when the node has none.  The memo is keyed by the full result path, not
+by the weaker frame fingerprint; results and memories compare by value,
+as fingerprints compare them.  ``docs/architecture.md`` states the full
+determinism/fingerprint contract in one place.
 
 Value types
 -----------
 Everything the step path builds once per step, event or invocation is
 a named tuple (:class:`Op`, :class:`Footprint`, the history events of
-:mod:`repro.core.events`) or a ``__slots__`` record
-(:class:`ProcessFrame`), never a dataclass: the named tuples build in
-0.5–0.6 µs where the frozen dataclasses they replace took 0.7–1.2 µs,
-and hashing an event is the tuple's C hash (``docs/architecture.md``,
-"Value types on the step path").
+:mod:`repro.core.events`) or a ``__slots__`` object (:class:`OpNode`,
+built once per new operation point), never a dataclass: the named
+tuples build in 0.5–0.6 µs where the frozen dataclasses they replace
+took 0.7–1.2 µs, and hashing an event is the tuple's C hash
+(``docs/architecture.md``, "Value types on the step path").
 """
 
 from __future__ import annotations
@@ -64,7 +77,6 @@ from repro.core.object_type import ObjectType
 from repro.obs.recorder import active as _obs_active
 from repro.util.errors import SimulationError
 from repro.util.freeze import unhashable_item
-from repro.util.slots import SlotsRecord
 
 #: Type alias for algorithm coroutines.
 Algorithm = Generator["Op", Any, Any]
@@ -97,8 +109,8 @@ class Footprint(NamedTuple):
 
     A completing step has an *empty* pool footprint by construction:
     the step body of :meth:`~repro.sim.runtime.Runtime.apply_decision`
-    sees the generator's ``StopIteration`` before any new primitive is
-    applied.
+    finds the operation's return (memoised, or the generator's
+    ``StopIteration``) before any new primitive is applied.
     """
 
     pid: int
@@ -172,47 +184,133 @@ class Implementation(ABC):
         return f"<{type(self).__name__} {self.name!r} n={self.n_processes}>"
 
 
-class ProcessFrame(SlotsRecord):
-    """Execution state of one in-flight operation of one process.
+class OpNode:
+    """One point of one in-flight operation, as a value.
 
-    When the owning runtime records replay logs (the exploration
-    engine's snapshot mode), ``result_log`` accumulates every primitive
-    result fed to the generator and ``memory_at_invoke`` holds a copy of
-    the process memory as it was *before* the invocation.  Together with
-    the determinism contract above they let :mod:`repro.engine.config`
-    rebuild an equivalent generator by fast-forwarding a fresh one
-    through the recorded results — the only part of a configuration that
-    cannot be copied directly.  One frame is built per invocation, so it
-    is a ``__slots__`` record, not a dataclass.
+    A node is identified by what a fresh generator would need to reach
+    the same point: the :attr:`invocation`, the idle process memory it
+    was invoked on (:attr:`memory_at_invoke`) and the primitive results
+    fed to the generator so far (:attr:`path`, a cons list
+    ``(r_k, (r_k-1, ... ()))`` whose tails are shared with the node's
+    ancestors).  Nodes compare equal by exactly that value, so the same
+    point reached in two runtimes is the same node for snapshot
+    equality; they are unhashable, as :attr:`memory_at_invoke` is a
+    dict.
+
+    The node also holds what the frame fingerprint reads
+    (:attr:`primitives_issued`, :attr:`last_result`, :attr:`pending_op`)
+    and the process :attr:`memory` at this point.  None of these, nor
+    any memory a node refers to, is ever mutated after the node is
+    built: the live generator works on a dict of its own.
+
+    The rest is a write-once memo of the step out of this point, filled
+    the first time any runtime takes it: :attr:`next_memory` (``None``
+    until then), and either :attr:`next_op` (the primitive the step
+    applies) or, when ``next_op`` is ``None``, the operation's return
+    :attr:`value`.  Children are keyed by the primitive result: the
+    first inline in :attr:`child`, any further ones in :attr:`children`.
+    Links run only downward (a child holds its parent's *path*, never
+    its parent), so a trie of nodes is free of reference cycles.
+
+    :attr:`process_fingerprint` caches the owning process's fingerprint
+    at this point (:meth:`ProcessState.fingerprint`).
+
+    :attr:`generator` is a live generator suspended exactly at this
+    point, working on :attr:`working_memory`; a node has one only until
+    some runtime steps from it (the generator moves to the child) or
+    crashes its process (the generator is closed).  Stepping an
+    unmemoised node without one rebuilds it
+    (:meth:`~repro.sim.runtime.Runtime.apply_decision`).
     """
 
     __slots__ = (
         "invocation",
-        "generator",
+        "memory_at_invoke",
+        "path",
         "primitives_issued",
         "last_result",
         "pending_op",
-        "result_log",
-        "memory_at_invoke",
+        "memory",
+        "next_op",
+        "value",
+        "next_memory",
+        "child",
+        "children",
+        "generator",
+        "working_memory",
+        "process_fingerprint",
     )
 
     def __init__(
         self,
         invocation: Invocation,
-        generator: Algorithm,
+        memory_at_invoke: Dict[str, Any],
+        memory: Dict[str, Any],
+        path: Tuple[Any, ...] = (),
         primitives_issued: int = 0,
         last_result: Any = None,
         pending_op: Optional[Op] = None,
-        result_log: Optional[list] = None,
-        memory_at_invoke: Optional[Dict[str, Any]] = None,
     ):
         self.invocation = invocation
-        self.generator = generator
+        self.memory_at_invoke = memory_at_invoke
+        self.memory = memory
+        self.path = path
         self.primitives_issued = primitives_issued
         self.last_result = last_result
         self.pending_op = pending_op
-        self.result_log = result_log
-        self.memory_at_invoke = memory_at_invoke
+        self.next_op: Optional[Op] = None
+        self.value: Any = None
+        self.next_memory: Optional[Dict[str, Any]] = None
+        self.child: Optional[OpNode] = None
+        self.children: Optional[Dict[Any, OpNode]] = None
+        self.generator: Optional[Algorithm] = None
+        self.working_memory: Optional[Dict[str, Any]] = None
+        self.process_fingerprint: Optional[Hashable] = None
+
+    def results(self) -> Tuple[Any, ...]:
+        """The primitive results fed so far, oldest first."""
+        results = []
+        path = self.path
+        while path:
+            results.append(path[0])
+            path = path[1]
+        results.reverse()
+        return tuple(results)
+
+    def child_for(self, result: Any) -> "OpNode":
+        """The node after :attr:`next_op` returned ``result``.
+
+        Built on first use; a live generator this node holds (suspended
+        just after yielding :attr:`next_op`) moves to the new child.
+        Results are told apart by value, as the fingerprint does.
+        """
+        child = self.child
+        if child is not None and child.last_result == result:
+            return child
+        children = self.children
+        if children is not None:
+            child = children.get(result)
+            if child is not None:
+                return child
+        child = OpNode(
+            self.invocation,
+            self.memory_at_invoke,
+            self.next_memory,  # type: ignore[arg-type]
+            (result, self.path),
+            self.primitives_issued + 1,
+            result,
+            self.next_op,
+        )
+        if self.generator is not None:
+            child.generator, child.working_memory = self.generator, self.working_memory
+            self.generator = self.working_memory = None
+        if self.child is None:
+            self.child = child
+        else:
+            if children is None:
+                children = self.children = {}
+            children[result] = child
+        return child
 
     def fingerprint(self) -> Hashable:
         """Frame part of the global configuration fingerprint."""
@@ -226,6 +324,36 @@ class ProcessFrame(SlotsRecord):
             (pending.obj, pending.method) if pending else None,
         )
 
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not OpNode:
+            return NotImplemented
+        if (
+            self.primitives_issued != other.primitives_issued  # type: ignore[attr-defined]
+            or self.invocation != other.invocation  # type: ignore[attr-defined]
+            or self.memory_at_invoke != other.memory_at_invoke  # type: ignore[attr-defined]
+        ):
+            return False
+        # Equal lengths, so both paths reach () together; walked
+        # iteratively, since a long operation's path nests deeply.
+        mine, theirs = self.path, other.path  # type: ignore[attr-defined]
+        while mine is not theirs and mine:
+            if mine[0] != theirs[0]:
+                return False
+            mine, theirs = mine[1], theirs[1]
+        return True
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"OpNode(invocation={self.invocation!r}, "
+            f"primitives_issued={self.primitives_issued!r}, "
+            f"last_result={self.last_result!r}, "
+            f"pending_op={self.pending_op!r}, memory={self.memory!r})"
+        )
+
 
 @dataclass
 class ProcessState:
@@ -233,7 +361,8 @@ class ProcessState:
 
     pid: int
     memory: Dict[str, Any] = field(default_factory=dict)
-    frame: Optional[ProcessFrame] = None
+    #: The in-flight operation's current point, ``None`` when idle.
+    frame: Optional[OpNode] = None
     crashed: bool = False
     steps: int = 0
     last_step: int = -1
@@ -263,12 +392,20 @@ class ProcessState:
         rec = _obs_active()
         if rec is not None:
             rec.count("kernel/state_hashes")
-        return (
-            self.pid,
-            self.crashed,
-            tuple(sorted(self.memory.items())),
-            self.frame.fingerprint() if self.frame else None,
-        )
+        node = self.frame
+        if node is None:
+            return (self.pid, self.crashed, tuple(sorted(self.memory.items())), None)
+        # In flight (a crash clears the frame): the node's memory is this
+        # process's memory, so the fingerprint is the node's, built once.
+        fingerprint = node.process_fingerprint
+        if fingerprint is None:
+            fingerprint = node.process_fingerprint = (
+                self.pid,
+                False,
+                tuple(sorted(node.memory.items())),
+                node.fingerprint(),
+            )
+        return fingerprint
 
     def check_hashable(self) -> None:
         """Raise :class:`SimulationError` if a memory value is not

@@ -4,10 +4,22 @@
 states, history, statistics) and executes the decision loop:
 
 1. ask the driver for a :class:`~repro.sim.drivers.Decision`;
-2. apply it — invoke (record the invocation event and create the
-   operation frame), step (advance one frame by one atomic primitive,
-   recording the response event if the operation completed), or crash;
+2. apply it — invoke (record the invocation event and move the process
+   to the operation's root :class:`~repro.sim.kernel.OpNode`), step
+   (apply one atomic primitive and move to the node its result leads
+   to, recording the response event if the operation completed), or
+   crash;
 3. feed the lasso detector; stop on budget, lasso, or driver stop.
+
+A runtime keeps the nodes its operations reached as a trie: the roots,
+keyed by invocation and idle memory, and below each node the memoised
+step out of it.  A step the trie already holds replays the memo; only
+a new one resumes the operation's generator (rebuilt by fast-forward
+when no node holds it live).  A step whose algorithm raises memoises
+nothing, so it raises again every time it is taken.  Memories the
+operations produce are shared by value, one dict per value per
+runtime, so equal idle memories lead to one root.  The trie lives and
+dies with the runtime.
 
 The runtime enforces the model's rules: input-enabledness (only idle
 processes are invoked), one outstanding operation per process, no steps
@@ -19,10 +31,11 @@ driver, never a legal behaviour.
 from __future__ import annotations
 
 
-from typing import Dict, Hashable, List, Optional
+from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.core.events import Crash, Invocation, Response
 from repro.core.history import History
+from repro.obs.recorder import active as _obs_active
 from repro.sim.drivers import (
     CrashDecision,
     Decision,
@@ -35,7 +48,7 @@ from repro.sim.kernel import (
     Footprint,
     Implementation,
     Op,
-    ProcessFrame,
+    OpNode,
     ProcessState,
 )
 from repro.sim.lasso import LassoDetector
@@ -153,12 +166,6 @@ class Runtime:
     lasso_stride:
         Fingerprint every n-th step (see
         :class:`~repro.sim.lasso.LassoDetector`).
-    record_replay_log:
-        Record, on every frame, the primitive results fed to its
-        generator and the process memory as of the invocation.  This is
-        what makes a configuration snapshot/restorable by the
-        exploration engine (:mod:`repro.engine.config`); plain
-        simulation runs leave it off and pay nothing.
     """
 
     def __init__(
@@ -168,13 +175,11 @@ class Runtime:
         max_steps: int = 100_000,
         detect_lasso: bool = True,
         lasso_stride: int = 1,
-        record_replay_log: bool = False,
     ):
         self.implementation = implementation
         self.driver = driver
         self.max_steps = max_steps
         self.detect_lasso = detect_lasso
-        self.record_replay_log = record_replay_log
         self.pool = implementation.create_pool()
         self.processes: List[ProcessState] = [
             ProcessState(pid=pid, memory=implementation.initial_memory(pid))
@@ -192,6 +197,15 @@ class Runtime:
         self.last_footprint: Optional[Footprint] = None
         self._is_good = implementation.object_type.is_good
         self._detector = LassoDetector(check_every=lasso_stride)
+        # The root node of every operation this runtime invoked, keyed
+        # by the invocation and the identity of the idle memory it was
+        # invoked on (the root holds that memory, so the identity stays
+        # unique for as long as the entry lives).  An idle memory is
+        # never mutated, so equal keys mean the same starting point.
+        self._roots: Dict[Tuple[Invocation, int], OpNode] = {}
+        # One dict per memory value this runtime's operations produced
+        # (see _share), so equal idle memories are one key above.
+        self._memories: Dict[FrozenSet[Tuple[str, Any]], Dict[str, Any]] = {}
 
     def reset_lasso(self) -> None:
         """Forget every configuration the lasso detector has observed.
@@ -230,27 +244,34 @@ class Runtime:
         one per decision.  Dispatch is on the decision's exact class,
         steps first (they are nearly every decision), and each kind is
         one flat body: a step is the kernel's hot loop.
+
+        An in-flight operation is an :class:`~repro.sim.kernel.OpNode`.
+        A step out of a node some runtime has already stepped from
+        replays the node's memo (the recorded primitive, or the return
+        value) and moves to the child for the primitive's result; only
+        a step out of a new point resumes a generator
+        (:meth:`_advance`).
         """
         kind = type(decision)
         if kind is StepDecision:
             pid = decision.pid
             state = self.processes[pid]
-            frame = state.frame
-            if frame is None or state.crashed:
+            node = state.frame
+            if node is None or state.crashed:
                 if state.crashed:
                     raise SimulationError(f"cannot step crashed p{pid}")
                 raise SimulationError(f"cannot step p{pid}: no pending operation")
             stats = self.stats[pid]
             stats.steps += 1
             stats.last_step = self.step_count
-            # One step: resume the generator with the result of its
-            # previous primitive (``None`` starts a fresh one), then
-            # apply the next primitive it requests atomically.
-            try:
-                op = frame.generator.send(frame.last_result)
-            except StopIteration as stop:
-                response = Response(pid, frame.invocation.operation, stop.value)
+            memory = node.next_memory
+            if memory is None:
+                memory = self._advance(pid, node)
+            op = node.next_op
+            if op is None:
+                response = Response(pid, node.invocation.operation, node.value)
                 state.frame = None
+                state.memory = memory
                 self.events.append(response)
                 self.last_response[pid] = response
                 stats.responses += 1
@@ -258,20 +279,19 @@ class Runtime:
                     stats.good_responses += 1
                     stats.good_response_steps.append(self.step_count)
                 if self.record_footprints:
-                    # The generator returned before requesting a
+                    # The operation returned before requesting a
                     # primitive, so a completing step touches no cell.
                     self.last_footprint = Footprint(pid, "response")
                 self.step_count += 1
                 return
-            if not isinstance(op, Op):
-                raise SimulationError(
-                    f"algorithm for {frame.invocation} yielded {op!r}; expected Op"
-                )
-            frame.pending_op = op
-            result = frame.last_result = self.pool.apply(op.obj, op.method, op.args)
-            frame.primitives_issued += 1
-            if frame.result_log is not None:
-                frame.result_log.append(result)
+            # Apply the step's primitive atomically and move to the
+            # point its result leads to.
+            result = self.pool.apply(op.obj, op.method, op.args)
+            child = node.child
+            if child is None or child.last_result != result:
+                child = node.child_for(result)
+            state.frame = child
+            state.memory = memory
             if self.record_footprints:
                 mode, key = self.pool.footprint(op.obj, op.method, op.args)
                 cells = ((op.obj, key),)
@@ -291,34 +311,11 @@ class Runtime:
                     f"cannot invoke on p{pid}: operation already pending"
                 )
             invocation = Invocation(pid, decision.operation, decision.args)
-            # Memory values are immutable (the kernel contract), checked
-            # here once per operation: a mutable value left behind by the
-            # previous operation would be shared between snapshots by the
-            # copy below.
-            state.check_hashable()
-            # Memory is copied *before* algorithm() runs: implementations
-            # may mutate memory at generator-creation time, and the
-            # snapshot restore path replays that mutation by calling
-            # algorithm() again.  The operation works on the copy and the
-            # pre-invoke dict is kept untouched: an idle process's memory
-            # is never mutated, which is what lets snapshots share it
-            # instead of copying it.  A one-level copy suffices, since an
-            # operation rebinds keys and never mutates the values they
-            # hold.
-            memory_before = result_log = None
-            if self.record_replay_log:
-                memory_before = state.memory
-                state.memory = dict(memory_before)
-                result_log = []
-            generator = self.implementation.algorithm(
-                pid, decision.operation, decision.args, state.memory
-            )
-            state.frame = ProcessFrame(
-                invocation,
-                generator,
-                result_log=result_log,
-                memory_at_invoke=memory_before,
-            )
+            root = self._roots.get((invocation, id(state.memory)))
+            if root is None:
+                root = self._invoke_root(state, invocation)
+            state.frame = root
+            state.memory = root.memory
             self.events.append(invocation)
             self.stats[pid].invocations += 1
             if self.record_footprints:
@@ -330,8 +327,12 @@ class Runtime:
             state = self.processes[pid]
             if state.crashed:
                 raise SimulationError(f"p{pid} is already crashed")
-            if state.frame is not None:
-                state.frame.generator.close()
+            node = state.frame
+            if node is not None:
+                generator = node.generator
+                if generator is not None:
+                    node.generator = node.working_memory = None
+                    generator.close()
                 state.frame = None
             state.crashed = True
             self.stats[pid].crashed = True
@@ -341,6 +342,116 @@ class Runtime:
         else:
             raise SimulationError(f"unknown decision {decision!r}")
         self.step_count += 1
+
+    def _invoke_root(self, state: ProcessState, invocation: Invocation) -> OpNode:
+        """The root node of an operation not yet invoked on this idle
+        memory: call the algorithm and keep its generator on the root."""
+        # Memory values are immutable (the kernel contract), checked
+        # once per idle memory: a mutable value left behind by the
+        # previous operation would be shared between nodes and
+        # snapshots.
+        state.check_hashable()
+        idle = state.memory
+        # The operation works on a copy: implementations may mutate
+        # memory when algorithm() is called, and an idle memory is
+        # never mutated, which is what lets nodes and snapshots share
+        # it.  A one-level copy suffices, since an operation rebinds
+        # keys and never mutates the values they hold.
+        working = dict(idle)
+        generator = self.implementation.algorithm(
+            state.pid, invocation.operation, invocation.args, working
+        )
+        root = OpNode(invocation, idle, self._share(working, idle))
+        root.generator, root.working_memory = generator, working
+        self._roots[(invocation, id(idle))] = root
+        return root
+
+    def _advance(self, pid: int, node: OpNode) -> Dict[str, Any]:
+        """Take the first step out of ``node`` and memoise it.
+
+        Resumes the node's live generator with the node's last result
+        (``None`` starts a fresh one), or, when the node has none, first
+        rebuilds one by fast-forwarding a fresh generator through the
+        node's recorded results.  Records the primitive the generator
+        requests (or its return value) and the memory after, and
+        returns that memory.  The generator is left on the node, just
+        past the recorded primitive, for :meth:`OpNode.child_for` to
+        hand to the first child.
+
+        An algorithm that raises leaves the node unmemoised and without
+        a generator (the raising one is finished), so the next step out
+        of the node rebuilds and raises again.
+        """
+        generator = node.generator
+        if generator is None:
+            generator = self._rebuild(pid, node)
+        working = node.working_memory
+        try:
+            op = generator.send(node.last_result)
+        except StopIteration as stop:
+            node.generator = node.working_memory = None
+            node.value = stop.value
+        except BaseException:
+            node.generator = node.working_memory = None
+            raise
+        else:
+            if not isinstance(op, Op):
+                node.generator = node.working_memory = None
+                raise SimulationError(
+                    f"algorithm for {node.invocation} yielded {op!r}; expected Op"
+                )
+            node.next_op = op
+        memory = node.next_memory = self._share(working, node.memory)
+        return memory
+
+    def _share(self, working: Dict[str, Any], before: Dict[str, Any]) -> Dict[str, Any]:
+        """A never-mutated dict equal to the operation's ``working``
+        memory: ``before`` when nothing changed, else the one dict this
+        runtime keeps for that value.  Sharing by value keeps the trie
+        small: every point of an operation invoked on an equal idle
+        memory is then one node.  Values compare by value, as the
+        fingerprint compares them.  A memory holding an unhashable value
+        (a contract violation, named by the next invocation's check) is
+        copied instead."""
+        if working == before:
+            return before
+        try:
+            key = frozenset(working.items())
+        except TypeError:
+            return dict(working)
+        memory = self._memories.get(key)
+        if memory is None:
+            memory = self._memories[key] = dict(working)
+        return memory
+
+    def _rebuild(self, pid: int, node: OpNode) -> Any:
+        """Rebuild the generator of a node that has none, by creating a
+        fresh one on a copy of the invoke-time memory and feeding it the
+        node's recorded results.  Sound by the determinism contract of
+        :mod:`repro.sim.kernel`: an algorithm's behaviour is a function
+        of its invocation, its memory and the results fed so far."""
+        rec = _obs_active()
+        if rec is not None:
+            rec.count("kernel/frame_rebuilds")
+        invocation = node.invocation
+        working = dict(node.memory_at_invoke)
+        generator = self.implementation.algorithm(
+            pid, invocation.operation, invocation.args, working
+        )
+        results = node.results()
+        if results:
+            try:
+                next(generator)
+                for result in results[:-1]:
+                    generator.send(result)
+            except StopIteration as stop:
+                raise SimulationError(
+                    f"fast-forward of {invocation} terminated early: the "
+                    "algorithm is not deterministic in its recorded results "
+                    f"({stop.value!r})"
+                ) from None
+        node.generator, node.working_memory = generator, working
+        return generator
 
     # -- fingerprints ------------------------------------------------------------
 

@@ -9,17 +9,22 @@ The engine's load-bearing promises, in test form:
 * a delta restore (skipping what the scratch already holds) equals a
   restore into a fresh configuration, however the scratch got where it
   is — by ``apply``, by a fuzz fast walk, or by a liveness-search branch;
+* an operation node gives the configuration a fresh replay gives, on
+  every path a step can take: the memo, the live generator, and a
+  rebuild after a sibling took the generator or a crash closed it; an
+  algorithm that raised raises again;
 * the explorer's search honours its strategy, budget, depth and
   edge-recording contracts, and rejects an unknown strategy when it is
   built;
 * its visit order is pinned: three searches reproduce recorded digests
   of their ordered schedules (and, for the valency search, edges), and
-  a DPOR revisit repair re-queues its state.
+  a DPOR revisit repair re-queues its state and counts its capture.
 """
 
 import hashlib
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -35,6 +40,7 @@ from repro.algorithms.consensus import (
 from repro.algorithms.tm import AgpTransactionalMemory, I12TransactionalMemory
 from repro.base_objects.base import ObjectPool
 from repro.base_objects.register import AtomicRegister
+from repro.core.events import Response
 from repro.core.object_type import ObjectType, OperationSignature, ProgressMode
 from repro.engine import (
     EngineParityError,
@@ -51,6 +57,7 @@ from repro.sim.drivers import CrashDecision, InvokeDecision, StepDecision
 from repro.sim.kernel import Implementation, Op
 from repro.sim.explore import plan_successors
 from repro.sim.liveness_search import LivenessSearch, PlanPolicy
+from repro.util.errors import SimulationError
 from repro.util.freeze import HashedKey
 from repro.util.rng import DeterministicRng
 
@@ -260,6 +267,34 @@ class TestVisitOrderPin:
         assert (visits, counters["dpor/revisit_repairs"]) == (425, 2)
         assert counters["engine/frontier_pushes"] == visits - 1
         assert counters["engine/frontier_pops"] == 1 + (visits - 1) + 2
+
+    def test_every_capture_is_counted(self, monkeypatch):
+        # A repair captures the re-queued state too: the counter must
+        # equal the number of KernelConfig.capture calls (two of the
+        # captures here are the repairs').
+        captures = []
+        original = KernelConfig.capture
+
+        def counting(config):
+            captures.append(1)
+            return original(config)
+
+        monkeypatch.setattr(KernelConfig, "capture", counting)
+        scenario = get_scenario("consensus-grid:impl=cas,n=3,proposals=alt")
+        explorer = KernelExplorer(
+            scenario.factory,
+            plan_successors(scenario.plan),
+            strategy="dfs",
+            max_depth=scenario.bounds.max_depth,
+            max_configurations=scenario.bounds.max_configurations,
+            reduction="dpor",
+        )
+        with recording() as rec:
+            for _ in explorer.run():
+                pass
+        counters = rec.counters
+        assert counters["dpor/revisit_repairs"] == 2
+        assert counters["engine/snapshot_captures"] == len(captures) == 328
 
     def test_valency_bfs_prune_edges(self, monkeypatch):
         import repro.adversaries.valency as valency
@@ -620,6 +655,185 @@ import pickle, sys
 key = pickle.loads(sys.stdin.buffer.read())
 sys.stdout.write(repr((hash(key) == hash(key.value), repr(key) == repr(key.value))))
 """
+
+
+RACE_TYPE = ObjectType(
+    name="race",
+    operations=(OperationSignature("race", response_domain=None),),
+    progress_mode=ProgressMode.EVENTUAL,
+)
+
+
+class Race(Implementation):
+    """Each operation reads a shared cell, writes back what it read plus
+    its pid plus one, and reads again.  Which point a step reaches
+    depends on the other process, so one node gets several children.
+    ``algorithm()`` itself counts the calls in memory, before any step.
+    """
+
+    name = "race"
+
+    def __init__(self):
+        super().__init__(RACE_TYPE, 2)
+
+    def create_pool(self):
+        return ObjectPool([AtomicRegister("cell", 0)])
+
+    def algorithm(self, pid, operation, args, memory):
+        memory["calls"] = memory.get("calls", 0) + 1
+        return self._race(pid, memory)
+
+    @staticmethod
+    def _race(pid, memory):
+        seen = yield Op("cell", "read")
+        memory["seen"] = seen
+        yield Op("cell", "write", (seen + pid + 1,))
+        final = yield Op("cell", "read")
+        return (seen, final)
+
+
+class Flaky(Race):
+    """Breaks the determinism contract: every generator but the first
+    returns at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.built = 0
+
+    def algorithm(self, pid, operation, args, memory):
+        self.built += 1
+        if self.built > 1:
+            return self._gone()
+        return super().algorithm(pid, operation, args, memory)
+
+    @staticmethod
+    def _gone():
+        return "gone"
+        yield  # pragma: no cover - makes this a generator
+
+
+RACE_INVOKES = [InvokeDecision(0, "race"), InvokeDecision(1, "race")]
+
+
+def _assert_matches_replay(config, schedule):
+    """``config`` must be the configuration a fresh runtime reaches by
+    replaying ``schedule`` from the start."""
+    fresh = KernelConfig.replay(Race, schedule)
+    assert config.fingerprint() == fresh.fingerprint()
+    assert config.kernel_fingerprint() == fresh.kernel_fingerprint()
+    assert config.history().events == fresh.history().events
+    # Process parts compare without their fingerprint cache seeds; the
+    # nodes compare by value although the two runtimes built them apart.
+    mine, theirs = config.capture(), fresh.capture()
+    assert [part._replace(fingerprint=None) for part in mine.processes] == [
+        part._replace(fingerprint=None) for part in theirs.processes
+    ]
+    assert mine._replace(processes=()) == theirs._replace(processes=())
+
+
+class TestOpNodes:
+    """An in-flight operation is a node: a restore assigns it, a step
+    out of a memoised node replays the memo, and only a step out of a
+    new point resumes (or rebuilds) a generator.  Every path must give
+    the configuration a fresh replay of the same schedule gives."""
+
+    def test_sibling_took_the_generator_so_the_step_rebuilds(self):
+        config = KernelConfig.initial(Race).apply_all(RACE_INVOKES)
+        invoked = config.capture()
+        root = config.runtime.processes[0].frame
+        assert root.generator is not None
+        config.apply(StepDecision(0))  # p0 reads 0; its generator moves on
+        assert root.generator is None and root.child.generator is not None
+        config.restore_from(invoked)
+        schedule = RACE_INVOKES + [StepDecision(1), StepDecision(1)]
+        config.apply_all(schedule[2:])  # p1 writes 2
+        with recording() as rec:
+            config.apply(StepDecision(0))  # memo: read, now a new result
+            node = config.runtime.processes[0].frame
+            assert node.last_result == 2 and node.generator is None
+            assert root.children == {2: node} and root.child is not node
+            config.apply(StepDecision(0))  # a miss: rebuild, then write
+        assert rec.counters.get("kernel/frame_rebuilds") == 1
+        schedule += [StepDecision(0), StepDecision(0)]
+        _assert_matches_replay(config, schedule)
+        config.apply_all([StepDecision(0), StepDecision(0), StepDecision(1)])
+        schedule += [StepDecision(0), StepDecision(0), StepDecision(1)]
+        _assert_matches_replay(config, schedule)
+        assert config.runtime.events[-1] == Response(0, "race", (2, 3))
+
+    def test_crash_closes_the_live_generator(self):
+        config = KernelConfig.initial(Race).apply_all(RACE_INVOKES)
+        config.apply(StepDecision(0))
+        mid_flight = config.capture()
+        node = config.runtime.processes[0].frame
+        assert node.generator is not None
+        config.apply(CrashDecision(0))
+        assert node.generator is None and node.working_memory is None
+        _assert_matches_replay(
+            config, RACE_INVOKES + [StepDecision(0), CrashDecision(0)]
+        )
+        config.restore_from(mid_flight)
+        tail = [StepDecision(0), StepDecision(1), StepDecision(0), StepDecision(0)]
+        with recording() as rec:
+            config.apply_all(tail)
+        assert rec.counters.get("kernel/frame_rebuilds") == 1
+        _assert_matches_replay(config, RACE_INVOKES + [StepDecision(0)] + tail)
+
+    def test_memory_mutated_by_algorithm_call(self):
+        config = KernelConfig.initial(Race)
+        idle = config.runtime.processes[0].memory
+        config.apply_all(RACE_INVOKES)
+        invoked = config.capture()
+        assert config.runtime.processes[0].memory == {"calls": 1}
+        assert idle == {}  # the idle memory is never mutated
+        schedule = RACE_INVOKES + [StepDecision(0)] * 4
+        schedule += [InvokeDecision(0, "race")]
+        config.apply_all(schedule[2:])
+        assert config.runtime.processes[0].memory == {"calls": 2, "seen": 0}
+        _assert_matches_replay(config, schedule)
+        # A rebuild works on a copy of the invoke-time memory, so the
+        # call counted in algorithm() is counted once.
+        config.restore_from(invoked)
+        schedule = RACE_INVOKES + [StepDecision(1)] * 2 + [StepDecision(0)] * 2
+        with recording() as rec:
+            config.apply_all(schedule[2:])
+        assert rec.counters.get("kernel/frame_rebuilds") == 1
+        assert config.runtime.processes[0].memory == {"calls": 1, "seen": 2}
+        _assert_matches_replay(config, schedule)
+
+    def test_algorithm_that_raises_raises_again_after_a_restore(self):
+        # AGP's read outside a transaction raises in its body: the node
+        # must keep no memo and no finished generator, so the same step
+        # from the same root rebuilds and raises again.
+        config = KernelConfig.initial(
+            lambda: AgpTransactionalMemory(2, variables=(0,))
+        )
+        initial = config.capture()
+        message = "transactional operation outside a transaction (no start)"
+        for attempt in range(3):
+            config.restore_from(initial)
+            config.apply(InvokeDecision(0, "read", (0,)))
+            root = config.runtime.processes[0].frame
+            with recording() as rec:
+                with pytest.raises(SimulationError, match=re.escape(message)):
+                    config.apply(StepDecision(0))
+            assert root.next_memory is None and root.generator is None
+            assert rec.counters.get("kernel/frame_rebuilds", 0) == min(attempt, 1)
+
+    def test_rebuild_that_stops_early_is_rejected(self):
+        config = KernelConfig.initial(Flaky)
+        config.apply_all([InvokeDecision(0, "race"), StepDecision(0)])
+        mid_flight = config.capture()
+        config.apply(CrashDecision(0))
+        config.restore_from(mid_flight)
+        with pytest.raises(
+            SimulationError,
+            match=re.escape(
+                "fast-forward of race()_0 terminated early: the algorithm is "
+                "not deterministic in its recorded results ('gone')"
+            ),
+        ):
+            config.apply(StepDecision(0))
 
 
 class TestHashedKey:

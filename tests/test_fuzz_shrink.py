@@ -1,11 +1,16 @@
 """Shrinker regression tests: planted violations shrink deterministically
 to minimal, replayable traces, and the checkpointed shrinker does
-exactly the work of a from-scratch ddmin loop."""
+exactly the work of a from-scratch ddmin loop, also when candidates
+make an algorithm raise."""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.base_objects.base import BaseObject, ObjectPool
+from repro.base_objects.register import AtomicRegister
 from repro.core.object_type import ObjectType, OperationSignature, ProgressMode
+from repro.core.properties import SafetyProperty, Verdict
 from repro.fuzz import (
     fuzz_workload,
     replay_schedule,
@@ -346,3 +351,108 @@ class TestWitnessCheckpoints:
                 else:
                     assert history is None, schedule
             checkpoints.accept(accepted)
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints: an algorithm that raises must raise again on every replay
+# ---------------------------------------------------------------------------
+
+
+class GateImplementation(Implementation):
+    """``open``/``close`` write 1/0 to a shared cell; ``check`` reads it
+    and raises on an open gate, in its body after the read."""
+
+    name = "gate"
+
+    def __init__(self):
+        super().__init__(GATE_TYPE, 2)
+
+    def create_pool(self):
+        return ObjectPool([AtomicRegister("cell", 0)])
+
+    def algorithm(self, pid, operation, args, memory):
+        if operation == "check":
+            return self._check()
+        return self._set(1 if operation == "open" else 0)
+
+    @staticmethod
+    def _check():
+        if (yield Op("cell", "read")):
+            raise SimulationError("checked an open gate")
+        return "ok"
+
+    @staticmethod
+    def _set(value):
+        yield Op("cell", "write", (value,))
+        return "ok"
+
+
+GATE_TYPE = ObjectType(
+    name="gate",
+    operations=tuple(
+        OperationSignature(name, response_domain=("ok",))
+        for name in ("open", "close", "check")
+    ),
+    progress_mode=ProgressMode.EVENTUAL,
+)
+
+
+class NoCheckAnswers(SafetyProperty):
+    """Violated by any answered ``check`` (p0's only operation)."""
+
+    name = "no-check-answers"
+
+    def check_history(self, history):
+        if history.responses(0):
+            return Verdict.failed("p0's check answered")
+        return Verdict.passed()
+
+
+GATE_PLAN = {0: [("check", ())], 1: [("open", ()), ("close", ()), ("close", ())]}
+#: p1 opens the gate and closes it twice, then p0's check reads 0 and
+#: answers.
+GATE_WITNESS = (
+    ("invoke", 1), ("step", 1), ("step", 1),
+    ("invoke", 1), ("step", 1), ("step", 1),
+    ("invoke", 1), ("step", 1), ("step", 1),
+    ("invoke", 0), ("step", 0), ("step", 0),
+)
+
+
+class TestRaisingAlgorithm:
+    """A check that reads 1 raises.  Every candidate that gets there
+    must be rejected, however many candidates reached the same point of
+    the check before: a replayed step must not answer for an algorithm
+    that raised."""
+
+    def test_every_candidate_that_opens_the_gate_is_invalid(self):
+        checkpoints = WitnessCheckpoints(
+            GateImplementation, GATE_PLAN, GATE_WITNESS
+        )
+        # Each drops both closes' writes, so each reaches p0's check at
+        # the same point, reading 1.
+        for candidate in (
+            GATE_WITNESS[:3] + GATE_WITNESS[9:],
+            GATE_WITNESS[:4] + GATE_WITNESS[9:],
+            GATE_WITNESS[:2] + GATE_WITNESS[9:],
+        ):
+            assert not replay_schedule(
+                GateImplementation, GATE_PLAN, candidate
+            ).valid
+            assert checkpoints.replay(candidate) is None, candidate
+
+    def test_shrinks_like_the_reference(self):
+        scenario = SimpleNamespace(
+            factory=GateImplementation,
+            plan=GATE_PLAN,
+            safety_factory=NoCheckAnswers,
+        )
+        shrunk = assert_shrinks_like_reference(scenario, GATE_WITNESS)
+        # Candidates that leave the gate open reach the same point of
+        # the check several times, and every one is rejected: the check
+        # must still read a 0 a close wrote.
+        assert len(shrunk.schedule) == 8
+        history = replay_schedule(
+            GateImplementation, GATE_PLAN, shrunk.schedule
+        ).history
+        assert history.responses(0)[0].value == "ok"

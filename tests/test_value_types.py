@@ -1,9 +1,10 @@
 """Contract tests for the value types built on the kernel step path.
 
 Events, :class:`~repro.sim.kernel.Op` and
-:class:`~repro.sim.kernel.Footprint` are tuple-backed, and
-:class:`~repro.sim.kernel.ProcessFrame` and
-:class:`~repro.objects.tm.TransactionCall` are ``__slots__`` records.
+:class:`~repro.sim.kernel.Footprint` are tuple-backed,
+:class:`~repro.objects.tm.TransactionCall` is a ``__slots__`` record,
+and :class:`~repro.sim.kernel.OpNode` is a ``__slots__`` value that
+compares by its identity fields.
 Their constructors, equality, hashing, rendered text, pickling and
 immutability are pinned here to the frozen-dataclass behaviour they
 replace: every string below is what the dataclass versions rendered.
@@ -28,7 +29,7 @@ from repro.objects.tm import (
     TransactionCall,
     parse_transactions,
 )
-from repro.sim.kernel import Footprint, Op, ProcessFrame
+from repro.sim.kernel import Footprint, Op, OpNode
 
 # (type, positional args, keyword args, repr, str, sort key or None)
 CASES = [
@@ -179,23 +180,42 @@ class TestSlotsRecords:
         with pytest.raises(TypeError):
             hash(call)
 
-    def test_process_frame(self):
-        frame = ProcessFrame(
-            invocation=Invocation(0, "x"), generator=None,
-            pending_op=Op("r", "read"),
+    def test_op_node(self):
+        invocation = Invocation(0, "x")
+        idle = {"k": 1}
+        root = OpNode(invocation, idle, idle)
+        assert repr(root) == (
+            "OpNode(invocation=Invocation(process=0, operation='x', "
+            "args=()), primitives_issued=0, last_result=None, "
+            "pending_op=None, memory={'k': 1})"
         )
-        assert repr(frame) == (
-            "ProcessFrame(invocation=Invocation(process=0, operation='x', "
-            "args=()), generator=None, primitives_issued=0, last_result=None, "
-            "pending_op=Op(obj='r', method='read', args=()), result_log=None, "
-            "memory_at_invoke=None)"
+        assert root.fingerprint() == ("x", (), 0, None, None, None)
+        root.next_op, root.next_memory = Op("r", "read"), idle
+        child = root.child_for(5)
+        assert root.child_for(5) is child
+        assert (child.path, child.primitives_issued, child.last_result) == (
+            (5, ()), 1, 5,
         )
-        assert frame == ProcessFrame(Invocation(0, "x"), None, 0, None, Op("r", "read"))
-        frame.primitives_issued += 1
-        assert frame.fingerprint() == ("x", (), 1, None, (), ("r", "read"))
+        assert child.fingerprint() == ("x", (), 1, 5, (), ("r", "read"))
+        assert root.child_for(6) is not child
+        assert root.children == {6: root.child_for(6)}
+        # Equality is by invocation, invoke-time memory and result path:
+        # the same point built apart (in another runtime) is equal, and
+        # the memo is not part of the value.
+        twin = OpNode(Invocation(0, "x"), {"k": 1}, {"k": 1}, (5, ()), 1, 5,
+                      Op("r", "read"))
+        assert twin == child and child == twin
+        assert twin != root
+        assert OpNode(invocation, idle, idle, (4, ()), 1, 4) != child
+        assert OpNode(invocation, {"k": 2}, idle, (5, ()), 1, 5) != child
+        assert OpNode(Invocation(1, "x"), idle, idle, (5, ()), 1, 5) != child
+        assert child.results() == (5,)
+        with pytest.raises(TypeError):
+            hash(child)
         with pytest.raises(AttributeError):
-            frame.extra = 1
-        assert not dataclasses.is_dataclass(ProcessFrame)
+            child.extra = 1
+        assert not hasattr(child, "__dict__")
+        assert not dataclasses.is_dataclass(OpNode)
         assert not dataclasses.is_dataclass(TransactionCall)
 
     def test_transaction(self):
