@@ -18,8 +18,9 @@ For one prefix the checker:
 1. takes the prefix's transactions and completes the prefix: live
    transactions abort (``tryC·A`` appended, per the paper's ``comp``),
    commit-pending transactions try *both* completions;
-2. enumerates the total orders of the committed transactions that
-   respect real time and replay correctly (backtracking over
+2. tries a known committed order (the witness, below) and, only if it
+   fails, enumerates the total orders of the committed transactions
+   that respect real time and replay correctly (backtracking over
    ``(placed set, memory state)``, with dead ends memoised; read-from
    values prune hard when workloads write distinct values);
 3. for each such order until one fits, and for each aborted
@@ -33,17 +34,46 @@ For one prefix the checker:
 Checking every response-ending prefix makes the verdict prefix-closed —
 the defining closure property of a safety set (Definition 3.1);
 ``deep=False`` checks only the final prefix (final-state opacity), which
-is cheaper and useful as a first filter on long benchmark runs.  Three
-things keep that sweep to one pass over each history plus a search at
-the prefixes nothing earlier decided:
+is cheaper and useful as a first filter on long benchmark runs.
+
+Neutral ends
+------------
+In deep mode a walk stops at its first failing prefix, so it reaches a
+response end only when the previous response end passed.  Between the
+two lie only invocations and crashes: they add no read value, no
+acknowledged write and no commit, and at most make a live transaction
+commit-pending, whose abort completion is the previous prefix's.  A
+response that constrains no serialization therefore keeps the verdict:
+
+* a ``start`` or ``write`` response belongs to a live transaction,
+  which the completion aborts, so no serialization sees its writes, and
+  no read of its follows them yet;
+* an ``ABORTED`` response (to ``start``, ``write`` or ``read``) aborts
+  a live transaction, as the completion did, at an end index no
+  transaction of the prefix starts after; an aborted read observes
+  nothing.
+
+Every committed order and aborted placement that served the previous
+prefix serves such an end, so it inherits that verdict without a check.
+The parser is still fed up to it, so ill-formed histories raise exactly
+as before.  ``tryC`` responses (a commit-pending transaction loses a
+completion) and read values (a new constraint) are always checked.
+
+Scopes
+------
+Three things keep the sweep to one pass over each history plus a search
+at the prefixes nothing earlier decided:
 
 * **Prefix trie** (scope: the checker instance, which the verify facade
   builds afresh per request).  Every history handed in is walked
   through a trie with one node per distinct prefix, keyed event by
-  event, holding that prefix's verdict once checked.  Histories of one
-  exploration share most of their prefixes, so most prefix ends are
-  answered by the node the walk already stands on.  A search that
-  exceeds its budget stores nothing, so asking again raises again.
+  event.  A checked node holds its prefix's failure reason or, when it
+  passed, a serializing committed order as ``(process, number)`` keys,
+  which name the same transactions in every walk through the node.
+  Histories of one exploration share most of their prefixes, so most
+  prefix ends are answered by the node the walk already stands on.  A
+  search that exceeds its budget stores nothing, so asking again raises
+  again.
 * **Carried parse** (scope: one ``check_history`` call).  At the first
   prefix end the trie does not decide, a
   :class:`~repro.objects.tm.TransactionParser` starts at the history's
@@ -51,17 +81,31 @@ the prefixes nothing earlier decided:
   Commit-pending transactions are computed from its open transactions
   at each check, and a completed transaction's reads and writes, which
   no later event changes, are computed once per walk.
-* **Witness first** (scope: one ``check_history`` call).  The committed
-  order that serialized the last checked prefix of the walk is tried on
-  the next one before any search: it must hold every committed
-  transaction and only committed or commit-pending ones (those it holds
-  complete as committed), respect real time, replay its reads, and
-  admit the aborted transactions.  Only if it fails does the full
-  search run.  Opacity asks whether *some* serialization exists, so
-  verdicts and failure reasons do not change.  One consequence: a
-  prefix whose full search would exceed ``max_nodes`` can pass on a
-  witness that is itself a valid serialization; a witness never turns
-  a pass into a failure or the reverse.
+* **Witness** (scope: one ``check_history`` call).  The walk carries
+  the committed order that serialized its last checked prefix, as its
+  own transactions, with the memory state after each of the order's
+  prefixes.  The walk's first check resolves the keys of its deepest
+  decided end (the empty order at the root) into transactions, and
+  committed transactions an order misses are appended in commit order.
+  A resolved or extended order is validated in full: membership, every
+  member committed or commit-pending (those complete as committed),
+  real time, its reads, and the aborted placement.  While the order is
+  unchanged its states are kept, and only membership, the
+  commit-pending test and the aborted placement are re-run: its members
+  are committed or commit-pending, so their reads and writes are final,
+  and a member that commits later ends after every member started.
+  Only when the witness fails does the full search run.  Opacity asks
+  whether *some* serialization exists, so verdicts and failure reasons
+  do not change.  A witness's replay walks one path of the search's
+  tree and is held to the same ``max_nodes``; within that, a prefix
+  whose full search would exceed ``max_nodes`` can pass on a witness
+  that is itself a valid serialization.  A witness never turns a pass
+  into a failure or the reverse.
+
+While a recorder is installed, each ``check_history`` call counts
+``safety/searches`` (checked prefixes the witness did not serialize),
+``safety/witness_reuses`` (prefixes it did) and
+``safety/inherited_ends`` (neutral ends).
 """
 
 from __future__ import annotations
@@ -76,13 +120,16 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
 from repro.core.events import Response
 from repro.core.history import History
 from repro.core.properties import SafetyProperty, Verdict
+from repro.obs.recorder import active as _obs_active
 from repro.objects.tm import (
+    ABORTED,
     Transaction,
     TransactionParser,
     # Not called here: kept importable under this module's name because
@@ -99,22 +146,40 @@ class SearchBudgetExceeded(ReproError):
 #: Trie verdict of a prefix no check has decided yet.
 _UNCHECKED = object()
 
+#: A committed order as ``(process, number)`` transaction keys.
+_Keys = Tuple[Tuple[int, int], ...]
+
+#: Memory after each prefix of a committed order (``states[k]`` after
+#: its first ``k`` transactions).
+_States = List[Dict[Any, Any]]
+
 
 def _freeze_state(state: Dict[Any, Any]) -> Tuple:
     """A hashable form of a memory state, for the search's dead memo."""
     return tuple(sorted(state.items(), key=lambda kv: repr(kv[0])))
 
 
+def _neutral(event: Response) -> bool:
+    """Does this response leave the previous prefix's verdict standing?
+    (See "Neutral ends" in the module docstring.)"""
+    operation = event.operation
+    return operation == "start" or operation == "write" or (
+        operation == "read" and event.value is ABORTED
+    )
+
+
 class _PrefixNode:
     """One prefix in the checker's trie, reached from its parent by the
-    prefix's last event.  ``failure`` is ``None`` (opaque), the failure
-    reason, or ``_UNCHECKED``; ``children`` is allocated on first use,
-    so the leaves of a walk stay small."""
+    prefix's last event.  ``verdict`` is ``_UNCHECKED``, the failure
+    reason (a ``str``), or for an opaque prefix its serializing
+    committed order (a ``tuple`` of keys), so a node costs no more than
+    a bare verdict; ``children`` is allocated on first use, so the
+    leaves of a walk stay small."""
 
-    __slots__ = ("failure", "children")
+    __slots__ = ("verdict", "children")
 
     def __init__(self) -> None:
-        self.failure: Any = _UNCHECKED
+        self.verdict: Any = _UNCHECKED
         self.children: Optional[Dict[Any, "_PrefixNode"]] = None
 
 
@@ -126,15 +191,51 @@ _Facts = Tuple[List[Tuple[Any, Any]], Dict[Any, Any]]
 class _Walk:
     """What one :meth:`OpacityChecker.check_history` call carries from
     one checked prefix to the next: the transactions parsed so far, the
-    facts of the completed ones (which no later event changes), and the
-    committed order that serialized the last checked prefix."""
+    facts per transaction (a completed one's never change again), the
+    witness order with its memory states, member ids and keys, and the
+    walk's work counts."""
 
-    __slots__ = ("parser", "settled", "witness")
+    __slots__ = (
+        "parser",
+        "facts",
+        "unsettled",
+        "seen",
+        "witness",
+        "states",
+        "ordered",
+        "keys",
+        "searches",
+        "reuses",
+    )
 
     def __init__(self) -> None:
         self.parser = TransactionParser()
-        self.settled: Dict[int, _Facts] = {}
+        self.facts: Dict[int, _Facts] = {}
+        #: The transactions uncompleted at the last check, in start
+        #: order, and how many of the parser's transactions it had seen.
+        self.unsettled: List[Transaction] = []
+        self.seen = 0
         self.witness: Optional[List[Transaction]] = None
+        self.states: Optional[_States] = None
+        self.ordered: Set[int] = set()
+        self.keys: _Keys = ()
+        self.searches = 0
+        self.reuses = 0
+
+    def adopt(self, witness: List[Transaction], states: _States) -> None:
+        """Make ``witness`` (validated, with its states) the walk's
+        order."""
+        if witness is not self.witness:
+            self.witness = witness
+            self.ordered = {id(t) for t in witness}
+            self.keys = tuple((t.process, t.number) for t in witness)
+        self.states = states
+
+    def resolve(self, keys: _Keys) -> List[Transaction]:
+        """The walk's transactions that ``keys`` name (keys of a prefix
+        of the walk's history, so every one is there)."""
+        by_key = {(t.process, t.number): t for t in self.parser.transactions}
+        return [by_key[key] for key in keys]
 
 
 class OpacityChecker(SafetyProperty):
@@ -151,8 +252,10 @@ class OpacityChecker(SafetyProperty):
         Require aborted transactions to observe consistent states.
         ``False`` yields strict serializability.
     max_nodes:
-        Backtracking budget per prefix; exceeding raises
-        :class:`SearchBudgetExceeded` (never a wrong verdict).
+        Backtracking budget per prefix: the nodes of the committed-order
+        tree that the search, or the replay of a witness (one path of
+        it), may visit.  Exceeding raises :class:`SearchBudgetExceeded`
+        (never a wrong verdict).
     """
 
     name = "opacity"
@@ -181,11 +284,15 @@ class OpacityChecker(SafetyProperty):
     # -- public API ------------------------------------------------------------
 
     def check_history(self, history: History) -> Verdict:
+        rec = _obs_active()
         events = history.events
         last = len(events) - 1
         deep = self.deep
         node = self._trie
         walk: Optional[_Walk] = None
+        keys: _Keys = ()  # the order of the last decided end
+        inherited = 0
+        result: Optional[Verdict] = None
         for index, event in enumerate(events):
             children = node.children
             if children is None:
@@ -194,34 +301,55 @@ class OpacityChecker(SafetyProperty):
             if child is None:
                 child = children[event] = _PrefixNode()
             node = child
-            if index != last and not (deep and isinstance(event, Response)):
+            response = deep and isinstance(event, Response)
+            if index != last and not response:
                 continue
-            failure = node.failure
-            if failure is _UNCHECKED:
+            verdict = node.verdict
+            if verdict is _UNCHECKED:
                 if walk is None:
                     walk = _Walk()
                 parser = walk.parser
                 while parser.length <= index:
                     parser.feed(events[parser.length])
-                failure = node.failure = self._failure(walk)
-            if failure is not None:
-                return Verdict.failed(
-                    f"prefix of length {index + 1}: {failure}",
-                    witness=history[: index + 1],
-                )
-        return Verdict.passed(f"{self.name} holds on all checked prefixes")
+                if response and _neutral(event):
+                    node.verdict = keys
+                    inherited += 1
+                    continue
+                # The failure reason, or the order that serialized it.
+                verdict = node.verdict = self._failure(walk, keys) or walk.keys
+            if type(verdict) is tuple:
+                keys = verdict
+                continue
+            result = Verdict.failed(
+                f"prefix of length {index + 1}: {verdict}",
+                witness=history[: index + 1],
+            )
+            break
+        if rec is not None:
+            rec.count("safety/inherited_ends", inherited)
+            if walk is not None:
+                rec.count("safety/searches", walk.searches)
+                rec.count("safety/witness_reuses", walk.reuses)
+        if result is None:
+            result = Verdict.passed(f"{self.name} holds on all checked prefixes")
+        return result
 
     # -- single-prefix check -----------------------------------------------------
 
-    def _failure(self, walk: _Walk) -> Optional[str]:
+    def _failure(self, walk: _Walk, keys: _Keys) -> Optional[str]:
         """Check the prefix the walk's parser has been fed up to: the
-        failure reason, or ``None`` when the prefix is opaque."""
+        failure reason, or ``None`` when the prefix is opaque.  ``keys``
+        is the order of the walk's last decided end, tried first when
+        the walk has no witness yet."""
         transactions = walk.parser.transactions
-        settled = walk.settled
-        facts = settled.copy()
-        for transaction in transactions:
-            if id(transaction) in facts:
-                continue  # completed, and free of violations when it settled
+        facts = walk.facts
+        # Only the transactions uncompleted at the last check, and those
+        # started since, can have changed; the others completed free of
+        # violations.  Both lists are in start order.
+        candidates = walk.unsettled + transactions[walk.seen:]
+        walk.seen = len(transactions)
+        unsettled = walk.unsettled = []
+        for transaction in candidates:
             violation = transaction.own_write_violation()
             if violation is not None:
                 variable, written, observed = violation
@@ -230,17 +358,17 @@ class OpacityChecker(SafetyProperty):
                     f"wrote {written!r} to x{variable} but then read "
                     f"{observed!r}"
                 )
-            known = facts[id(transaction)] = (
+            facts[id(transaction)] = (
                 transaction.reads(),
                 transaction.write_set(),
             )
-            if transaction.completed:
-                settled[id(transaction)] = known
+            if not transaction.completed:
+                unsettled.append(transaction)
         pending = walk.parser.commit_pending()
-        if walk.witness is not None and self._witness_holds(
-            walk.witness, transactions, pending, facts
-        ):
+        if self._witness_holds(walk, keys, transactions, pending, facts):
+            walk.reuses += 1
             return None
+        walk.searches += 1
         # Try each completion of the commit-pending transactions (commit
         # or abort); the paper's comp(h) allows any choice.
         for commit_mask in itertools.product((True, False), repeat=len(pending)):
@@ -257,9 +385,9 @@ class OpacityChecker(SafetyProperty):
                 for t in transactions
                 if not t.committed and id(t) not in as_committed
             ]
-            order = self._serialization(committed, aborted, facts)
-            if order is not None:
-                walk.witness = order
+            found = self._serialization(committed, aborted, facts)
+            if found is not None:
+                walk.adopt(*found)
                 return None
         return (
             f"no serialization of {len(transactions)} transactions "
@@ -269,45 +397,81 @@ class OpacityChecker(SafetyProperty):
 
     def _witness_holds(
         self,
-        witness: List[Transaction],
+        walk: _Walk,
+        keys: _Keys,
         transactions: List[Transaction],
         pending: List[Transaction],
         facts: Dict[int, _Facts],
     ) -> bool:
-        """Does the previous prefix's committed order still serialize
-        this prefix, completing exactly its commit-pending members as
-        committed?
+        """Does the walk's witness, or else the order ``keys`` names,
+        serialize this prefix once the committed transactions it misses
+        are appended in commit order, completing exactly its
+        commit-pending members as committed?  On success the walk adopts
+        the order.
 
-        Within one walk it is the membership test and the aborted
-        placement that fail: the members' events were complete when the
-        order was found, so real time and their reads still hold.  They
-        are checked anyway, so that a passing witness is a validated
-        serialization rather than an argument about where it came from."""
-        ordered = {id(t) for t in witness}
-        if any(t.committed and id(t) not in ordered for t in transactions):
-            return False
+        An order the walk validated before keeps its memory states:
+        only membership, the commit-pending test and the aborted
+        placement can fail for it (see "Witness" in the module
+        docstring).  A resolved or extended order is validated in full,
+        so a passing witness is always a checked serialization rather
+        than an argument about where it came from."""
+        witness, states, ordered = walk.witness, walk.states, walk.ordered
+        if witness is None:
+            witness = walk.resolve(keys)
+            ordered = {id(t) for t in witness}
+        missing = [t for t in transactions if t.committed and id(t) not in ordered]
+        if missing:
+            missing.sort(key=lambda t: t.end_index)  # commit order
+            witness = witness + missing
+            ordered = ordered | {id(t) for t in missing}
         may_commit = {id(t) for t in pending}
+        if witness is not walk.witness:
+            states = self._replay(witness, may_commit, facts)
+            if states is None:
+                return False
+        elif any(
+            not t.committed and id(t) not in may_commit for t in witness
+        ):
+            return False
+        if self.check_aborted:
+            aborted = [t for t in transactions if id(t) not in ordered]
+            if not self._place_aborted(witness, states, aborted, facts):
+                return False
+        walk.adopt(witness, states)
+        return True
+
+    def _replay(
+        self,
+        order: List[Transaction],
+        may_commit: Set[int],
+        facts: Dict[int, _Facts],
+    ) -> Optional[_States]:
+        """The memory states of ``order`` if every member is committed
+        or commit-pending, real time holds and every read replays;
+        otherwise ``None``.  The replay walks one root-to-leaf path of
+        the search's tree, so it is held to the same ``max_nodes``."""
+        if len(order) >= self.max_nodes:
+            raise SearchBudgetExceeded(
+                f"{self.name} search exceeded {self.max_nodes} nodes"
+            )
         default = self.default_initial
         latest_start = -1
         states = [dict(self.initial_values)]
-        for transaction in witness:
+        for transaction in order:
             if not transaction.committed and id(transaction) not in may_commit:
-                return False
+                return None
             end = transaction.end_index
             if end is not None and end < latest_start:
-                return False  # it precedes a transaction ordered before it
+                return None  # it precedes a transaction ordered before it
             latest_start = max(latest_start, transaction.start_index)
             reads, writes = facts[id(transaction)]
             state = states[-1]
             if any(state.get(variable, default) != value for variable, value in reads):
-                return False
+                return None
             state = dict(state)
             state.update(writes)
             states.append(state)
-        if not self.check_aborted:
-            return True
-        aborted = [t for t in transactions if id(t) not in ordered]
-        return self._place_aborted(witness, states, aborted, facts)
+        return states
 
     # -- committed-order search ----------------------------------------------------
 
@@ -316,21 +480,21 @@ class OpacityChecker(SafetyProperty):
         committed: List[Transaction],
         aborted: List[Transaction],
         facts: Dict[int, _Facts],
-    ) -> Optional[List[Transaction]]:
+    ) -> Optional[Tuple[List[Transaction], _States]]:
         """A legal committed order that admits the aborted transactions,
-        or ``None``."""
+        with its memory states, or ``None``."""
         # Aborted transactions fit some committed orders and not others,
         # so every legal order is a candidate until one admits them.
         for order, states in self._committed_orders(committed, facts):
             if not self.check_aborted or self._place_aborted(
                 order, states, aborted, facts
             ):
-                return order
+                return order, states
         return None
 
     def _committed_orders(
         self, committed: List[Transaction], facts: Dict[int, _Facts]
-    ) -> Iterator[Tuple[List[Transaction], List[Dict[Any, Any]]]]:
+    ) -> Iterator[Tuple[List[Transaction], _States]]:
         """Backtracking enumeration of the legal total orders of the
         committed transactions (real time respected, every read sees the
         latest write), each with the memory state after every prefix of
@@ -361,7 +525,7 @@ class OpacityChecker(SafetyProperty):
         dead: set = set()
         nodes = 0
         order: List[int] = []
-        states: List[Dict[Any, Any]] = [dict(self.initial_values)]
+        states: _States = [dict(self.initial_values)]
         # The open nodes of the depth-first path, one per placed prefix:
         # [placed, dead key, next candidate to try, subtree found an order].
         path: List[List[Any]] = []
@@ -424,7 +588,7 @@ class OpacityChecker(SafetyProperty):
     def _place_aborted(
         self,
         order: Sequence[Transaction],
-        states: List[Dict[Any, Any]],
+        states: _States,
         aborted: List[Transaction],
         facts: Dict[int, _Facts],
     ) -> bool:
@@ -443,20 +607,22 @@ class OpacityChecker(SafetyProperty):
             # The gaps that respect real time: after every committed
             # transaction that precedes it, before every one it
             # precedes, and not before an aborted one that precedes it.
-            low = max(
-                (gap for other_end, gap in placed
-                 if other_end is not None and other_end < start),
-                default=0,
-            )
+            low = 0
+            for other_end, gap in placed:
+                if other_end is not None and other_end < start and gap > low:
+                    low = gap
             high = len(order)
             for position, (other_start, other_end) in enumerate(bounds):
-                if other_end is not None and other_end < start:
-                    low = max(low, position + 1)
-                if end is not None and end < other_start:
-                    high = min(high, position)
+                if other_end is not None and other_end < start and position >= low:
+                    low = position + 1
+                if end is not None and end < other_start and position < high:
+                    high = position
             for gap in range(low, high + 1):
                 state = states[gap]
-                if all(state.get(variable, default) == value for variable, value in reads):
+                for variable, value in reads:
+                    if state.get(variable, default) != value:
+                        break
+                else:  # every read replays at this gap
                     placed.append((end, gap))
                     break
             else:

@@ -13,7 +13,7 @@ from itertools import permutations, product
 
 import pytest
 
-from repro.core.events import Invocation, Response
+from repro.core.events import Crash, Invocation, Response
 from repro.core.history import History
 from repro.core.properties import Verdict
 from repro.objects.opacity import OpacityChecker, SearchBudgetExceeded
@@ -88,6 +88,62 @@ def random_tm_history(rng: DeterministicRng) -> History:
             else:
                 events.append(Invocation(pid, "tryC", ()))
             pending[pid] = choice
+    return History(events)
+
+
+def random_crashing_tm_history(
+    rng: DeterministicRng, processes: int = 3, length: int = 16
+) -> History:
+    """A random ``length``-event TM history over ``processes`` processes
+    and one variable, with crashes.
+
+    Like :func:`random_tm_history`, each process follows the call
+    protocol while response values are random.  A process crashes with
+    small probability and then takes no further step, so transactions
+    are cut off live or commit-pending (a crash between ``tryC`` and its
+    response), and some ``tryC`` calls are still pending at the end.
+    """
+    events = []
+    pending = {}  # pid -> operation awaiting response
+    live = set()  # pids inside a transaction
+    calls = {}  # pid -> calls made inside the current transaction
+    crashed = set()
+    while len(events) < length:
+        running = [pid for pid in range(processes) if pid not in crashed]
+        if not running:
+            break
+        pid = rng.choice(running)
+        if rng.random() < 0.03:
+            events.append(Crash(pid))
+            crashed.add(pid)
+        elif pid in pending:
+            operation = pending.pop(pid)
+            if operation == "read":
+                value = rng.choice([0, 1, 2, ABORTED])
+            elif operation == "tryC":
+                value = rng.choice([COMMITTED, ABORTED])
+            else:
+                value = OK if rng.random() < 0.85 else ABORTED
+            events.append(Response(pid, operation, value))
+            if value is ABORTED or operation == "tryC":
+                live.discard(pid)
+        elif pid not in live:
+            events.append(Invocation(pid, "start", ()))
+            pending[pid] = "start"
+            live.add(pid)
+            calls[pid] = 0
+        else:
+            operation = rng.choice(
+                ["read", "write", "tryC"] if calls[pid] else ["read", "write"]
+            )
+            calls[pid] += 1
+            if operation == "read":
+                events.append(Invocation(pid, "read", (0,)))
+            elif operation == "write":
+                events.append(Invocation(pid, "write", (0, rng.choice([1, 2]))))
+            else:
+                events.append(Invocation(pid, "tryC", ()))
+            pending[pid] = operation
     return History(events)
 
 
@@ -475,6 +531,28 @@ def test_opacity_checker_matches_reference_on_mutant_violations():
             assert observed == reference_opacity(history, checker), mutant_id
             if mutant_id != "i12-off-by-one-quorum":  # not an opacity bug
                 assert not observed[0], mutant_id
+
+
+def test_shared_checker_matches_reference_on_crashing_histories():
+    """Longer histories than the brute-force corpus, over three
+    processes, with crashes, commit-pending ``tryC`` calls and aborts,
+    all through one shared checker, whose trie then decides most
+    prefixes and whose witnesses come from other walks."""
+    rng = DeterministicRng("crashing-opacity-1")
+    checker = OpacityChecker()
+    outcomes = set()
+    crashed = commit_pending = 0
+    for _ in range(3000):
+        history = random_crashing_tm_history(rng)
+        observed = _observed(checker.check_history(history))
+        assert observed == reference_opacity(history, checker), history
+        outcomes.add(observed[0])
+        crashed += any(isinstance(event, Crash) for event in history)
+        commit_pending += any(
+            t.status == STATUS_COMMIT_PENDING for t in parse_transactions(history)
+        )
+    assert outcomes == {True, False}
+    assert crashed > 100 and commit_pending > 100, (crashed, commit_pending)
 
 
 def test_shared_checker_matches_fresh_checkers():

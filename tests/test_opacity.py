@@ -7,6 +7,7 @@ from repro.objects.opacity import OpacityChecker, StrictSerializability
 from repro.objects.tm import ABORTED, COMMITTED, OK
 
 from conftest import inv, res, tm_history
+from test_differential_properties import _observed, reference_opacity
 
 
 def opaque(history, **kwargs):
@@ -159,6 +160,39 @@ class TestPrefixSemantics:
             ]
         )
         assert opaque(history)
+
+
+class TestNeutralEnds:
+    """The deep check inherits the verdict at start and write responses
+    and aborted reads; these histories flip at the ends it must check."""
+
+    def _flips_at(self, history, length):
+        checker = OpacityChecker()
+        assert checker.check_history(history[: length - 1]).holds
+        # The same checker again: its trie decides the passing prefix,
+        # and that prefix's order must not carry the longer one.
+        verdict = checker.check_history(history)
+        assert not verdict.holds
+        assert verdict.reason.startswith(f"prefix of length {length}:")
+        assert _observed(verdict) == reference_opacity(history, checker)
+
+    def test_tryc_abort_unjustifies_an_earlier_read(self):
+        """T1 reads T0's write while T0's tryC is pending, which passes
+        because T0 may have committed; T0's abort then leaves the read
+        unjustified."""
+        history = tm_history(
+            (0, "start"), (0, "write", 0, 1), ("i", 0, "tryC"),
+            (1, "start"), (1, "read", 0, 1), ("r", 0, "tryC", ABORTED),
+        )
+        assert len(history) == 10
+        self._flips_at(history, 10)
+
+    def test_read_value_contradicts_a_commit(self):
+        history = tm_history(
+            (0, "start"), (0, "write", 0, 1), (0, "commit"),
+            (1, "start"), (1, "read", 0, 0),
+        )
+        self._flips_at(history, 10)
 
 
 class TestStrictSerializability:
