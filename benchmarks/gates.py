@@ -46,7 +46,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.fuzz import FuzzDriver, differential_check, fuzz_workload
+from repro.fuzz.driver import FuzzDriver, fuzz_workload
+from repro.fuzz.oracle import differential_check
 from repro.obs import recording
 from repro.scenarios import get_scenario, verify
 from repro.service.app import ServiceApp

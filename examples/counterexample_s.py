@@ -16,7 +16,7 @@ Usage::
     python examples/counterexample_s.py
 """
 
-from repro.adversaries import CounterexampleAdversary
+from repro.adversaries.counterexample import CounterexampleAdversary
 from repro.algorithms.tm import I12TransactionalMemory
 from repro.analysis.experiments import run_sec53
 from repro.core.freedom import LKFreedom

@@ -18,7 +18,7 @@ Usage::
     python examples/progress_taxonomy.py
 """
 
-from repro.adversaries import TMLocalProgressAdversary
+from repro.adversaries.tm_local_progress import TMLocalProgressAdversary
 from repro.algorithms.consensus import CasConsensus
 from repro.algorithms.locks import GRANTED, BakeryLock, TasLock
 from repro.algorithms.tm import AgpTransactionalMemory, IntentTransactionalMemory

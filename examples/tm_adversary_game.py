@@ -14,7 +14,7 @@ Usage::
     python examples/tm_adversary_game.py
 """
 
-from repro.adversaries import TMLocalProgressAdversary
+from repro.adversaries.tm_local_progress import TMLocalProgressAdversary
 from repro.algorithms.tm import (
     AgpTransactionalMemory,
     I12TransactionalMemory,

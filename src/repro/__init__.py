@@ -32,6 +32,10 @@ Subpackages
     The experiment registry: one claim evaluator per
     table/figure/theorem.
 
+Importing ``repro`` loads none of these subpackages: import names
+from the module that defines them (or from ``repro.sim``,
+``repro.base_objects`` and ``repro.scenarios``, which re-export).
+
 Quickstart
 ----------
 >>> from repro.analysis import run_experiment
@@ -43,40 +47,4 @@ True
 'holds'
 """
 
-from repro.core import (
-    Crash,
-    History,
-    Invocation,
-    LKFreedom,
-    LivenessProperty,
-    Response,
-    SafetyProperty,
-    Verdict,
-    history_of,
-)
-from repro.sim import Implementation, Op, play
-from repro.scenarios import get_scenario, iter_scenarios, verify
-from repro.analysis import EXPERIMENTS, run_experiment
-
 __version__ = "1.1.0"
-
-__all__ = [
-    "Crash",
-    "History",
-    "Invocation",
-    "LKFreedom",
-    "LivenessProperty",
-    "Response",
-    "SafetyProperty",
-    "Verdict",
-    "history_of",
-    "Implementation",
-    "Op",
-    "play",
-    "get_scenario",
-    "iter_scenarios",
-    "verify",
-    "EXPERIMENTS",
-    "run_experiment",
-    "__version__",
-]

@@ -62,16 +62,6 @@ import tempfile
 import time
 from typing import Any, Dict, List
 
-from repro.analysis import EXPERIMENTS, run_experiment
-from repro.campaign import (
-    CampaignSpec,
-    CampaignStore,
-    export_campaign,
-    render_results,
-    render_status,
-    run_campaign,
-    store_all_ok,
-)
 from repro.util.errors import StoreError, UsageError
 from repro.util.params import parse_params
 
@@ -87,6 +77,8 @@ def _parse_params(pairs: List[str], option: str = "--param") -> Dict[str, Any]:
 
 
 def cmd_list() -> int:
+    from repro.analysis import EXPERIMENTS
+
     width = max(len(spec.experiment_id) for spec in EXPERIMENTS.values())
     for experiment_id in sorted(EXPERIMENTS):
         spec = EXPERIMENTS[experiment_id]
@@ -96,6 +88,8 @@ def cmd_list() -> int:
 
 
 def cmd_run(targets: List[str], params: Dict[str, Any]) -> int:
+    from repro.analysis import EXPERIMENTS, run_experiment
+
     if targets == ["all"]:
         targets = sorted(EXPERIMENTS)
     failures = 0
@@ -123,6 +117,8 @@ def cmd_run(targets: List[str], params: Dict[str, Any]) -> int:
 
 
 def cmd_campaign_init(arguments) -> int:
+    from repro.campaign import CampaignSpec, CampaignStore
+
     spec = CampaignSpec.from_cli(
         arguments.grid, arguments.axes, name=arguments.name
     )
@@ -140,6 +136,8 @@ def cmd_campaign_init(arguments) -> int:
 
 
 def cmd_campaign_run(arguments) -> int:
+    from repro.campaign import CampaignStore, run_campaign, store_all_ok
+
     if arguments.cache is not None:
         # The worker pool forks, so the cache configuration travels by
         # environment: every verify() a job issues sees the same mode
@@ -194,9 +192,15 @@ def cmd_campaign_run(arguments) -> int:
 
 
 def cmd_campaign_status(arguments) -> int:
-    if arguments.watch:
-        from repro.campaign import watch_status
+    from repro.campaign import (
+        CampaignStore,
+        render_results,
+        render_status,
+        store_all_ok,
+        watch_status,
+    )
 
+    if arguments.watch:
         watch_status(arguments.store, interval=arguments.interval)
         print("campaign finished; final status:")
         # fall through to the one-shot report for the closing summary
@@ -215,6 +219,8 @@ def cmd_campaign_status(arguments) -> int:
 
 
 def cmd_campaign_reset(arguments) -> int:
+    from repro.campaign import CampaignStore
+
     statuses: List[str] = []
     if arguments.failed or not (arguments.claimed or arguments.all):
         statuses.append("failed")
@@ -229,6 +235,8 @@ def cmd_campaign_reset(arguments) -> int:
 
 
 def cmd_campaign_export(arguments) -> int:
+    from repro.campaign import CampaignStore, export_campaign, render_results
+
     with CampaignStore.open(arguments.store) as store:
         document = export_campaign(store)
         if arguments.metrics_out is not None:
@@ -267,15 +275,10 @@ def _fuzz_targets(names: List[str]) -> List[str]:
 
 
 def cmd_fuzz(arguments) -> int:
-    from repro.fuzz import (
-        ReplayTrace,
-        differential_check,
-        fuzz_workload,
-        load_trace,
-        replay_schedule,
-        save_trace,
-        shrink_schedule,
-    )
+    from repro.fuzz.driver import fuzz_workload
+    from repro.fuzz.oracle import differential_check
+    from repro.fuzz.shrink import shrink_schedule
+    from repro.fuzz.trace import ReplayTrace, load_trace, replay_schedule, save_trace
     from repro.scenarios import get_scenario, iter_scenarios
 
     if arguments.list_workloads:

@@ -1,24 +1,5 @@
-"""Adversary strategies from the paper, as simulator drivers."""
+"""Adversary strategies from the paper, as simulator drivers.
 
-from repro.adversaries.base import AdversaryDriver
-from repro.adversaries.consensus_flp import (
-    LockstepConsensusAdversary,
-    f1_adversary_set,
-    f2_adversary_set,
-    histories_match_f1,
-)
-from repro.adversaries.tm_local_progress import TMLocalProgressAdversary
-from repro.adversaries.counterexample import CounterexampleAdversary
-from repro.adversaries.valency import ScheduleWitness, find_nondeciding_schedule
-
-__all__ = [
-    "AdversaryDriver",
-    "LockstepConsensusAdversary",
-    "f1_adversary_set",
-    "f2_adversary_set",
-    "histories_match_f1",
-    "TMLocalProgressAdversary",
-    "CounterexampleAdversary",
-    "ScheduleWitness",
-    "find_nondeciding_schedule",
-]
+Import from the defining module (:mod:`repro.adversaries.consensus_flp`,
+:mod:`repro.adversaries.valency`, ...): the package loads none of them.
+"""

@@ -12,10 +12,11 @@ sub-graph of configurations where the adversary's target has not
 decided.
 
 :func:`find_nondeciding_schedule` delegates the graph construction to
-the unified exploration engine (:class:`repro.engine.KernelExplorer`):
-a BFS over configurations reachable by stepping only group members,
-deduplicated on the implementation's liveness abstraction, with fully
-decided configurations pruned (they can never lie on a witness cycle).
+the unified exploration engine
+(:class:`repro.engine.explorer.KernelExplorer`): a BFS over
+configurations reachable by stepping only group members, deduplicated
+on the implementation's liveness abstraction, with fully decided
+configurations pruned (they can never lie on a witness cycle).
 In the default ``snapshot`` mode each edge restores an incremental
 configuration snapshot; ``mode="replay"`` reproduces the seed's
 quadratic re-execution, and ``mode="parity"`` runs both and fails on

@@ -1,37 +1,6 @@
-"""Shared-object implementations evaluated by the experiments."""
+"""Shared-object implementations evaluated by the experiments.
 
-from repro.algorithms.consensus import (
-    CasConsensus,
-    CommitAdoptConsensus,
-    InventingConsensus,
-    SilentConsensus,
-    StubbornConsensus,
-    TasConsensus,
-)
-from repro.algorithms.tm import (
-    AgpTransactionalMemory,
-    GlobalLockTransactionalMemory,
-    I12TransactionalMemory,
-    IntentTransactionalMemory,
-    TrivialTransactionalMemory,
-)
-from repro.algorithms.locks import GRANTED, RELEASED, BakeryLock, TasLock, lock_object_type
-
-__all__ = [
-    "CasConsensus",
-    "CommitAdoptConsensus",
-    "InventingConsensus",
-    "SilentConsensus",
-    "StubbornConsensus",
-    "TasConsensus",
-    "AgpTransactionalMemory",
-    "GlobalLockTransactionalMemory",
-    "I12TransactionalMemory",
-    "IntentTransactionalMemory",
-    "TrivialTransactionalMemory",
-    "GRANTED",
-    "RELEASED",
-    "BakeryLock",
-    "TasLock",
-    "lock_object_type",
-]
+Import from the family packages (:mod:`repro.algorithms.consensus`,
+:mod:`repro.algorithms.tm`, :mod:`repro.algorithms.locks`): this
+package loads none of them.
+"""

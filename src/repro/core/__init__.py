@@ -3,121 +3,3 @@
 This subpackage is dependency-free within the library (everything else
 imports it, it imports nothing but :mod:`repro.util`).
 """
-
-from repro.core.events import (
-    Crash,
-    Event,
-    Invocation,
-    Operation,
-    Response,
-    is_crash,
-    is_invocation,
-    is_response,
-)
-from repro.core.history import EMPTY_HISTORY, History, history_of
-from repro.core.object_type import (
-    ObjectType,
-    OperationSignature,
-    ProgressMode,
-    SequentialSpec,
-)
-from repro.core.properties import (
-    Certainty,
-    ConjunctionSafety,
-    ExecutionSummary,
-    LivenessProperty,
-    Property,
-    SafetyProperty,
-    TrivialSafety,
-    Verdict,
-)
-from repro.core.liveness import (
-    Lmax,
-    LocalProgress,
-    LockFreedom,
-    SoloTermination,
-    TrivialLiveness,
-    WaitFreedom,
-    compare,
-    enumerate_summaries,
-)
-from repro.core.freedom import (
-    KObstructionFreedom,
-    LKFreedom,
-    LLockFreedom,
-    obstruction_freedom,
-    weakest_biprogressing,
-)
-from repro.core.lattice import LivenessOrder, Relation
-from repro.core.progress import NXLiveness, ProgressClass, SFreedom, TAXONOMY
-from repro.core.adversary import (
-    AdversarySetSpec,
-    DisjointnessCertificate,
-    FiniteAdversarySet,
-    PredicateAdversarySet,
-    certify_disjoint_by_first_event,
-    intersect_all,
-)
-from repro.core.exclusion import (
-    ExclusionReport,
-    GameOutcome,
-    NonExclusionReport,
-    build_exclusion_report,
-    build_non_exclusion_report,
-)
-
-__all__ = [
-    "Crash",
-    "Event",
-    "Invocation",
-    "Operation",
-    "Response",
-    "is_crash",
-    "is_invocation",
-    "is_response",
-    "EMPTY_HISTORY",
-    "History",
-    "history_of",
-    "ObjectType",
-    "OperationSignature",
-    "ProgressMode",
-    "SequentialSpec",
-    "Certainty",
-    "ConjunctionSafety",
-    "ExecutionSummary",
-    "LivenessProperty",
-    "Property",
-    "SafetyProperty",
-    "TrivialSafety",
-    "Verdict",
-    "Lmax",
-    "LocalProgress",
-    "LockFreedom",
-    "SoloTermination",
-    "TrivialLiveness",
-    "WaitFreedom",
-    "compare",
-    "enumerate_summaries",
-    "KObstructionFreedom",
-    "LKFreedom",
-    "LLockFreedom",
-    "obstruction_freedom",
-    "weakest_biprogressing",
-    "LivenessOrder",
-    "Relation",
-    "NXLiveness",
-    "ProgressClass",
-    "SFreedom",
-    "TAXONOMY",
-    "AdversarySetSpec",
-    "DisjointnessCertificate",
-    "FiniteAdversarySet",
-    "PredicateAdversarySet",
-    "certify_disjoint_by_first_event",
-    "intersect_all",
-    "ExclusionReport",
-    "GameOutcome",
-    "NonExclusionReport",
-    "build_exclusion_report",
-    "build_non_exclusion_report",
-]

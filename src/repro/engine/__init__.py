@@ -16,34 +16,9 @@ One subsystem for every exhaustive search the repository performs:
 Exhaustive searches are serial: they scale through partial-order
 reduction (:mod:`repro.engine.dpor`), not through more processes.
 
+Import from those modules: the package loads none of them, so the
+scenario registry never pulls in ``batch.py`` and its process pool.
+
 See ``docs/architecture.md`` for the determinism/fingerprint contract
 all of this rests on.
 """
-
-from repro.engine.batch import PlayTask, default_parallelism, run_play_batch
-from repro.engine.config import (
-    ImplementationFactory,
-    KernelConfig,
-    KernelSnapshot,
-    ProcessSnapshot,
-)
-from repro.engine.explorer import (
-    ConfigVisit,
-    EngineParityError,
-    KernelExplorer,
-    SearchBudgetExceeded,
-)
-
-__all__ = [
-    "ConfigVisit",
-    "EngineParityError",
-    "ImplementationFactory",
-    "KernelConfig",
-    "KernelExplorer",
-    "KernelSnapshot",
-    "PlayTask",
-    "ProcessSnapshot",
-    "SearchBudgetExceeded",
-    "default_parallelism",
-    "run_play_batch",
-]

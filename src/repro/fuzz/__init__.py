@@ -22,44 +22,6 @@ scenario layer and takes scenario objects as plain inputs.
   replayed through the plain :mod:`repro.sim.runtime` (independent of
   the engine);
 * :mod:`repro.fuzz.oracle` — fuzz-vs-exhaustive verdict comparison.
+
+Import from those modules: the package loads none of them.
 """
-
-from repro.fuzz.driver import FuzzDriver, FuzzReport, FuzzViolation, fuzz_workload
-from repro.fuzz.oracle import OracleResult, differential_check, differential_sweep
-from repro.fuzz.shrink import ShrinkResult, shrink_schedule
-from repro.fuzz.trace import (
-    LassoTrace,
-    ReplayResult,
-    ReplayTrace,
-    decisions_to_labels,
-    labels_to_decisions,
-    load_lasso_trace,
-    load_trace,
-    replay_schedule,
-    save_lasso_trace,
-    save_trace,
-    schedule_to_decisions,
-)
-
-__all__ = [
-    "FuzzDriver",
-    "FuzzReport",
-    "FuzzViolation",
-    "LassoTrace",
-    "OracleResult",
-    "ReplayResult",
-    "ReplayTrace",
-    "ShrinkResult",
-    "decisions_to_labels",
-    "differential_check",
-    "differential_sweep",
-    "fuzz_workload",
-    "labels_to_decisions",
-    "load_lasso_trace",
-    "load_trace",
-    "replay_schedule",
-    "save_lasso_trace",
-    "save_trace",
-    "schedule_to_decisions",
-    "shrink_schedule",
-]

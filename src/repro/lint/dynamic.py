@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Type
 
-from repro.base_objects import BaseObject, ObjectPool
+from repro.base_objects.base import BaseObject, ObjectPool
 from repro.core.object_type import ObjectType, OperationSignature
 from repro.sim.drivers import InvokeDecision, StepDecision
 from repro.sim.kernel import Implementation, Op

@@ -87,14 +87,17 @@ at the prefixes nothing earlier decided:
   prefixes.  The walk's first check resolves the keys of its deepest
   decided end (the empty order at the root) into transactions, and
   committed transactions an order misses are appended in commit order.
-  A resolved or extended order is validated in full: membership, every
-  member committed or commit-pending (those complete as committed),
-  real time, its reads, and the aborted placement.  While the order is
-  unchanged its states are kept, and only membership, the
-  commit-pending test and the aborted placement are re-run: its members
-  are committed or commit-pending, so their reads and writes are final,
-  and a member that commits later ends after every member started.
-  Only when the witness fails does the full search run.  Opacity asks
+  A resolved order is validated in full: membership, every member
+  committed or commit-pending (those complete as committed), real
+  time, its reads, and the aborted placement.  A validated order keeps
+  its states, and later checks re-run only membership, the
+  commit-pending test and the aborted placement on it: its members are
+  committed or commit-pending, so their reads and writes are final.
+  When it is extended, only the appended transactions are replayed,
+  from its last state: each commits after the previous checked end,
+  which every old member started before, so none precedes an old
+  member in real time.  Only when the witness fails does the full
+  search run.  Opacity asks
   whether *some* serialization exists, so verdicts and failure reasons
   do not change.  A witness's replay walks one path of the search's
   tree and is held to the same ``max_nodes``; within that, a prefix
@@ -409,30 +412,49 @@ class OpacityChecker(SafetyProperty):
         commit-pending members as committed?  On success the walk adopts
         the order.
 
-        An order the walk validated before keeps its memory states:
-        only membership, the commit-pending test and the aborted
-        placement can fail for it (see "Witness" in the module
-        docstring).  A resolved or extended order is validated in full,
-        so a passing witness is always a checked serialization rather
-        than an argument about where it came from."""
+        A resolved order has no states yet, so it is replayed in full
+        (:meth:`_replay`: members committed or commit-pending, real
+        time, reads).  An order the walk validated before keeps its
+        memory states: its members are committed or commit-pending, so
+        their reads and writes are final, and only the commit-pending
+        test is re-run on them.  When it is extended, only the appended
+        members are replayed, from its last state, with the real-time
+        bound seeded from the old members' starts.  That suffices: an
+        appended member was not committed at the walk's previous checked
+        end (the kept order held every transaction committed there), so
+        its commit response comes after that end, and every old member
+        started before it; no appended member precedes an old one.  The
+        aborted placement then runs on the whole order, so a passing
+        witness is always a checked serialization rather than an
+        argument about where it came from."""
         witness, states, ordered = walk.witness, walk.states, walk.ordered
+        may_commit = {id(t) for t in pending}
         if witness is None:
             witness = walk.resolve(keys)
             ordered = {id(t) for t in witness}
-        missing = [t for t in transactions if t.committed and id(t) not in ordered]
-        if missing:
-            missing.sort(key=lambda t: t.end_index)  # commit order
-            witness = witness + missing
-            ordered = ordered | {id(t) for t in missing}
-        may_commit = {id(t) for t in pending}
-        if witness is not walk.witness:
-            states = self._replay(witness, may_commit, facts)
-            if states is None:
-                return False
+            states = None
         elif any(
             not t.committed and id(t) not in may_commit for t in witness
         ):
             return False
+        missing = [t for t in transactions if t.committed and id(t) not in ordered]
+        if missing:
+            missing.sort(key=lambda t: t.end_index)  # commit order
+            if states is not None:
+                latest_start = max((t.start_index for t in witness), default=-1)
+                states = self._replay(
+                    missing, may_commit, facts, states, latest_start
+                )
+                if states is None:
+                    return False
+            witness = witness + missing
+            ordered = ordered | {id(t) for t in missing}
+        if states is None:
+            states = self._replay(
+                witness, may_commit, facts, [dict(self.initial_values)], -1
+            )
+            if states is None:
+                return False
         if self.check_aborted:
             aborted = [t for t in transactions if id(t) not in ordered]
             if not self._place_aborted(witness, states, aborted, facts):
@@ -442,22 +464,26 @@ class OpacityChecker(SafetyProperty):
 
     def _replay(
         self,
-        order: List[Transaction],
+        appended: List[Transaction],
         may_commit: Set[int],
         facts: Dict[int, _Facts],
+        states: _States,
+        latest_start: int,
     ) -> Optional[_States]:
-        """The memory states of ``order`` if every member is committed
-        or commit-pending, real time holds and every read replays;
-        otherwise ``None``.  The replay walks one root-to-leaf path of
-        the search's tree, so it is held to the same ``max_nodes``."""
-        if len(order) >= self.max_nodes:
+        """The memory states of an order whose first ``len(states) - 1``
+        members have the states ``states`` (the latest of their starts
+        is ``latest_start``) and whose other members are ``appended``,
+        if every appended member is committed or commit-pending, real
+        time holds and every read replays; otherwise ``None``.  The
+        replay walks one root-to-leaf path of the search's tree, so the
+        whole order is held to the same ``max_nodes``."""
+        if len(states) - 1 + len(appended) >= self.max_nodes:
             raise SearchBudgetExceeded(
                 f"{self.name} search exceeded {self.max_nodes} nodes"
             )
         default = self.default_initial
-        latest_start = -1
-        states = [dict(self.initial_values)]
-        for transaction in order:
+        states = list(states)
+        for transaction in appended:
             if not transaction.committed and id(transaction) not in may_commit:
                 return None
             end = transaction.end_index

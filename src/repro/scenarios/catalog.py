@@ -29,7 +29,7 @@ are exactly *safety holds, liveness violated*).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.adversaries.consensus_flp import LockstepConsensusAdversary
 from repro.adversaries.tm_local_progress import TMLocalProgressAdversary
@@ -60,7 +60,9 @@ from repro.scenarios.scenario import (
     Bounds,
     Scenario,
 )
-from repro.sim.explore import InvocationPlan
+
+if TYPE_CHECKING:
+    from repro.sim.explore import InvocationPlan
 
 PROPOSE_PLAN: InvocationPlan = {0: [("propose", (0,))], 1: [("propose", (1,))]}
 

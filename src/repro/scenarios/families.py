@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.algorithms.consensus import (
     CasConsensus,
@@ -63,9 +63,11 @@ from repro.scenarios.scenario import (
     TAG_VIOLATING,
     Scenario,
 )
-from repro.sim.explore import InvocationPlan
 from repro.util.errors import UsageError, unknown_choice
 from repro.util.params import env_int
+
+if TYPE_CHECKING:
+    from repro.sim.explore import InvocationPlan
 
 #: Default per-family instance cap (override with ``REPRO_FAMILY_BUDGET``).
 #: High enough that every shipped grid registers completely.

@@ -19,10 +19,12 @@ one :class:`Verdict` shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
-from repro.fuzz.trace import LassoTrace, ReplayTrace
 from repro.util.errors import UsageError
+
+if TYPE_CHECKING:
+    from repro.fuzz.trace import LassoTrace, ReplayTrace
 
 #: The verdict outcomes every backend normalizes to.
 OUTCOMES = ("holds", "violated", "budget-exhausted")
@@ -251,6 +253,8 @@ class Verdict:
         :class:`UsageError` (the outcome check in ``__post_init__``
         plus explicit field checks here).
         """
+        from repro.fuzz.trace import LassoTrace, ReplayTrace
+
         for key in ("scenario", "backend", "outcome", "expected"):
             if key not in document:
                 raise UsageError(f"verdict document lacks {key!r}")

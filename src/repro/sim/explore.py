@@ -10,10 +10,11 @@ wraps it into a verdict: a safety property holds on *every* reachable
 interleaving, or here is the counterexample schedule.
 
 The search itself is the unified exploration engine
-(:class:`repro.engine.KernelExplorer`); this module only translates the
-invocation plan into the engine's callbacks.  The default ``snapshot``
-mode expands each DAG edge by restoring an incremental snapshot of the
-kernel configuration — O(configuration) per node.  The seed's
+(:class:`repro.engine.explorer.KernelExplorer`); this module only
+translates the invocation plan into the engine's callbacks.  The
+default ``snapshot`` mode expands each DAG edge by restoring an
+incremental snapshot of the kernel configuration — O(configuration)
+per node.  The seed's
 replay-based expansion (re-execute the run from scratch per edge,
 O(depth) per node) remains available as ``mode="replay"``, and
 ``mode="parity"`` runs both in lockstep and fails loudly on the first

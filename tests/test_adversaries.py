@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.adversaries import (
-    CounterexampleAdversary,
+from repro.adversaries.consensus_flp import (
     LockstepConsensusAdversary,
-    TMLocalProgressAdversary,
     f1_adversary_set,
     f2_adversary_set,
     histories_match_f1,
 )
+from repro.adversaries.counterexample import CounterexampleAdversary
+from repro.adversaries.tm_local_progress import TMLocalProgressAdversary
 from repro.algorithms.consensus import CasConsensus, CommitAdoptConsensus
 from repro.algorithms.tm import (
     AgpTransactionalMemory,

@@ -13,14 +13,10 @@ import pytest
 
 from repro.core.properties import ConjunctionSafety, SafetyProperty, Verdict
 from repro.fuzz.driver import FuzzDriver
-from repro.objects import (
-    AgreementValidity,
-    KSetAgreement,
-    OpacityChecker,
-    StrictSerializability,
-    TimestampAbortRule,
-    counterexample_safety,
-)
+from repro.objects.consensus import AgreementValidity
+from repro.objects.counterexample_s import TimestampAbortRule, counterexample_safety
+from repro.objects.opacity import OpacityChecker, StrictSerializability
+from repro.objects.set_agreement import KSetAgreement
 from repro.objects.mutex import MutualExclusionChecker
 from repro.obs import recording
 from repro.obs.recorder import _time_collection

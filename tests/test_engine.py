@@ -42,9 +42,9 @@ from repro.base_objects.base import ObjectPool
 from repro.base_objects.register import AtomicRegister
 from repro.core.events import Response
 from repro.core.object_type import ObjectType, OperationSignature, ProgressMode
-from repro.engine import (
+from repro.engine.config import KernelConfig
+from repro.engine.explorer import (
     EngineParityError,
-    KernelConfig,
     KernelExplorer,
     SearchBudgetExceeded,
 )

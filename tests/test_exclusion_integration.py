@@ -5,7 +5,8 @@ simulated runs, safety checkers, liveness evaluation, and the
 Definition 4.1/4.3 report machinery — on the paper's actual claims.
 """
 
-from repro.adversaries import LockstepConsensusAdversary, TMLocalProgressAdversary
+from repro.adversaries.consensus_flp import LockstepConsensusAdversary
+from repro.adversaries.tm_local_progress import TMLocalProgressAdversary
 from repro.analysis import consensus_registry, entries_ensuring, tm_registry, OPACITY
 from repro.core.exclusion import build_exclusion_report, build_non_exclusion_report
 from repro.core.freedom import LKFreedom

@@ -7,13 +7,11 @@ import pytest
 from repro.__main__ import main
 from repro.analysis.experiments import run_experiment
 from repro.core.events import Crash
-from repro.fuzz import (
-    FuzzDriver,
+from repro.fuzz.driver import FuzzDriver, fuzz_workload
+from repro.fuzz.oracle import differential_check, differential_sweep
+from repro.fuzz.shrink import ShrinkResult
+from repro.fuzz.trace import (
     ReplayTrace,
-    ShrinkResult,
-    differential_check,
-    differential_sweep,
-    fuzz_workload,
     load_trace,
     replay_schedule,
     save_trace,
@@ -361,7 +359,7 @@ class TestFuzzCli:
     ):
         """The CLI re-executes the shrunk schedule from scratch before
         saving it: a schedule that no longer violates is a surprise."""
-        import repro.fuzz
+        import repro.fuzz.shrink
 
         def broken_shrink(factory, plan, schedule, safety):
             return ShrinkResult(
@@ -371,7 +369,7 @@ class TestFuzzCli:
                 replays=1,
             )
 
-        monkeypatch.setattr(repro.fuzz, "shrink_schedule", broken_shrink)
+        monkeypatch.setattr(repro.fuzz.shrink, "shrink_schedule", broken_shrink)
         artifact_dir = tmp_path / "artifacts"
         assert (
             main(

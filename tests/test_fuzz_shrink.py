@@ -11,12 +11,9 @@ from repro.base_objects.base import BaseObject, ObjectPool
 from repro.base_objects.register import AtomicRegister
 from repro.core.object_type import ObjectType, OperationSignature, ProgressMode
 from repro.core.properties import SafetyProperty, Verdict
-from repro.fuzz import (
-    fuzz_workload,
-    replay_schedule,
-    shrink_schedule,
-)
-from repro.fuzz.shrink import WitnessCheckpoints
+from repro.fuzz.driver import fuzz_workload
+from repro.fuzz.shrink import WitnessCheckpoints, shrink_schedule
+from repro.fuzz.trace import replay_schedule
 from repro.mutate.mutants import MUTANTS
 from repro.obs.recorder import recording
 from repro.scenarios import get_scenario, iter_scenarios, verify

@@ -4,7 +4,7 @@ import pytest
 
 from hypothesis import given, settings
 
-from repro.adversaries import LockstepConsensusAdversary
+from repro.adversaries.consensus_flp import LockstepConsensusAdversary
 from repro.algorithms.consensus import CommitAdoptConsensus
 from repro.core.freedom import LKFreedom
 from repro.core.history import History
