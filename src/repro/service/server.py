@@ -3,7 +3,7 @@
 No third-party web framework: the container bakes in only the Python
 toolchain, and the service needs exactly one content type
 (``application/json``), two methods, and keep-alive — a few dozen
-lines over :func:`asyncio.start_server`.  The application logic lives
+lines over asyncio streams.  The application logic lives
 in :mod:`repro.service.app`; this module only parses requests, frames
 responses, and owns process lifecycle (``python -m repro serve``).
 
@@ -17,6 +17,12 @@ closes the connection once it has waited :data:`IDLE_TIMEOUT` seconds
 for a request, and is cancelled when the connection closes.  Each
 response only stamps the time it went out; the timer re-arms itself
 when it fires early.
+
+Each connection receives into one buffer of its own
+(:class:`_ReadIntoProtocol`).  A plain stream allocates a fresh
+256 KiB buffer per socket read, and glibc maps such a block anew on
+every read until the process has freed a larger mapped block, so a
+server that imports little code faulted its pages in on every read.
 """
 
 from __future__ import annotations
@@ -37,6 +43,25 @@ MAX_BODY_BYTES = 8_000_000
 
 #: Idle keep-alive connections are dropped after this many seconds.
 IDLE_TIMEOUT = 60.0
+
+#: Bytes one socket read can receive (see the module docstring).
+READ_BUFFER_BYTES = 65_536
+
+
+class _ReadIntoProtocol(asyncio.StreamReaderProtocol, asyncio.BufferedProtocol):
+    """The stream protocol of one connection, receiving into a buffer
+    that the connection keeps rather than a new one per read."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._buffer = bytearray(READ_BUFFER_BYTES)
+
+    def get_buffer(self, sizehint: int) -> bytearray:
+        return self._buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        # The stream reader copies the bytes into its own buffer.
+        self.data_received(memoryview(self._buffer)[:nbytes])
 
 
 class _BadRequest(Exception):
@@ -182,8 +207,9 @@ async def handle_connection(
         # Shutdown cancels every open connection's handler: a clean
         # close.  The handler is its task's top level and nothing awaits
         # it, so the cancellation ends here; re-raised, it reaches the
-        # done-callback of asyncio.start_server, which on Python 3.11
-        # reads the cancelled task's exception and prints a traceback.
+        # done-callback of asyncio's stream protocol, which on Python
+        # 3.11 reads the cancelled task's exception and prints a
+        # traceback.
         pass
     finally:
         watchdog.cancel()
@@ -200,12 +226,16 @@ async def start_service(
     """Start the app's asyncio server (``port=0`` picks an ephemeral
     port — the in-process tests use it); the caller owns the loop."""
     app.start()
-    return await asyncio.start_server(
-        lambda reader, writer: handle_connection(app, reader, writer),
-        host=host,
-        port=port,
-        limit=MAX_HEADER_BYTES,
-    )
+    loop = asyncio.get_running_loop()
+
+    def protocol() -> _ReadIntoProtocol:
+        return _ReadIntoProtocol(
+            asyncio.StreamReader(limit=MAX_HEADER_BYTES, loop=loop),
+            lambda reader, writer: handle_connection(app, reader, writer),
+            loop=loop,
+        )
+
+    return await loop.create_server(protocol, host=host, port=port)
 
 
 async def _serve_forever(

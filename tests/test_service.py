@@ -36,7 +36,7 @@ from repro.service import (
 from repro.service import cache as cache_module
 from repro.service import server as server_module
 from repro.service.app import ServiceApp
-from repro.service.server import start_service
+from repro.service.server import READ_BUFFER_BYTES, start_service
 from repro.util.errors import StoreError, UsageError
 from repro.util.hashing import canonical_json
 
@@ -746,6 +746,36 @@ class TestHttpServer:
                 )
                 assert status == 200
                 assert first == second
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                server.close()
+                await server.wait_closed()
+                app.close()
+
+        _run(scenario())
+
+    def test_request_larger_than_the_read_buffer(self, db):
+        """A connection receives into one buffer of READ_BUFFER_BYTES;
+        a body several times that size arrives whole, and the next
+        request on the connection is framed from where it ended."""
+        async def scenario():
+            app = ServiceApp(cache_path=db, workers=1)
+            server = await start_service(app, host="127.0.0.1", port=0)
+            host, port = server.sockets[0].getsockname()[:2]
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                status, raw = await _http(
+                    reader, writer, "POST", "/v1/verify",
+                    {
+                        "scenario": "no-such-scenario",
+                        "padding": "x" * (3 * READ_BUFFER_BYTES + 17),
+                    },
+                )
+                assert status == 400
+                assert "no-such-scenario" in json.loads(raw)["error"]
+                status, raw = await _http(reader, writer, "GET", "/v1/healthz")
+                assert status == 200 and json.loads(raw)["ok"] is True
                 writer.close()
                 await writer.wait_closed()
             finally:
