@@ -22,7 +22,8 @@ Each connection receives into one buffer of its own
 (:class:`_ReadIntoProtocol`).  A plain stream allocates a fresh
 256 KiB buffer per socket read, and glibc maps such a block anew on
 every read until the process has freed a larger mapped block, so a
-server that imports little code faulted its pages in on every read.
+server that has imported little code would fault its pages in on
+every read.
 """
 
 from __future__ import annotations
