@@ -258,7 +258,7 @@ class ObjectPool:
         and whose last captured or restored state *is* the one being
         restored are skipped — they already hold it.
         """
-        if set(captured) != set(self._objects):
+        if captured.keys() != self._objects.keys():
             raise SimulationError(
                 f"snapshot names {sorted(captured)} do not match pool "
                 f"{sorted(self._objects)}"

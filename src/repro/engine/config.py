@@ -83,10 +83,12 @@ class ProcessSnapshot(NamedTuple):
     #: ``None`` when idle, else the in-flight operation's current point.
     frame: Optional[OpNode]
     stats: Tuple[int, int, int, int, int, Tuple[int, ...], bool]
-    #: The process's fingerprint at capture time if one was already
-    #: cached (capture never hashes); restoring seeds the
-    #: configuration's incremental-fingerprint cache with it, and a
-    #: ``None`` seed is recomputed on first use.
+    #: The process's key at capture time if it was already read
+    #: (capture never keys a process); restoring seeds the
+    #: configuration's incremental-fingerprint cache with it.  A
+    #: ``None`` seed is looked up on first use: the node's key, or the
+    #: key of the idle memory, and hashed only if the state was never
+    #: keyed before.
     fingerprint: Optional[HashedKey] = None
 
 
@@ -158,6 +160,13 @@ class KernelConfig:
         self._process_snaps: List[Optional[ProcessSnapshot]] = [None] * n
         self._events_tuple: Optional[Tuple[object, ...]] = None
         self._events_key: Optional[HashedKey] = None
+        # The key of every idle or crashed process state keyed so far,
+        # by (pid, crashed, id(memory)).  Memories are never mutated,
+        # so a memory object keys the same forever; each entry holds its
+        # memory alive, so its id() cannot be reused while it is here.
+        self._idle_fps: Dict[
+            Tuple[int, bool, int], Tuple[Dict[str, Any], HashedKey]
+        ] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -328,18 +337,22 @@ class KernelConfig:
         search looks each key up in several dicts) and compares by
         exact value, so dedup is that of the value itself.  Its large
         parts — each process fingerprint and the event sequence — are
-        hash-once keys too, cached until a decision touches them, so
-        building a key after one decision hashes only what it changed.
+        hash-once keys too, cached until a decision touches them.  A
+        process key is built once per operation node or idle memory and
+        shared by every configuration that holds it, so building a key
+        after one decision hashes only the event sequence (after a
+        visible step) and a process state no configuration held before.
         """
         runtime = self.runtime
         events = self._events_key
         if events is None:
             events = self._events_key = HashedKey(self._events())
         # One pass per part; a process fingerprint is computed only on a
-        # cache miss.
+        # cache miss.  The event sequence fixes every process's
+        # invocation count (one invocation event each), so the counts
+        # are not a part of their own.
         return HashedKey(
             (
-                tuple([(pid, s.invocations) for pid, s in runtime.stats.items()]),
                 runtime.pool.snapshot_state(),
                 tuple([
                     self._process_fingerprint(pid) if fp is None else fp
@@ -382,15 +395,27 @@ class KernelConfig:
     def _process_fingerprint(self, pid: int) -> HashedKey:
         fp = self._process_fps[pid]
         if fp is None:
-            # Cache miss: the only place exploration actually pays the
-            # O(memory) hash — the hit rate is what the incremental
-            # caches buy, so it is the number worth watching.
+            # Cache miss: a decision touched pid since its key was read.
+            # The key itself is built once per state, not per miss: an
+            # in-flight process takes its node's key, an idle or crashed
+            # one the key of its memory object (kernel/state_hashes
+            # counts the builds).
             rec = _obs_active()
             if rec is not None:
                 rec.count("kernel/fingerprint_misses")
             state = self.runtime.processes[pid]
             try:
-                fp = HashedKey(state.fingerprint())
+                if state.frame is not None:
+                    fp = state.fingerprint()
+                else:
+                    memory = state.memory
+                    idle = (pid, state.crashed, id(memory))
+                    held = self._idle_fps.get(idle)
+                    if held is None:
+                        fp = HashedKey(state.fingerprint())
+                        self._idle_fps[idle] = (memory, fp)
+                    else:
+                        fp = held[1]
             except TypeError:
                 state.check_hashable()  # names an unhashable memory value
                 raise

@@ -29,17 +29,22 @@ and the unique-configuration budget (the root included) either raises
 :class:`SearchBudgetExceeded` or ends the search quietly.
 
 Everything an edge costs runs in one generator frame
-(:meth:`KernelExplorer._run_single`): a frontier entry is a plain tuple,
-and the only calls per edge are the kernel's own (restore, apply,
-fingerprint, capture) and the client's callbacks.
+(:meth:`KernelExplorer._run_single`): a frontier entry is a plain list
+(its snapshot slot is filled when the node is captured), and the only
+calls per edge are the kernel's own (restore, apply, fingerprint,
+capture) and the client's callbacks.
 
 Modes
 -----
 ``snapshot`` (default)
-    Each discovered configuration is captured as a
-    :class:`~repro.engine.config.KernelSnapshot`; expanding a node
-    restores the snapshot once per child — O(configuration size) per
+    Children are produced in one scratch configuration: expanding a
+    node restores its :class:`~repro.engine.config.KernelSnapshot`
+    unless the scratch already holds it — O(configuration size) per
     edge instead of the O(depth) full re-execution replay pays.
+    Capture is lazy: a node is captured only when the scratch is about
+    to leave it while a restore of it is still owed (it has a choice
+    awake for a later expansion), so every snapshot but the root's is
+    restored at least once.
 ``replay``
     The seed behaviour, kept as a fallback behind the same interface: a
     node is identified with its decision path and every edge re-executes
@@ -217,15 +222,15 @@ class KernelExplorer:
 
     def _run_single(self) -> Iterator[ConfigVisit]:
         # The whole search is this one frame: everything per edge is a
-        # local.  A frontier entry is (fingerprint, depth, schedule,
-        # decisions, snapshot, choices, sleep): ``decisions`` is the
+        # local.  A frontier entry is [fingerprint, depth, schedule,
+        # decisions, snapshot, choices, sleep]: ``decisions`` is the
         # path replay mode re-executes (empty in snapshot mode),
-        # ``snapshot`` is None where the node will never be restored,
-        # and ``sleep`` is the DPOR sleep set (label -> Footprint; None
-        # when the reduction is off).  A node's depth is its search
-        # depth; a DPOR revisit (see _revisit) keeps the depth of the
-        # first visit while carrying the schedule of the path that
-        # forced it, so capture and expansion decisions read
+        # ``snapshot`` is None until the node is captured (see ``owed``
+        # below), and ``sleep`` is the DPOR sleep set (label ->
+        # Footprint; None when the reduction is off).  A node's depth is
+        # its search depth; a DPOR revisit (see _revisit) keeps the
+        # depth of the first visit while carrying the schedule of the
+        # path that forced it, so expansion decisions read
         # ``len(schedule)`` and the depth bound reads ``depth``.
         reduce = self.reduction == "dpor"
         sleeps = SleepSets() if reduce else None
@@ -257,6 +262,12 @@ class KernelExplorer:
         # under DFS) the scratch already *is* that configuration, and
         # its first child needs no restore at all.
         held: Optional[Hashable] = None
+        # Capture is lazy: a pushed entry that will need a restore is
+        # "owed" a snapshot while the scratch holds its configuration,
+        # and captured only when the scratch is about to leave it
+        # (restore or apply).  Popped while the scratch still holds it,
+        # it is captured only if a second awake choice will restore it.
+        owed: Optional[list] = None
 
         config = KernelConfig(implementation).apply_all(root_decisions)
         if prune is not None and prune(config):
@@ -280,12 +291,23 @@ class KernelExplorer:
             return
         visited = 1
         yield ConfigVisit(config, key, (), 0, choices)
-        push((key, 0, (), (), snap, choices, sleep))
+        push([key, 0, (), (), snap, choices, sleep])
 
         while frontier:
-            key, depth, schedule, decisions, snap, choices, sleep = pop()
+            entry = pop()
+            key, depth, schedule, decisions, snap, choices, sleep = entry
             if rec is not None:
                 rec.count("engine/frontier_pops")
+            if entry is owed:
+                owed = None
+                awake = (
+                    sum(1 for label, _ in choices if label not in sleep)
+                    if sleep else len(choices)
+                )
+                if awake > 1:
+                    if rec is not None:
+                        rec.count("engine/snapshot_captures")
+                    snap = scratch.capture()
             if max_depth is not None and depth >= max_depth:
                 continue
             explored = []  # (label, Footprint) of expanded siblings, DPOR only
@@ -301,7 +323,18 @@ class KernelExplorer:
                     continue
                 if snapshot:
                     config = scratch
+                    if owed is not None:
+                        if rec is not None:
+                            rec.count("engine/snapshot_captures")
+                        owed[4] = config.capture()
+                        owed = None
                     if held is not key and held != key:
+                        if snap is None:
+                            raise RuntimeError(
+                                f"frontier entry at schedule {schedule!r} "
+                                f"(depth {depth}) has no snapshot and the "
+                                "scratch configuration does not hold it"
+                            )
                         config.restore_from(snap)
                         if rec is not None:
                             rec.count("engine/snapshot_restores")
@@ -339,13 +372,16 @@ class KernelExplorer:
                         rec.count("engine/dedup_hits")
                     if reduce:
                         revisit = self._revisit(
-                            sleeps, config, child_key, child_sleep, snapshot, rec
+                            sleeps, config, child_key, child_sleep, rec
                         )
                         if revisit is not None:
-                            push((
+                            revisit = [
                                 child_key, depths[child_key], schedule + (label,),
-                                child_decisions, *revisit,
-                            ))
+                                child_decisions, None, *revisit,
+                            ]
+                            push(revisit)
+                            if snapshot:
+                                owed = revisit
                     continue
                 child_schedule = schedule + (label,)
                 child_choices = tuple(successors(config))
@@ -354,18 +390,6 @@ class KernelExplorer:
                 )
                 if reduce and expandable:
                     sleeps.note_expansion(child_key, child_sleep)
-                # A snapshot is only taken when the node can actually be
-                # expanded later; leaves and depth-capped nodes never
-                # need one, and neither does a DPOR node whose every
-                # choice is asleep (expanding it restores nothing).
-                child_snap = None
-                if snapshot and expandable and not (
-                    child_sleep
-                    and all(choice in child_sleep for choice, _ in child_choices)
-                ):
-                    if rec is not None:
-                        rec.count("engine/snapshot_captures")
-                    child_snap = config.capture()
                 if budget is not None and visited >= budget:
                     self._budget_hit()
                     return
@@ -377,10 +401,20 @@ class KernelExplorer:
                 yield ConfigVisit(
                     config, child_key, child_schedule, depth + 1, child_choices
                 )
-                push((
+                child = [
                     child_key, depth + 1, child_schedule, child_decisions,
-                    child_snap, child_choices, child_sleep,
-                ))
+                    None, child_choices, child_sleep,
+                ]
+                push(child)
+                # Only a node that can actually be expanded later is owed
+                # a snapshot; leaves and depth-capped nodes never need
+                # one, and neither does a DPOR node whose every choice is
+                # asleep (expanding it restores nothing).
+                if snapshot and expandable and not (
+                    child_sleep
+                    and all(choice in child_sleep for choice, _ in child_choices)
+                ):
+                    owed = child
             if blocked and blocked == len(choices) and rec is not None:
                 rec.count("dpor/pruned")
 
@@ -392,13 +426,14 @@ class KernelExplorer:
                 f"search exceeded {self.max_configurations} unique nodes"
             )
 
-    def _revisit(self, sleeps, config, key, sleep, snapshot, rec):
+    def _revisit(self, sleeps, config, key, sleep, rec):
         """State-caching repair: re-expand a visited state when this
         path arrives with decisions awake that its first expansion had
         asleep (see :mod:`repro.engine.dpor`).  ``config`` is live (the
-        child just produced), so the enabled set and a fresh snapshot
-        are at hand.  Returns the re-queued entry's ``(snapshot,
-        choices, sleep)``, or ``None`` when plain dedup is sound.
+        child just produced), so the enabled set is at hand, and the
+        re-queued entry is owed its own snapshot like a new child.
+        Returns the re-queued entry's ``(choices, sleep)``, or ``None``
+        when plain dedup is sound.
 
         The re-queued state is popped and expanded like any frontier
         entry but yields no new visit (it was already visited, counted
@@ -410,14 +445,9 @@ class KernelExplorer:
         merged = sleeps.revisit_sleep(key, sleep, (label for label, _ in choices))
         if merged is None:
             return None
-        snap = None
         if rec is not None:
             rec.count("dpor/revisit_repairs")
-        if snapshot:
-            if rec is not None:
-                rec.count("engine/snapshot_captures")
-            snap = config.capture()
-        return snap, choices, merged
+        return choices, merged
 
     def _run_parity(self) -> Iterator[ConfigVisit]:
         snapshot_side = self._clone(mode="snapshot")

@@ -76,7 +76,7 @@ from repro.core.events import Invocation
 from repro.core.object_type import ObjectType
 from repro.obs.recorder import active as _obs_active
 from repro.util.errors import SimulationError
-from repro.util.freeze import unhashable_item
+from repro.util.freeze import HashedKey, unhashable_item
 
 #: Type alias for algorithm coroutines.
 Algorithm = Generator["Op", Any, Any]
@@ -213,7 +213,8 @@ class OpNode:
     its parent), so a trie of nodes is free of reference cycles.
 
     :attr:`process_fingerprint` caches the owning process's fingerprint
-    at this point (:meth:`ProcessState.fingerprint`).
+    at this point (:meth:`ProcessState.fingerprint`) as a hash-once
+    key, so every configuration holding the node shares one key.
 
     :attr:`generator` is a live generator suspended exactly at this
     point, working on :attr:`working_memory`; a node has one only until
@@ -265,7 +266,7 @@ class OpNode:
         self.children: Optional[Dict[Any, OpNode]] = None
         self.generator: Optional[Algorithm] = None
         self.working_memory: Optional[Dict[str, Any]] = None
-        self.process_fingerprint: Optional[Hashable] = None
+        self.process_fingerprint: Optional[HashedKey] = None
 
     def results(self) -> Tuple[Any, ...]:
         """The primitive results fed so far, oldest first."""
@@ -382,29 +383,33 @@ class ProcessState:
         return self.frame is not None and not self.crashed
 
     def fingerprint(self) -> Hashable:
-        """Process part of the global configuration fingerprint."""
-        # This is the O(memory) hash the engine's incremental caches
-        # exist to avoid; counting it here (not at cached call sites)
-        # measures the real hashing work.  The step body
-        # (`Runtime.apply_decision`, about 2-3 µs a decision on a 2-core
-        # VM) stays uninstrumented: the drivers flush step totals in
-        # aggregate instead.
+        """Process part of the global configuration fingerprint.
+
+        In flight (a crash clears the frame), the node's memory is this
+        process's memory, so the fingerprint is the node's: built and
+        hashed once per node, then returned as that hash-once key.  An
+        idle or crashed process's fingerprint is a plain tuple, built
+        per call (:class:`~repro.engine.config.KernelConfig` keeps one
+        key per idle memory).
+        """
+        # Counted only where a fingerprint is built (the O(memory) work
+        # the node and idle-memory keys exist to avoid), not at cached
+        # call sites.  The step body (`Runtime.apply_decision`, about
+        # 2-3 µs a decision on a 2-core VM) stays uninstrumented: the
+        # drivers flush step totals in aggregate instead.
+        node = self.frame
+        if node is not None:
+            fingerprint = node.process_fingerprint
+            if fingerprint is not None:
+                return fingerprint
         rec = _obs_active()
         if rec is not None:
             rec.count("kernel/state_hashes")
-        node = self.frame
         if node is None:
             return (self.pid, self.crashed, tuple(sorted(self.memory.items())), None)
-        # In flight (a crash clears the frame): the node's memory is this
-        # process's memory, so the fingerprint is the node's, built once.
-        fingerprint = node.process_fingerprint
-        if fingerprint is None:
-            fingerprint = node.process_fingerprint = (
-                self.pid,
-                False,
-                tuple(sorted(node.memory.items())),
-                node.fingerprint(),
-            )
+        fingerprint = node.process_fingerprint = HashedKey(
+            (self.pid, False, tuple(sorted(node.memory.items())), node.fingerprint())
+        )
         return fingerprint
 
     def check_hashable(self) -> None:

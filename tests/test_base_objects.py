@@ -182,6 +182,15 @@ class TestObjectPool:
         assert pool.apply("a", "read", ()) == 0
         assert pool.apply("n", "read", ()) == 0
 
+    def test_restore_rejects_other_object_names(self):
+        other = ObjectPool([AtomicRegister("a"), AtomicRegister("c")]).capture()
+        pool = ObjectPool([AtomicRegister("a"), AtomicRegister("b")])
+        with pytest.raises(
+            SimulationError,
+            match=r"snapshot names \['a', 'c'\] do not match pool \['a', 'b'\]",
+        ):
+            pool.restore(other)
+
     def test_contains_and_names(self):
         pool = ObjectPool([AtomicRegister("b"), AtomicRegister("a")])
         assert "a" in pool and "c" not in pool

@@ -18,7 +18,10 @@ The engine's load-bearing promises, in test form:
   built;
 * its visit order is pinned: three searches reproduce recorded digests
   of their ordered schedules (and, for the valency search, edges), and
-  a DPOR revisit repair re-queues its state and counts its capture.
+  a DPOR revisit repair re-queues its state and counts its capture;
+* it captures only the nodes it comes back to (every snapshot but the
+  root's is restored), and a node it must restore without a snapshot
+  fails loudly.
 """
 
 import hashlib
@@ -269,9 +272,8 @@ class TestVisitOrderPin:
         assert counters["engine/frontier_pops"] == 1 + (visits - 1) + 2
 
     def test_every_capture_is_counted(self, monkeypatch):
-        # A repair captures the re-queued state too: the counter must
-        # equal the number of KernelConfig.capture calls (two of the
-        # captures here are the repairs').
+        # A repair's re-queued state is owed a snapshot like a new child:
+        # the counter must equal the number of KernelConfig.capture calls.
         captures = []
         original = KernelConfig.capture
 
@@ -294,7 +296,7 @@ class TestVisitOrderPin:
                 pass
         counters = rec.counters
         assert counters["dpor/revisit_repairs"] == 2
-        assert counters["engine/snapshot_captures"] == len(captures) == 328
+        assert counters["engine/snapshot_captures"] == len(captures) == 224
 
     def test_valency_bfs_prune_edges(self, monkeypatch):
         import repro.adversaries.valency as valency
@@ -331,6 +333,85 @@ class TestVisitOrderPin:
             632,
             "82eb37dce809a2f8d5f55eb335a02d59f35dcb584893ed92654b733fbf7903a6",
         )
+
+
+def _dfs_dpor(scenario_id):
+    scenario = get_scenario(scenario_id)
+    return KernelExplorer(
+        scenario.factory,
+        plan_successors(scenario.plan),
+        strategy="dfs",
+        max_depth=scenario.bounds.max_depth,
+        max_configurations=scenario.bounds.max_configurations,
+        reduction="dpor",
+    )
+
+
+class TestLazyCapture:
+    """The search captures a node only when the scratch leaves it while
+    a restore of it is still owed, so every snapshot it takes is
+    restored; and a node it would need but never captured fails loudly
+    instead of being expanded from the wrong configuration."""
+
+    @pytest.mark.parametrize(
+        "scenario_id, repairs",
+        [
+            ("agp-opacity", None),
+            ("lock-mutex:impl=bakery,n=2,rounds=1", None),
+            # Re-queued states of DPOR revisit repairs are captured by
+            # the same rule.
+            ("consensus-grid:impl=cas,n=3,proposals=alt", 2),
+            (None, None),  # the valency search: BFS, abstract key, pruning
+        ],
+    )
+    def test_every_snapshot_but_the_roots_is_restored(
+        self, monkeypatch, scenario_id, repairs
+    ):
+        captured, restored = [], set()
+        capture, restore_from = KernelConfig.capture, KernelConfig.restore_from
+
+        def recording_capture(config):
+            snapshot = capture(config)
+            captured.append(snapshot)
+            return snapshot
+
+        def recording_restore(config, snapshot):
+            restored.add(id(snapshot))
+            return restore_from(config, snapshot)
+
+        monkeypatch.setattr(KernelConfig, "capture", recording_capture)
+        monkeypatch.setattr(KernelConfig, "restore_from", recording_restore)
+        with recording() as rec:
+            if scenario_id is None:
+                find_nondeciding_schedule(
+                    lambda: CommitAdoptConsensus(2), proposals=(0, 1), max_configs=3_000
+                )
+            else:
+                list(_dfs_dpor(scenario_id).run())
+        assert len(captured) > 1
+        assert rec.counters["engine/snapshot_captures"] == len(captured)
+        assert rec.counters.get("dpor/revisit_repairs") == repairs
+        never = [i for i, snap in enumerate(captured[1:], 1) if id(snap) not in restored]
+        assert never == []
+
+    def test_missing_snapshot_fails_loudly(self, monkeypatch):
+        # A capture that yields nothing leaves an owed node without a
+        # snapshot once the scratch has moved on: the search must say
+        # so when it needs that node, not restore from None.
+        capture = KernelConfig.capture
+        calls = []
+
+        def root_only(config):
+            calls.append(1)
+            return capture(config) if len(calls) == 1 else None
+
+        monkeypatch.setattr(KernelConfig, "capture", root_only)
+        with pytest.raises(
+            RuntimeError,
+            match=r"frontier entry at schedule \(.*\) \(depth \d+\) has no "
+            "snapshot and the scratch configuration does not hold it",
+        ):
+            list(_dfs_dpor("consensus-grid:impl=cas,n=3,proposals=alt").run())
 
 
 class TestSnapshotRestore:

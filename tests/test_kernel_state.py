@@ -12,7 +12,13 @@ as its sorted items.  In test form:
   writes after a capture never reach the captured state;
 * the flat memory key partitions memories exactly as ``freeze()`` did;
 * snapshot and replay exploration agree in lockstep (``mode="parity"``)
-  on one implementation per container-holding object kind.
+  on one implementation per container-holding object kind;
+* the process keys the engine builds once per operation node or idle
+  memory are the keys: along seeded walks with crashes, every cached
+  configuration key equals the key of a configuration restored from a
+  capture and of one replayed from scratch, equal keys carry equal
+  invocation counts, and a crashed process keys apart from the live
+  one with the same memory.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -22,12 +28,17 @@ from repro.base_objects import AtomicSnapshot, RegisterArray, RegisterFile
 from repro.base_objects.base import BaseObject, ObjectPool
 from repro.base_objects.register import AtomicRegister
 from repro.core.object_type import ObjectType, OperationSignature, ProgressMode
+from repro.engine.config import KernelConfig
 from repro.fuzz.driver import FuzzDriver
-from repro.scenarios import verify
+from repro.obs.recorder import recording
+from repro.scenarios import get_scenario, verify
 from repro.sim import explore_histories
+from repro.sim.drivers import CrashDecision
+from repro.sim.explore import plan_successors
 from repro.sim.kernel import Implementation, Op, ProcessState
 from repro.util.errors import SimulationError
 from repro.util.freeze import freeze
+from repro.util.rng import DeterministicRng
 
 NOTE_TYPE = ObjectType(
     name="note",
@@ -180,3 +191,114 @@ def test_snapshot_replay_parity(scenario_id, overrides):
         **overrides,
     )
     assert verdict.outcome == "holds"
+
+
+# -- process keys, built once --------------------------------------------------
+
+#: A TM, a consensus and a lock scenario, with the crash probability of
+#: their walks.
+KEY_SCENARIOS = [
+    ("agp-opacity", 0.0),
+    ("consensus-grid:impl=commit-adopt,n=3,proposals=alt", 0.1),
+    ("lock-mutex:impl=bakery,n=2,rounds=2", 0.0),
+]
+
+
+def _walk(config, successors, rng, steps, crash_probability):
+    """Yield after each of up to ``steps`` seeded random decisions."""
+    for _ in range(steps):
+        choices = successors(config)
+        if not choices:
+            return
+        if crash_probability and rng.maybe(crash_probability):
+            decision = CrashDecision(rng.choice(sorted({label[1] for label, _ in choices})))
+        else:
+            decision = rng.choice(choices)[1]
+        config.apply(decision)
+        yield decision
+
+
+def _unseeded(snapshot):
+    """``snapshot`` without its key seeds: a configuration restored
+    from it looks every process key up itself."""
+    return snapshot._replace(
+        processes=tuple(part._replace(fingerprint=None) for part in snapshot.processes),
+        pool_fingerprints=None,
+        events_key=None,
+    )
+
+
+@pytest.mark.parametrize("scenario_id, crash_probability", KEY_SCENARIOS)
+def test_cached_keys_are_the_keys(scenario_id, crash_probability):
+    scenario = get_scenario(scenario_id)
+    successors = plan_successors(scenario.plan)
+    rng = DeterministicRng(f"process-keys-{scenario_id}")
+    config = KernelConfig.initial(scenario.factory)
+    root = config.capture()
+    invocations_of_key = {}
+    keys = crashes = 0
+    for _ in range(8):
+        # Every walk starts over from the root, so walks meet states,
+        # nodes and idle memories that earlier walks keyed.
+        config.restore_from(root)
+        schedule = []
+        for decision in _walk(config, successors, rng, 40, crash_probability):
+            schedule.append(decision)
+            key, kernel_key = config.fingerprint(), config.kernel_fingerprint()
+            restored = KernelConfig.from_snapshot(
+                scenario.factory, _unseeded(config.capture())
+            )
+            # A replay builds its own nodes and memories: nothing is
+            # shared with the configuration's caches.
+            replayed = KernelConfig.replay(scenario.factory, schedule)
+            for other in (restored, replayed):
+                assert other.fingerprint() == key
+                assert other.kernel_fingerprint() == kernel_key
+            invocations = tuple(
+                config.invocations_of(pid) for pid in range(config.n_processes)
+            )
+            assert invocations_of_key.setdefault(key, invocations) == invocations
+            keys += 1
+        crashes += sum(type(decision) is CrashDecision for decision in schedule)
+    # The walks met states twice, and crashed processes (where asked).
+    assert len(invocations_of_key) < keys
+    assert (crashes > 0) == bool(crash_probability)
+
+
+@pytest.mark.parametrize("scenario_id, crash_probability", KEY_SCENARIOS)
+def test_a_state_is_hashed_once(scenario_id, crash_probability):
+    # Walking the same schedule again from a restore keys every state
+    # from the node or idle-memory keys the first pass built.
+    scenario = get_scenario(scenario_id)
+    successors = plan_successors(scenario.plan)
+    config = KernelConfig.initial(scenario.factory)
+    root = config.capture()
+    rng = DeterministicRng(f"hash-once-{scenario_id}")
+    schedule = []
+    with recording() as rec:
+        for decision in _walk(config, successors, rng, 40, crash_probability):
+            schedule.append(decision)
+            config.fingerprint()
+        built = rec.counters["kernel/state_hashes"]
+        config.restore_from(_unseeded(root))
+        for decision in schedule:
+            config.apply(decision)
+            config.fingerprint()
+    assert built > 0
+    assert rec.counters["kernel/state_hashes"] == built
+
+
+def test_crashed_process_keys_apart_from_live_one():
+    scenario = get_scenario("consensus-grid:impl=commit-adopt,n=3,proposals=alt")
+    config = KernelConfig.initial(scenario.factory)
+    root = config.capture()
+    live = config.kernel_fingerprint()
+    memory = config.runtime.processes[0].memory
+    config.apply(CrashDecision(0))
+    assert config.runtime.processes[0].memory is memory
+    crashed = config.kernel_fingerprint()
+    pool, processes = crashed
+    assert processes[0] != live[1][0]
+    assert (pool, processes[1:]) == (live[0], live[1][1:])
+    config.restore_from(_unseeded(root))
+    assert config.kernel_fingerprint() == live
