@@ -349,7 +349,7 @@ def cmd_fuzz(arguments) -> int:
                 seed=arguments.seed,
                 iterations=arguments.iterations,
                 max_depth=arguments.max_depth,
-                crash=arguments.crash,
+                crash=spec.crash if arguments.crash is None else arguments.crash,
             )
             ok = (report.violation is not None) == spec.expect_violation
             verdict = (
@@ -830,7 +830,8 @@ def _add_fuzz_parser(subparsers) -> None:
     fuzz.add_argument(
         "--crash", default=None,
         help="crash pattern injected into every exploration walk "
-        "(p0@40+p1@60 syntax; default: randomized crash points)",
+        "(p0@40+p1@60 syntax; default: the scenario's crash model, or "
+        "randomized crash points when it declares none)",
     )
     fuzz.add_argument(
         "--oracle", action="store_true",

@@ -110,8 +110,7 @@ def _replay(
     decisions: List[object] = list(_proposal_decisions(proposals))
     decisions.extend(StepDecision(pid) for pid in schedule)
     driver = ScriptedDriver(decisions, name="valency-replay")
-    runtime = Runtime(implementation, driver, max_steps=len(decisions) + 1,
-                      detect_lasso=False)
+    runtime = Runtime(implementation, driver, max_steps=len(decisions) + 1)
     try:
         result = runtime.run()
     except SimulationError:

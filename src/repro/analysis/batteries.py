@@ -14,10 +14,11 @@ evaluators):
   concurrent-start adversary.
 
 Each play yields ``(history, summary, label)``; classification
-evaluates safety on the history and liveness on the summary.  All
-plays are built as :class:`~repro.engine.batch.PlayTask`\\ s and
-executed through the engine's batch runner — serially by default, or
-on a process pool under ``processes`` / ``REPRO_ENGINE_PARALLEL``.
+evaluates safety on the history and liveness on the summary.  Every
+play is one :func:`~repro.sim.runtime.play` of a fresh implementation
+against a fresh driver, run in order in this process: a play is the
+straight-line case of the liveness search, which judges whether it is
+a lasso, a fair finite run, or horizon evidence.
 
 The campaign grid axes select battery subsets uniformly:
 ``schedulers`` restricts the schedule families, ``crash`` injects a
@@ -34,10 +35,9 @@ from repro.adversaries.counterexample import CounterexampleAdversary
 from repro.adversaries.tm_local_progress import TMLocalProgressAdversary
 from repro.analysis.classification import Play
 from repro.analysis.registry import RegistryEntry
-from repro.engine.batch import PlayTask, run_play_batch
 from repro.sim.crash import parse_crash_spec
-from repro.sim.drivers import ComposedDriver
-from repro.sim.record import RunResult
+from repro.sim.drivers import ComposedDriver, Driver
+from repro.sim.runtime import play
 from repro.sim.schedulers import (
     GroupScheduler,
     LockstepScheduler,
@@ -115,65 +115,48 @@ def lk_points(n: int, lk) -> Optional[List[Tuple[int, int]]]:
     return points
 
 
-def _assemble_battery(
-    entries: Sequence[RegistryEntry],
-    tasks: Sequence[PlayTask],
-    results: Sequence[RunResult],
-) -> Dict[str, List[Play]]:
-    """Group batch results back into per-implementation play lists."""
-    battery: Dict[str, List[Play]] = {entry.key: [] for entry in entries}
-    modes = {
-        entry.key: entry.make().object_type.progress_mode for entry in entries
-    }
-    for task, result in zip(tasks, results):
-        battery[task.key].append(
-            (result.history, result.summary(modes[task.key]), task.label)
-        )
-    return battery
+def _play(
+    plays: List[Play],
+    entry: RegistryEntry,
+    label: str,
+    driver: Driver,
+    max_steps: int,
+) -> None:
+    """Play a fresh implementation of ``entry`` against ``driver`` and
+    append the run to ``plays``."""
+    implementation = entry.make()
+    result = play(implementation, driver, max_steps=max_steps)
+    mode = implementation.object_type.progress_mode
+    plays.append((result.history, result.summary(mode), label))
 
 
 def consensus_plays(
     n: int,
     entries: Sequence[RegistryEntry],
     max_steps: int = 20_000,
-    processes: Optional[int] = None,
     schedulers=None,
     crash: Optional[str] = None,
     seed: Optional[int] = None,
 ) -> Dict[str, List[Play]]:
     """The consensus schedule battery (see module docstring)."""
-    tasks: List[PlayTask] = []
+    battery: Dict[str, List[Play]] = {entry.key: [] for entry in entries}
     families = _select_families(schedulers, CONSENSUS_SCHEDULE_FAMILIES, seed)
     crash_factory = parse_crash_spec(crash)
 
-    def add(entry: RegistryEntry, label: str, scheduler_factory, proposals) -> None:
-        tasks.append(
-            PlayTask(
-                key=entry.key,
-                label=label,
-                implementation_factory=entry.make,
-                driver_factory=lambda sf=scheduler_factory, p=tuple(proposals): (
-                    ComposedDriver(
-                        sf(),
-                        propose_workload(list(p)),
-                        crash_plan=None if crash_factory is None else crash_factory(),
-                    )
-                ),
-                max_steps=max_steps,
-            )
+    def add(entry: RegistryEntry, label: str, scheduler, proposals) -> None:
+        driver = ComposedDriver(
+            scheduler,
+            propose_workload(proposals),
+            crash_plan=None if crash_factory is None else crash_factory(),
         )
+        _play(battery[entry.key], entry, label, driver, max_steps)
 
     for entry in entries:
         if "solo" in families:
             for pid in range(n):
                 proposals: List[Optional[int]] = [None] * n
                 proposals[pid] = pid
-                add(
-                    entry,
-                    f"solo(p{pid})",
-                    lambda pid=pid: SoloScheduler(pid),
-                    proposals,
-                )
+                add(entry, f"solo(p{pid})", SoloScheduler(pid), proposals)
         if "lockstep" in families:
             for a in range(n):
                 for b in range(a + 1, n):
@@ -182,21 +165,20 @@ def consensus_plays(
                     add(
                         entry,
                         f"lockstep(p{a},p{b})",
-                        lambda a=a, b=b: LockstepScheduler([a, b]),
+                        LockstepScheduler([a, b]),
                         proposals,
                     )
         if "round-robin" in families:
-            add(entry, "round-robin(all)", RoundRobinScheduler, list(range(n)))
+            add(entry, "round-robin(all)", RoundRobinScheduler(), list(range(n)))
         if "random" in families:
             play_seed = 0 if seed is None else seed
             add(
                 entry,
                 f"random(seed={play_seed})",
-                lambda s=play_seed: RandomScheduler(s),
+                RandomScheduler(play_seed),
                 list(range(n)),
             )
-
-    return _assemble_battery(entries, tasks, run_play_batch(tasks, processes=processes))
+    return battery
 
 
 def tm_plays(
@@ -206,73 +188,48 @@ def tm_plays(
     transactions: int = 2,
     max_steps: int = 240,
     include_counterexample: bool = True,
-    processes: Optional[int] = None,
     schedulers=None,
     crash: Optional[str] = None,
     seed: Optional[int] = None,
 ) -> Dict[str, List[Play]]:
-    """The TM schedule-and-adversary battery (engine-batched, like
+    """The TM schedule-and-adversary battery (like
     :func:`consensus_plays`, with the same uniform grid axes over
     :data:`TM_SCHEDULE_FAMILIES`; crash patterns apply to the composed
     schedule plays, not to the adversary strategies)."""
-    tasks: List[PlayTask] = []
+    battery: Dict[str, List[Play]] = {entry.key: [] for entry in entries}
     families = _select_families(schedulers, TM_SCHEDULE_FAMILIES, seed)
     crash_factory = parse_crash_spec(crash)
 
-    def crash_plan():
-        return None if crash_factory is None else crash_factory()
+    def add(entry: RegistryEntry, label: str, driver: Driver) -> None:
+        _play(battery[entry.key], entry, label, driver, max_steps)
 
-    def add(entry: RegistryEntry, label: str, driver_factory) -> None:
-        tasks.append(
-            PlayTask(
-                key=entry.key,
-                label=label,
-                implementation_factory=entry.make,
-                driver_factory=driver_factory,
-                max_steps=max_steps,
-            )
+    def composed(scheduler) -> ComposedDriver:
+        return ComposedDriver(
+            scheduler,
+            TransactionWorkload(n, transactions, variables=variables),
+            crash_plan=None if crash_factory is None else crash_factory(),
         )
 
     for entry in entries:
         if "round-robin" in families:
-            add(
-                entry,
-                "round-robin(all)",
-                lambda: ComposedDriver(
-                    RoundRobinScheduler(),
-                    TransactionWorkload(n, transactions, variables=variables),
-                    crash_plan=crash_plan(),
-                ),
-            )
+            add(entry, "round-robin(all)", composed(RoundRobinScheduler()))
         if "group" in families:
             for a in range(n):
                 for b in range(a + 1, n):
-                    add(
-                        entry,
-                        f"group(p{a},p{b})",
-                        lambda a=a, b=b: ComposedDriver(
-                            GroupScheduler([a, b]),
-                            TransactionWorkload(n, transactions, variables=variables),
-                            crash_plan=crash_plan(),
-                        ),
-                    )
+                    add(entry, f"group(p{a},p{b})", composed(GroupScheduler([a, b])))
         if "random" in families:
             play_seed = 0 if seed is None else seed
             add(
                 entry,
                 f"random(seed={play_seed})",
-                lambda s=play_seed: ComposedDriver(
-                    RandomScheduler(s),
-                    TransactionWorkload(n, transactions, variables=variables),
-                    crash_plan=crash_plan(),
-                ),
+                composed(RandomScheduler(play_seed)),
             )
         if "tm-adversary" in families:
             for victim, helper in ((0, 1), (1, 0)):
                 add(
                     entry,
                     f"tm-adversary(victim=p{victim})",
-                    lambda victim=victim, helper=helper: TMLocalProgressAdversary(
+                    TMLocalProgressAdversary(
                         victim=victim, helper=helper, variable=variables[0]
                     ),
                 )
@@ -280,7 +237,6 @@ def tm_plays(
             add(
                 entry,
                 "counterexample-adversary",
-                lambda: CounterexampleAdversary(tuple(range(3))),
+                CounterexampleAdversary(tuple(range(3))),
             )
-
-    return _assemble_battery(entries, tasks, run_play_batch(tasks, processes=processes))
+    return battery

@@ -7,7 +7,7 @@ Layers (each its own module):
 * :mod:`repro.campaign.store` — the SQLite-backed run store with the
   ``pending → claimed → done/failed`` job lifecycle;
 * :mod:`repro.campaign.runner` — the worker pool executing open jobs
-  through the experiment registry and engine batch runner;
+  through the experiment registry;
 * :mod:`repro.campaign.report` — deterministic JSON export and ASCII
   re-rendering of stored results (Figure 1 panels, claim tables).
 

@@ -1,21 +1,18 @@
 """The campaign worker pool: pull open jobs, execute, record.
 
 Workers are plain processes around one loop — claim a job from the
-store, run it through the experiment registry (whose batteries execute
-on :func:`repro.engine.batch.run_play_batch`), persist the result
-payload and timing.  The store's atomic claim is the only coordination:
-workers never talk to each other, any number of them (including workers
-of *other* ``campaign run`` invocations on the same store) can run
-concurrently, and killing any of them loses at most the claims they
-held — which :meth:`~repro.campaign.store.CampaignStore.reclaim_dead`
-recovers on the next run.
+store, run it through the experiment registry (whose batteries play
+each run in-process), persist the result payload and timing.  The
+store's atomic claim is the only coordination: workers never talk to
+each other, any number of them (including workers of *other*
+``campaign run`` invocations on the same store) can run concurrently,
+and killing any of them loses at most the claims they held — which
+:meth:`~repro.campaign.store.CampaignStore.reclaim_dead` recovers on
+the next run.
 
-``workers=None`` honours ``REPRO_ENGINE_PARALLEL`` (the engine-wide
-parallelism knob).  With more than one worker, job-level parallelism
-replaces battery-level parallelism — workers pin
-``REPRO_ENGINE_PARALLEL=0`` in their own environment so every job runs
-its battery serially instead of oversubscribing the machine with nested
-pools.
+``workers=None`` honours ``REPRO_ENGINE_PARALLEL``
+(:func:`default_parallelism`).  Jobs are the only unit of parallelism:
+a job runs its battery serially inside its worker.
 
 Observability
 -------------
@@ -44,11 +41,23 @@ from typing import Any, Dict, Optional
 from repro.analysis.experiments import run_experiment
 from repro.campaign.report import result_payload
 from repro.campaign.store import CampaignStore, JobRecord, local_worker_id
-from repro.engine.batch import default_parallelism
 from repro.obs.metrics import metrics_document
 from repro.obs.recorder import active as _obs_active, recording as _obs_recording
 from repro.obs.trace import write_trace_fragment
 from repro.util.errors import StoreError
+from repro.util.params import env_int
+
+
+def default_parallelism() -> int:
+    """The ``campaign run`` worker count when none is given:
+    ``REPRO_ENGINE_PARALLEL`` (0 = serial), the variable's only use.
+
+    Negative values clamp to 0 (serial); a non-integer value raises
+    :class:`~repro.util.errors.UsageError` rather than being silently
+    ignored (the shared ``REPRO_*`` env grammar of
+    :func:`repro.util.params.env_int`).
+    """
+    return env_int("REPRO_ENGINE_PARALLEL", default=0, minimum=0)
 
 
 def _run(record: JobRecord):
@@ -118,9 +127,6 @@ def _drain(
 def _worker_main(
     store_path: str, worker_index: int, obs_dir: Optional[str] = None
 ) -> None:
-    # Job-level parallelism replaces battery-level parallelism (see
-    # module docstring).
-    os.environ["REPRO_ENGINE_PARALLEL"] = "0"
     worker = f"{local_worker_id()}#{worker_index}"
     try:
         with CampaignStore.open(store_path) as store:
@@ -157,7 +163,7 @@ def run_campaign(
 ) -> Dict[str, Any]:
     """Execute the open jobs of a campaign store; returns a summary.
 
-    ``workers=None`` consults ``REPRO_ENGINE_PARALLEL``; ``0``/``1``
+    ``workers=None`` consults :func:`default_parallelism`; ``0``/``1``
     runs serially in-process.  ``max_jobs`` bounds how many jobs this
     invocation executes (serial only — used for drip-feeding and the
     resumability tests).  ``reclaim`` recovers claims of dead local

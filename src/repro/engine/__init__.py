@@ -9,15 +9,12 @@ One subsystem for every exhaustive search the repository performs:
   deduplicated, budgeted, depth-bounded search loop (breadth or depth
   first over one deque) over kernel configuration graphs, used by
   history exploration and the valency search, with a parity mode
-  asserting snapshot ≡ replay;
-* :mod:`repro.engine.batch` — batched execution of independent plays
-  for the experiment batteries, on a process pool when asked.
+  asserting snapshot ≡ replay.
 
 Exhaustive searches are serial: they scale through partial-order
 reduction (:mod:`repro.engine.dpor`), not through more processes.
 
-Import from those modules: the package loads none of them, so the
-scenario registry never pulls in ``batch.py`` and its process pool.
+Import from those modules: the package loads none of them.
 
 See ``docs/architecture.md`` for the determinism/fingerprint contract
 all of this rests on.

@@ -143,9 +143,7 @@ class KernelConfig:
     def __init__(self, implementation: Implementation):
         self.implementation = implementation
         self.runtime = Runtime(
-            implementation,
-            ScriptedDriver([], name="engine-config"),
-            detect_lasso=False,
+            implementation, ScriptedDriver([], name="engine-config")
         )
         # Incremental caches, all keyed by the same invariant: an entry
         # for process pid is valid unless a decision touched pid since it
@@ -207,15 +205,10 @@ class KernelConfig:
         runtime.step_count = snapshot.step_count
         runtime.events = list(snapshot.events)
         runtime.last_response.clear()
-        # A restore is a restart: fingerprints the lasso detector saw
-        # before the rewind belong to a different run and would fabricate
-        # bogus cross-run lassos (engine configurations keep detection
-        # off, so this is insurance for detection-enabled embeddings).
-        runtime.reset_lasso()
-        # Same restart rule for footprint state: the last recorded
-        # footprint describes a decision of the pre-rewind run; the DPOR
-        # layer must only ever see footprints of decisions applied to
-        # *this* restored configuration.
+        # A restore is a restart: the last recorded footprint describes
+        # a decision of the pre-rewind run; the DPOR layer must only
+        # ever see footprints of decisions applied to *this* restored
+        # configuration.
         runtime.last_footprint = None
         self._events_tuple = snapshot.events
         self._events_key = snapshot.events_key

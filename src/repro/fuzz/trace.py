@@ -177,7 +177,6 @@ def replay_schedule(
         factory(),
         ScriptedDriver(decisions, name="fuzz-replay"),
         max_steps=len(decisions) + 1,
-        detect_lasso=False,
     )
     try:
         result = runtime.run()

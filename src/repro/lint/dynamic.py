@@ -176,7 +176,7 @@ def exercise_class(cls: Type[BaseObject]) -> ClassProbe:
         implementation = _ProbeImplementation(
             lambda: construct_probe(cls), tuple(methods)
         )
-        runtime = Runtime(implementation, driver=None, detect_lasso=False)
+        runtime = Runtime(implementation, driver=None)
         runtime.record_footprints = True
         runtime.apply_decision(
             InvokeDecision(pid=0, operation=method, args=args)
@@ -325,7 +325,7 @@ def crosscheck_catalog(
 def _walk_scenario(scenario, static_map, rng, max_steps) -> List[str]:
     mismatches: List[str] = []
     implementation = scenario.factory()
-    runtime = Runtime(implementation, driver=None, detect_lasso=False)
+    runtime = Runtime(implementation, driver=None)
     runtime.record_footprints = True
     positions = {pid: 0 for pid in scenario.plan}
     for _ in range(max_steps):

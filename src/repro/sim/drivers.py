@@ -97,8 +97,10 @@ class Driver(ABC):
         The liveness search snapshots driver state alongside the kernel
         configuration so a branch can resume mid-strategy.  The default
         raises: a driver that cannot be captured can only be played
-        straight-line (which the adversary strategies never need — they
-        all implement :meth:`capture_state`/:meth:`restore_state`).
+        straight-line (:func:`~repro.sim.runtime.play`, whose search
+        never branches, so it never captures).  The adversary
+        strategies all implement :meth:`capture_state`/
+        :meth:`restore_state`.
         """
         raise NotImplementedError(
             f"driver {self.name!r} does not support state capture"

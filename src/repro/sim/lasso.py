@@ -90,8 +90,9 @@ class LassoDetector:
         from a fresh (or restored) configuration while reusing the
         detector.  Stale fingerprints from a previous run would match a
         configuration of the new run and fabricate a bogus cross-run
-        "lasso"; the regression tests in ``tests/test_sim_lasso.py``
-        pin this down.
+        "lasso"; the liveness search resets its detector at the start
+        of every :meth:`~repro.sim.liveness_search.LivenessSearch.runs`
+        call, which ``tests/test_liveness_backend.py`` pins down.
         """
         self._seen_exact.clear()
         self._seen_abstract.clear()

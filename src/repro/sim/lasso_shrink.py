@@ -103,7 +103,6 @@ def replay_lasso(
         implementation,
         ScriptedDriver([], name="lasso-replay"),
         max_steps=len(stem) + len(cycle) + 1,
-        detect_lasso=False,
     )
     try:
         for decision in stem:

@@ -21,6 +21,11 @@ Engine budget overruns raise
 :class:`~repro.engine.explorer.SearchBudgetExceeded`, which the
 ``verify`` facade folds into its ``budget-exhausted`` outcome.
 
+This is the one place a run is judged a lasso: :func:`repro.sim.runtime.play`
+runs every battery and experiment play as the straight-line case of
+this search (an :class:`AdversaryPolicy` over the play's driver, with a
+configuration budget equal to the step horizon).
+
 Branch bookkeeping
 ------------------
 A lasso is a repetition *along one run*, so the detector state forks at
@@ -423,22 +428,24 @@ class LivenessSearch:
         # point, sibling footprints).  ``siblings`` is a list *shared*
         # by all options of one branch point; LIFO pop order equals
         # options order, so when option[i] pops, the list holds exactly
-        # the footprints of the already-executed options[:i].
+        # the footprints of the already-executed options[:i].  The root
+        # entry, the only one with no pending decision, carries no
+        # policy or detector state: both were just reset, so a policy
+        # that cannot capture (a composed or scripted driver) can still
+        # be walked straight-line.
         stack: List[
             Tuple[Any, Any, Tuple[Decision, ...], Any, Optional[Decision],
                   Sleep, Optional[List[Tuple[Hashable, Any]]]]
-        ] = [
-            (self._root, policy.capture(), (), detector.snapshot(), None,
-             {}, None)
-        ]
+        ] = [(self._root, None, (), None, None, {}, None)]
         while stack:
             snapshot, state, prefix, detector_state, pending, sleep, siblings = (
                 stack.pop()
             )
             config.restore_from(snapshot)
             _rebuild_last_response(config.runtime)
-            policy.restore(state)
-            detector.restore(detector_state)
+            if pending is not None:
+                policy.restore(state)
+                detector.restore(detector_state)
             decisions = list(prefix)
             while True:
                 from_branch = None

@@ -9,7 +9,13 @@ states, history, statistics) and executes the decision loop:
    (apply one atomic primitive and move to the node its result leads
    to, recording the response event if the operation completed), or
    crash;
-3. feed the lasso detector; stop on budget, lasso, or driver stop.
+3. stop on budget or driver stop.
+
+:func:`play` does not use this loop: it runs a play as the
+straight-line case of the liveness search
+(:class:`~repro.sim.liveness_search.LivenessSearch`), the one place
+that judges whether a run is a lasso.  :meth:`Runtime.run` is the plain
+scripted loop the independent replays use.
 
 A runtime keeps the nodes its operations reached as a trie: the roots,
 keyed by invocation and idle memory, and below each node the memoised
@@ -51,7 +57,6 @@ from repro.sim.kernel import (
     OpNode,
     ProcessState,
 )
-from repro.sim.lasso import LassoDetector
 from repro.sim.record import ProcessStats, RunResult
 from repro.util.errors import SimulationError
 
@@ -110,10 +115,10 @@ def kernel_state_fingerprint(runtime: "Runtime") -> Hashable:
     """The kernel half of an exact lasso fingerprint: pool state plus
     per-process frames/memories.
 
-    THE one definition of the exact repetition key.  Every consumer —
-    the runtime's own detector, the liveness search
+    THE one definition of the exact repetition key.  Both consumers —
+    the liveness search
     (:meth:`repro.engine.config.KernelConfig.kernel_fingerprint` is the
-    incremental-cached equivalent and must compute the same value), and
+    incremental-cached equivalent and must compute the same value) and
     the certificate replay (:mod:`repro.sim.lasso_shrink`) — must agree
     byte-for-byte, or engine-found lassos would fail their independent
     replay.
@@ -133,9 +138,8 @@ def abstract_state_fingerprint(runtime: "Runtime") -> Optional[Hashable]:
     without bound in looping operations).  Implementations providing an
     abstraction must therefore encode their control position in process
     memory (a ``pc`` key); the shipped abstractions all do.  Shared by
-    the runtime's detector, the liveness search, and certificate replay
-    for the same agree-byte-for-byte reason as
-    :func:`kernel_state_fingerprint`.
+    the liveness search and certificate replay for the same
+    agree-byte-for-byte reason as :func:`kernel_state_fingerprint`.
     """
     abstraction = runtime.implementation.liveness_abstraction(
         runtime.pool, tuple(state.memory for state in runtime.processes)
@@ -161,11 +165,6 @@ class Runtime:
         The schedule-and-input strategy.
     max_steps:
         Decision budget; hitting it yields a horizon run.
-    detect_lasso:
-        Enable the repeated-configuration detector.
-    lasso_stride:
-        Fingerprint every n-th step (see
-        :class:`~repro.sim.lasso.LassoDetector`).
     """
 
     def __init__(
@@ -173,13 +172,10 @@ class Runtime:
         implementation: Implementation,
         driver: Driver,
         max_steps: int = 100_000,
-        detect_lasso: bool = True,
-        lasso_stride: int = 1,
     ):
         self.implementation = implementation
         self.driver = driver
         self.max_steps = max_steps
-        self.detect_lasso = detect_lasso
         self.pool = implementation.create_pool()
         self.processes: List[ProcessState] = [
             ProcessState(pid=pid, memory=implementation.initial_memory(pid))
@@ -196,7 +192,6 @@ class Runtime:
         self.record_footprints = False
         self.last_footprint: Optional[Footprint] = None
         self._is_good = implementation.object_type.is_good
-        self._detector = LassoDetector(check_every=lasso_stride)
         # The root node of every operation this runtime invoked, keyed
         # by the invocation and the identity of the idle memory it was
         # invoked on (the root holds that memory, so the identity stays
@@ -206,17 +201,6 @@ class Runtime:
         # One dict per memory value this runtime's operations produced
         # (see _share), so equal idle memories are one key above.
         self._memories: Dict[FrozenSet[Tuple[str, Any]], Dict[str, Any]] = {}
-
-    def reset_lasso(self) -> None:
-        """Forget every configuration the lasso detector has observed.
-
-        Every *restart* path — anything that rewinds this runtime to an
-        earlier (or different) configuration, such as
-        :meth:`repro.engine.config.KernelConfig.restore_from` — must
-        call this: fingerprints left over from before the rewind would
-        match configurations of the new run and fabricate a bogus
-        cross-run "lasso"."""
-        self._detector.reset()
 
     @property
     def view(self) -> RuntimeView:
@@ -239,11 +223,12 @@ class Runtime:
         Every stepping client goes through here: :meth:`run`, the
         exploration engine (via
         :meth:`~repro.engine.config.KernelConfig.apply`), the fuzzer's
-        walks, the liveness search and certificate replay.  The same
-        validity rules apply everywhere and ``step_count`` advances by
-        one per decision.  Dispatch is on the decision's exact class,
-        steps first (they are nearly every decision), and each kind is
-        one flat body: a step is the kernel's hot loop.
+        walks, the liveness search (and so :func:`play`) and
+        certificate replay.  The same validity rules apply everywhere
+        and ``step_count`` advances by one per decision.  Dispatch is on
+        the decision's exact class, steps first (they are nearly every
+        decision), and each kind is one flat body: a step is the
+        kernel's hot loop.
 
         An in-flight operation is an :class:`~repro.sim.kernel.OpNode`.
         A step out of a node some runtime has already stepped from
@@ -453,30 +438,13 @@ class Runtime:
         node.generator, node.working_memory = generator, working
         return generator
 
-    # -- fingerprints ------------------------------------------------------------
-
-    def _exact_fingerprint(self) -> Optional[Hashable]:
-        driver_fp = self.driver.fingerprint()
-        if driver_fp is None:
-            return None
-        return (driver_fp, kernel_state_fingerprint(self))
-
-    def _abstract_fingerprint(self) -> Optional[Hashable]:
-        driver_fp = self.driver.fingerprint()
-        if driver_fp is None:
-            return None
-        abstraction = abstract_state_fingerprint(self)
-        if abstraction is None:
-            return None
-        return (driver_fp, abstraction)
-
     # -- the loop -----------------------------------------------------------------
 
     def run(self) -> RunResult:
-        """Play the driver until stop, budget, or lasso."""
+        """Play the driver until stop or budget.  No lasso detection:
+        this is the scripted loop of the independent replays."""
         stop_reason = "max-steps"
         fairness_complete = False
-        lasso = None
         view = RuntimeView(self)
         while self.step_count < self.max_steps:
             decision = self.driver.decide(view)
@@ -487,15 +455,6 @@ class Runtime:
                 )
                 break
             self.apply_decision(decision)
-            if self.detect_lasso:
-                lasso = self._detector.observe(
-                    self.step_count,
-                    self._exact_fingerprint(),
-                    self._abstract_fingerprint(),
-                )
-                if lasso is not None:
-                    stop_reason = "lasso"
-                    break
         for state in self.processes:
             self.stats[state.pid].pending_at_end = state.pending
         return RunResult(
@@ -505,7 +464,6 @@ class Runtime:
             stop_reason=stop_reason,
             fairness_complete=fairness_complete,
             stats=self.stats,
-            lasso=lasso,
             driver_name=self.driver.name,
             implementation_name=self.implementation.name,
         )
@@ -515,16 +473,24 @@ def play(
     implementation: Implementation,
     driver: Driver,
     max_steps: int = 100_000,
-    detect_lasso: bool = True,
-    lasso_stride: int = 1,
 ) -> RunResult:
-    """One-call convenience: fresh runtime, fresh driver state, one run."""
-    driver.reset()
-    runtime = Runtime(
-        implementation,
-        driver,
-        max_steps=max_steps,
-        detect_lasso=detect_lasso,
-        lasso_stride=lasso_stride,
+    """One-call convenience: fresh driver state, one run, classified.
+
+    The straight-line case of the liveness search: the driver is a
+    fan-out-1 policy, so the search walks one run and stops it on
+    driver stop, lasso, or the ``max_steps`` horizon.  Its configuration
+    budget equals the horizon and each decision is one configuration,
+    so the budget never cuts a run short.
+    """
+    # Imported here: the search builds on the engine, which builds on
+    # this module.
+    from repro.sim.liveness_search import AdversaryPolicy, LivenessSearch
+
+    search = LivenessSearch(
+        lambda: implementation,
+        AdversaryPolicy(driver),
+        max_depth=max_steps,
+        max_configurations=max_steps,
     )
-    return runtime.run()
+    (run,) = search.runs()
+    return run.result

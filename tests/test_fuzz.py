@@ -391,3 +391,42 @@ class TestFuzzCli:
 
     def test_unknown_workload_is_usage_error(self):
         assert main(["fuzz", "nope"]) == 2
+
+    @pytest.mark.parametrize("crash", [None, "p1@5"])
+    def test_plain_fuzz_uses_the_scenario_crash_model(
+        self, crash, tmp_path, monkeypatch, capsys
+    ):
+        """``fuzz`` and ``verify --backend fuzz`` sample the same walks
+        of a scenario with a declared crash model, and an explicit
+        ``--crash`` still overrides it on both paths."""
+        import repro.fuzz.driver
+
+        scenario_id = "crash-tm:impl=agp,vars=1,crash=p0@3"
+        reports = []
+
+        def recording(*args, **kwargs):
+            report = fuzz_workload(*args, **kwargs)
+            reports.append((kwargs["crash"], report))
+            return report
+
+        monkeypatch.setattr(repro.fuzz.driver, "fuzz_workload", recording)
+        argv = ["fuzz", scenario_id, "--seed", "0", "--iterations", "300"]
+        argv += ["--max-depth", "64"]
+        if crash is not None:
+            argv += ["--crash", crash]
+        assert main(argv) == 0
+        out = tmp_path / "verdict.json"
+        argv = ["verify", scenario_id, "--backend", "fuzz", "--out", str(out)]
+        argv += ["--set", "seed=0", "--set", "iterations=300"]
+        argv += ["--set", "max_depth=64"]
+        if crash is not None:
+            argv += ["--set", f"crash={crash}"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        ((cli_crash, cli),) = reports
+        stats = json.loads(out.read_text())["stats"]
+        assert cli_crash == stats["crash"] == (crash or "p0@3")
+        assert (cli.interleavings, cli.histories_checked) == (
+            stats["interleavings"],
+            stats["histories_checked"],
+        )

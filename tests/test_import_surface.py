@@ -24,7 +24,6 @@ REGISTRY_FORBIDDEN = (
     "repro.setmodel",
     "repro.lint",
     "repro.mutate",
-    "repro.engine.batch",
     "multiprocessing",
     "sqlite3",
 )

@@ -7,7 +7,6 @@ from repro.algorithms.consensus import CommitAdoptConsensus, SilentConsensus
 from repro.algorithms.tm import TrivialTransactionalMemory
 from repro.core.object_type import ProgressMode
 from repro.core.properties import Certainty
-from repro.engine.config import KernelConfig
 from repro.sim import (
     ComposedDriver,
     LockstepScheduler,
@@ -17,6 +16,7 @@ from repro.sim import (
     propose_workload,
 )
 from repro.sim.lasso import LassoDetector
+from repro.sim.liveness_search import AdversaryPolicy, LivenessSearch
 
 
 class TestLassoDetector:
@@ -74,15 +74,19 @@ class TestLassoDetector:
         assert certificate.cycle_length >= period
 
     def test_stride_property_on_a_real_run(self):
-        """Runtime-level stride soundness: the trivial TM's starvation
+        """Search-level stride soundness: the trivial TM's starvation
         cycle has period 2, not a multiple of stride 3 — the run still
         ends in a proved lasso, with the cycle a multiple of 2."""
-        run = play(
-            TrivialTransactionalMemory(2, variables=(0,)),
-            TMLocalProgressAdversary(victim=0, helper=1, variable=0),
-            max_steps=2_000,
+        search = LivenessSearch(
+            lambda: TrivialTransactionalMemory(2, variables=(0,)),
+            AdversaryPolicy(
+                TMLocalProgressAdversary(victim=0, helper=1, variable=0)
+            ),
+            max_depth=2_000,
             lasso_stride=3,
         )
+        (liveness_run,) = search.runs()
+        run = liveness_run.result
         assert run.stop_reason == "lasso"
         assert run.lasso is not None
         assert run.lasso.cycle_length % 2 == 0
@@ -100,64 +104,6 @@ class TestLassoDetector:
         assert detector.observe(2, "left-only", None) is None
         # ... but still remembers the common prefix.
         assert detector.observe(3, "shared", None) is not None
-
-
-class TestDetectorResetOnRestart:
-    """Satellite regression: every engine restart path must reset the
-    lasso detector — stale fingerprints from a previous run would
-    fabricate a bogus cross-run 'lasso'."""
-
-    def test_kernel_config_restore_resets_the_detector(self):
-        config = KernelConfig(TrivialTransactionalMemory(2, variables=(0,)))
-        snapshot = config.capture()
-        runtime = config.runtime
-        # Simulate a detection-enabled embedding observing a state.
-        assert runtime._detector.observe(1, "stale", None) is None
-        config.restore_from(snapshot)
-        # Without the reset this would report a bogus cross-run lasso.
-        assert runtime._detector.observe(1, "stale", None) is None
-
-    def test_restarting_a_runtime_twice_from_the_same_snapshot(self):
-        """Drive the same snapshot twice through a detection-enabled
-        loop; the second pass must reproduce the first (no cross-run
-        contamination)."""
-        from repro.sim.drivers import InvokeDecision, StepDecision
-
-        config = KernelConfig(TrivialTransactionalMemory(2, variables=(0,)))
-        snapshot = config.capture()
-        decisions = [
-            InvokeDecision(0, "start", ()),
-            StepDecision(0),
-            InvokeDecision(0, "start", ()),
-            StepDecision(0),
-        ]
-
-        def run_once():
-            config.restore_from(snapshot)
-            detector = config.runtime._detector
-            observations = []
-            for decision in decisions:
-                config.apply(decision)
-                observations.append(
-                    detector.observe(
-                        config.runtime.step_count,
-                        config.kernel_fingerprint(),
-                        None,
-                    )
-                )
-            return observations
-
-        first = run_once()
-        second = run_once()
-        assert [c is not None for c in first] == [
-            c is not None for c in second
-        ]
-        for a, b in zip(first, second):
-            if a is not None:
-                assert (a.cycle_start, a.cycle_end) == (
-                    b.cycle_start,
-                    b.cycle_end,
-                )
 
 
 class TestLassoRuns:
@@ -207,17 +153,6 @@ class TestLassoRuns:
         summary = result.summary(ProgressMode.EVENTUAL)
         assert summary.finite
         assert 1 in summary.progressors
-
-    def test_lasso_disabled_runs_to_budget(self):
-        result = play(
-            CommitAdoptConsensus(2),
-            ComposedDriver(LockstepScheduler([0, 1]), propose_workload([0, 1])),
-            max_steps=500,
-            detect_lasso=False,
-        )
-        assert result.stop_reason == "max-steps"
-        summary = result.summary(ProgressMode.EVENTUAL)
-        assert summary.certainty is Certainty.HORIZON
 
     def test_lockstep_decided_when_values_equal(self):
         """Equal proposals give no contention on values: commit-adopt

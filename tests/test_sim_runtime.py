@@ -132,9 +132,7 @@ class YieldListImplementation(Implementation):
 
 
 def _invoked_runtime(yields):
-    runtime = Runtime(
-        YieldListImplementation(yields), driver=None, detect_lasso=False
-    )
+    runtime = Runtime(YieldListImplementation(yields), driver=None)
     runtime.record_footprints = True
     runtime.apply_decision(InvokeDecision(0, "echo", (1,)))
     return runtime

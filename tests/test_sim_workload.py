@@ -37,7 +37,6 @@ class TestTransactionWorkload:
             TrivialTransactionalMemory(1),
             ComposedDriver(SoloScheduler(0), workload),
             max_steps=300,
-            detect_lasso=False,
         )
         assert result.stats[0].invocations > 50
         assert result.stats[0].good_responses == 0
@@ -50,7 +49,6 @@ class TestTransactionWorkload:
             TrivialTransactionalMemory(1),
             ComposedDriver(SoloScheduler(0), workload),
             max_steps=300,
-            detect_lasso=False,
         )
         # start aborted 4 times (initial try + 3 retries), then give up.
         assert result.stats[0].invocations == 4
