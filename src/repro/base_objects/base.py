@@ -122,7 +122,11 @@ class ObjectPool:
     """The set of base objects available to one run of an implementation.
 
     The pool owns the objects, routes primitive applications by object
-    name, and aggregates fingerprints for the lasso detector.
+    name, and aggregates their fingerprints into the pool part of the
+    configuration keys (:meth:`snapshot_state`).  Each object's part is
+    a ``(name, fingerprint)`` pair the pool keeps while the object is
+    untouched and interns when it is rebuilt, so the keys a search
+    stores share their pool parts instead of copying them.
     """
 
     def __init__(self, objects: Iterable[BaseObject] = ()):
@@ -136,7 +140,11 @@ class ObjectPool:
         # the one object a step touched is re-fingerprinted.
         self._baseline: Dict[str, Any] = {}
         self._dirty: set = set()
-        self._fp_cache: Dict[str, Hashable] = {}
+        #: name -> the ``(name, fingerprint)`` pair of its current state.
+        self._pairs: Dict[str, Tuple[str, Hashable]] = {}
+        #: Every pair built so far, by value: equal object states reached
+        #: on different paths share one pair (and one fingerprint).
+        self._interned: Dict[Tuple[str, Hashable], Tuple[str, Hashable]] = {}
         self._state: Optional[Tuple[Tuple[str, Hashable], ...]] = None
         self._sorted_names: List[str] = []
         for obj in objects:
@@ -168,7 +176,7 @@ class ObjectPool:
         except KeyError:
             raise self._unknown(name) from None
         self._dirty.add(name)
-        self._fp_cache.pop(name, None)
+        self._pairs.pop(name, None)
         self._state = None
         return obj.apply(method, args)
 
@@ -189,20 +197,30 @@ class ObjectPool:
     def snapshot_state(self) -> Tuple[Tuple[str, Hashable], ...]:
         """Combined fingerprint of every object in the pool.
 
+        A tuple of ``(name, fingerprint)`` pairs in name order.
         Incremental: an object's fingerprint is recomputed only if it
         was applied to (or the pool restored without a fingerprint seed)
         since the last call, and the combined tuple only after some
-        object was.
+        object was.  An untouched object contributes the very pair it
+        contributed before, and a recomputed pair equal to one this pool
+        built earlier is replaced by that one, so the keys of a search
+        share one pair per object state instead of holding one per key.
         """
         state = self._state
         if state is None:
-            cache = self._fp_cache
+            pairs = self._pairs
             for name in self._sorted_names:
-                if name not in cache:
-                    cache[name] = self._objects[name].snapshot_state()
-            state = tuple([(name, cache[name]) for name in self._sorted_names])
+                if name not in pairs:
+                    pair = (name, self._objects[name].snapshot_state())
+                    pairs[name] = self._interned.setdefault(pair, pair)
+            state = tuple([pairs[name] for name in self._sorted_names])
             self._state = state
         return state
+
+    def cached_snapshot_state(self) -> Optional[Tuple[Tuple[str, Hashable], ...]]:
+        """:meth:`snapshot_state` if it is already computed for the
+        current state, else ``None`` (computing nothing)."""
+        return self._state
 
     def reset(self) -> None:
         """Reset every object in the pool."""
@@ -210,7 +228,7 @@ class ObjectPool:
             obj.reset()
         self._baseline = {}
         self._dirty.clear()
-        self._fp_cache = {}
+        self._pairs = {}
         self._state = None
 
     def capture(self) -> Dict[str, Any]:
@@ -253,8 +271,10 @@ class ObjectPool:
         implementation's :meth:`~repro.sim.kernel.Implementation.create_pool`
         (or re-restores its scratch pool).  ``fingerprints`` optionally
         seeds the fingerprint caches with the :meth:`snapshot_state`
-        recorded when ``captured`` was taken, making the next
-        :meth:`snapshot_state` incremental too.  Objects that are clean
+        recorded when ``captured`` was taken: its pairs become the
+        objects' cached pairs and the tuple itself the combined state,
+        so the next :meth:`snapshot_state` is incremental too and
+        returns the recorded pairs.  Objects that are clean
         and whose last captured or restored state *is* the one being
         restored are skipped — they already hold it.
         """
@@ -270,8 +290,12 @@ class ObjectPool:
                 self._objects[name].restore_state(state)
         self._baseline = captured
         dirty.clear()
-        self._fp_cache = dict(fingerprints) if fingerprints else {}
-        self._state = fingerprints or None
+        if fingerprints:
+            self._pairs = dict(zip(self._sorted_names, fingerprints))
+            self._state = fingerprints
+        else:
+            self._pairs = {}
+            self._state = None
 
     def __len__(self) -> int:
         return len(self._objects)

@@ -125,13 +125,16 @@ def _drain(
 
 
 def _worker_main(
-    store_path: str, worker_index: int, obs_dir: Optional[str] = None
+    store_path: str,
+    worker_index: int,
+    obs_dir: Optional[str] = None,
+    metrics: bool = False,
 ) -> None:
     worker = f"{local_worker_id()}#{worker_index}"
     try:
         with CampaignStore.open(store_path) as store:
             if obs_dir is None:
-                _drain(store, worker)
+                _drain(store, worker, metrics=metrics)
                 return
             # Tracing run: a worker-lifetime recorder absorbs every
             # per-job recorder's events, then lands on disk as one
@@ -193,7 +196,7 @@ def run_campaign(
             procs = [
                 context.Process(
                     target=_worker_main,
-                    args=(store_path, index, trace_dir),
+                    args=(store_path, index, trace_dir, metrics),
                 )
                 for index in range(min(workers, pending))
             ]

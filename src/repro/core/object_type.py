@@ -221,14 +221,6 @@ class ObjectType:
                 out.extend(sig.invocations_for(pid))
         return out
 
-    def response_alphabet(self, processes: Sequence[int]) -> List[Response]:
-        """All responses over declared response domains."""
-        out: List[Response] = []
-        for pid in processes:
-            for sig in self.operations:
-                out.extend(sig.responses_for(pid))
-        return out
-
     def responses_to(self, invocation: Invocation) -> List[Response]:
         """All declared responses that may answer ``invocation``."""
         sig = self.signature(invocation.operation)

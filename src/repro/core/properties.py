@@ -248,17 +248,6 @@ class LivenessProperty(Property):
             i for i, summary in enumerate(summaries) if self.satisfied_by(summary)
         )
 
-    def is_stronger_than(
-        self, other: "LivenessProperty", summaries: Sequence[ExecutionSummary]
-    ) -> bool:
-        """Exact subset comparison over the given abstraction space.
-
-        ``L2`` is stronger than ``L1`` iff ``L2 ⊆ L1`` (Section 3.2); over
-        a finite space of abstract executions this is a subset test on the
-        admitted sets.
-        """
-        return self.admits(summaries) <= other.admits(summaries)
-
 
 class TrivialSafety(SafetyProperty):
     """The safety property containing every well-formed history.

@@ -99,7 +99,8 @@ class KernelSnapshot(NamedTuple):
     events: Tuple[object, ...]
     pool_state: Dict[str, Any]
     processes: Tuple[ProcessSnapshot, ...]
-    #: The pool's ``snapshot_state()`` at capture time (cache seed).
+    #: The pool's ``snapshot_state()`` at capture time, when it was
+    #: already computed (cache seed); capture never computes it.
     pool_fingerprints: Optional[Tuple[Tuple[str, Hashable], ...]] = None
     #: ``events`` as a hash-once key, when one was built (cache seed).
     events_key: Optional[HashedKey] = None
@@ -302,7 +303,7 @@ class KernelConfig:
             events=self._events(),
             pool_state=runtime.pool.capture(),
             processes=tuple(processes),
-            pool_fingerprints=runtime.pool.snapshot_state(),
+            pool_fingerprints=runtime.pool.cached_snapshot_state(),
             events_key=self._events_key,
         )
 
@@ -326,34 +327,35 @@ class KernelConfig:
         snapshot or rebuilt by replay — the parity the engine's
         ``parity`` mode asserts.  See
         :meth:`repro.sim.explore.explore_histories` for why the event
-        sequence is included.  The key hashes its value once (the
-        search looks each key up in several dicts) and compares by
-        exact value, so dedup is that of the value itself.  Its large
-        parts — each process fingerprint and the event sequence — are
-        hash-once keys too, cached until a decision touches them.  A
-        process key is built once per operation node or idle memory and
-        shared by every configuration that holds it, so building a key
-        after one decision hashes only the event sequence (after a
-        visible step) and a process state no configuration held before.
+        sequence is included.  The key is one flat tuple — the pool's
+        ``(name, fingerprint)`` pairs in name order, then each process
+        key, then the event-sequence key — wrapped in a
+        :class:`~repro.util.freeze.HashedKey` that hashes its value once
+        and compares by exact value, so dedup is that of the value
+        itself.  Within one search every key has the same number of
+        parts, so the flat tuple is as exact as a nested one.  Its parts
+        are shared, not copied: the pool reuses and interns its pairs
+        (:meth:`~repro.base_objects.base.ObjectPool.snapshot_state`),
+        and each process key and the event sequence are hash-once keys,
+        cached until a decision touches them.  A process key is built
+        once per operation node or idle memory and shared by every
+        configuration that holds it, so building a key after one
+        decision hashes only the event sequence (after a visible step)
+        and a process state no configuration held before.
         """
         runtime = self.runtime
         events = self._events_key
         if events is None:
             events = self._events_key = HashedKey(self._events())
-        # One pass per part; a process fingerprint is computed only on a
-        # cache miss.  The event sequence fixes every process's
-        # invocation count (one invocation event each), so the counts
-        # are not a part of their own.
-        return HashedKey(
-            (
-                runtime.pool.snapshot_state(),
-                tuple([
-                    self._process_fingerprint(pid) if fp is None else fp
-                    for pid, fp in enumerate(self._process_fps)
-                ]),
-                events,
-            )
-        )
+        # A process fingerprint is computed only on a cache miss.  The
+        # event sequence fixes every process's invocation count (one
+        # invocation event each), so the counts are not a part of their
+        # own.
+        fps = self._process_fps
+        for pid, fp in enumerate(fps):
+            if fp is None:
+                self._process_fingerprint(pid)
+        return HashedKey((*runtime.pool.snapshot_state(), *fps, events))
 
     def kernel_fingerprint(self) -> Hashable:
         """The configuration fingerprint *without* the event history.

@@ -48,7 +48,10 @@ and on such a revisit *re-expand* the state with the intersection
 ``Z1 ∩ Z2`` (never larger than either, hence sound; strictly smaller
 than the stored set, hence terminating).  States that were never
 expanded (leaves, depth-capped nodes) carry no stored sleep and dedup
-exactly as before.
+exactly as before.  The store keeps only the labels of ``Z1``, and
+nothing when ``Z1`` is empty (such a state is covered by every
+revisit): the intersection's footprints are read from ``Z2``, which
+holds the same ones for the same state.
 
 Obs counters (namespace ``dpor/``): ``dpor/sleep_blocked`` counts
 enabled transitions skipped because they were asleep,
@@ -59,7 +62,7 @@ re-expansions forced by the state-caching repair.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.sim.kernel import Footprint
 
@@ -132,8 +135,10 @@ class SleepSets:
 
     def __init__(self, visible_commutes: bool = True):
         self.visible_commutes = visible_commutes
-        #: Dedup key -> the sleep set the state was (last) expanded with.
-        self._expanded: Dict[Hashable, Sleep] = {}
+        #: Dedup key -> the labels of the non-empty sleep set the state
+        #: was (last) expanded with.  A state expanded with an empty
+        #: sleep has no entry: nothing it skipped can be missing later.
+        self._expanded: Dict[Hashable, Tuple[Any, ...]] = {}
 
     # -- sleep propagation -------------------------------------------------
 
@@ -162,8 +167,12 @@ class SleepSets:
     # -- stateful dedup repair ---------------------------------------------
 
     def note_expansion(self, key: Hashable, sleep: Sleep) -> None:
-        """Record that the state ``key`` is being expanded with ``sleep``."""
-        self._expanded[key] = dict(sleep)
+        """Record that the state ``key`` is first being expanded with
+        ``sleep`` (once per state; later expansions are repairs, which
+        :meth:`revisit_sleep` records).  Only the labels are kept, and
+        only when there are any."""
+        if sleep:
+            self._expanded[key] = tuple(sleep)
 
     def revisit_sleep(
         self, key: Hashable, sleep: Sleep, enabled: Optional[Iterable[Any]] = None
@@ -175,26 +184,32 @@ class SleepSets:
         this path would explore) is suppressed here too — i.e. plain
         dedup is sound.  Otherwise returns the intersection sleep the
         state must be *re-expanded* with, and lowers the stored sleep to
-        it so repairs strictly shrink and terminate.  ``enabled`` limits
-        the coverage question to currently enabled labels; ``None``
-        conservatively treats every stored label as enabled (used by the
-        liveness search, which dedups before computing its options)."""
+        it so repairs strictly shrink and terminate (an empty
+        intersection drops the entry).  ``enabled`` limits the coverage
+        question to currently enabled labels; ``None`` conservatively
+        treats every stored label as enabled (used by the liveness
+        search, which dedups before computing its options).
+
+        The intersection takes its footprints from ``sleep``, the set
+        this path arrives with.  They equal the ones the stored labels
+        had: an equal key means equal process frames, and a sleeping
+        decision's footprint is a function of its process's frame (see
+        :data:`Sleep`)."""
         stored = self._expanded.get(key)
         if stored is None:
             return None
-        enabled_set = None if enabled is None else set(enabled)
-        missing = [
-            label
-            for label in stored
-            if label not in sleep
-            and (enabled_set is None or label in enabled_set)
-        ]
-        if not missing:
+        if enabled is None:
+            covered = all(label in sleep for label in stored)
+        else:
+            enabled_set = set(enabled)
+            covered = all(
+                label in sleep or label not in enabled_set for label in stored
+            )
+        if covered:
             return None
-        merged = {
-            label: footprint
-            for label, footprint in stored.items()
-            if label in sleep
-        }
-        self._expanded[key] = dict(merged)
+        merged = {label: sleep[label] for label in stored if label in sleep}
+        if merged:
+            self._expanded[key] = tuple(merged)
+        else:
+            del self._expanded[key]
         return merged

@@ -18,15 +18,17 @@ one :class:`ConfigVisit` per unique configuration, at discovery time.
 Search
 ------
 The frontier is one ``deque``; the strategy is which end it pops:
-``bfs`` pops the oldest entry (breadth first, and therefore shortest
-paths in :attr:`KernelExplorer.parents`), ``dfs`` the newest (depth
-first).  Visits are discovery-ordered in both; the strategy shows in
-which parent discovers a shared child.  The search keeps, per unique
-configuration, its parent edge and its depth, and on request every
-explored edge, including edges that close back into already-visited
-configurations.  Nodes at ``max_depth`` are visited but not expanded,
-and the unique-configuration budget (the root included) either raises
-:class:`SearchBudgetExceeded` or ends the search quietly.
+``bfs`` pops the oldest entry (breadth first, so every depth in
+:attr:`KernelExplorer.depths` is a shortest distance from the root),
+``dfs`` the newest (depth first).  Visits are discovery-ordered in
+both; the strategy shows in which parent discovers a shared child.  The
+search keeps one visited table, each unique configuration's key mapped
+to its depth, and on request every explored edge, including edges that
+close back into already-visited configurations (a path to a visited
+configuration is its visit's ``schedule``).  Nodes at ``max_depth`` are
+visited but not expanded, and the unique-configuration budget (the root
+included) either raises :class:`SearchBudgetExceeded` or ends the
+search quietly.
 
 Everything an edge costs runs in one generator frame
 (:meth:`KernelExplorer._run_single`): a frontier entry is a plain list
@@ -156,12 +158,12 @@ class KernelExplorer:
     record_edges:
         Also record every explored edge in :attr:`edges`.
 
-    While and after :meth:`run` is consumed, :attr:`parents` maps each
-    visited fingerprint to ``(parent fingerprint, label)`` (the root to
-    ``(None, None)``), :attr:`depths` to the depth it was visited at,
-    and :attr:`edges` (only with ``record_edges``) to ``{label: child
-    fingerprint}``, including edges that close cycles into
-    already-visited configurations.
+    While and after :meth:`run` is consumed, :attr:`depths` maps each
+    visited fingerprint to the depth it was visited at (under ``bfs``,
+    its shortest distance from the root), and :attr:`edges` (only with
+    ``record_edges``) maps it to ``{label: child fingerprint}``,
+    including edges that close cycles into already-visited
+    configurations.  ``depths`` is the search's one visited table.
     """
 
     def __init__(
@@ -199,8 +201,6 @@ class KernelExplorer:
         self.max_configurations = max_configurations
         self.on_budget = on_budget
         self.record_edges = record_edges
-        #: fingerprint -> (parent fingerprint, edge label).
-        self.parents: Dict[Hashable, Tuple[Optional[Hashable], Any]] = {}
         #: fingerprint -> depth at which the configuration was visited.
         self.depths: Dict[Hashable, int] = {}
         #: fingerprint -> {label: child fingerprint}; only with record_edges.
@@ -237,7 +237,6 @@ class KernelExplorer:
         snapshot = self.mode == "snapshot"
         successors, prune, fingerprint = self.successors, self.prune, self.fingerprint
         max_depth, budget = self.max_depth, self.max_configurations
-        self.parents = parents = {}
         self.depths = depths = {}
         self.edges = edges = {}
         edges_of = edges.setdefault if self.record_edges else None
@@ -283,7 +282,6 @@ class KernelExplorer:
             if rec is not None:
                 rec.count("engine/snapshot_captures")
             snap = config.capture()
-        parents[key] = (None, None)
         depths[key] = 0
         # Roots count against the budget like any other visit.
         if budget is not None and budget < 1:
@@ -367,7 +365,7 @@ class KernelExplorer:
                     held = child_key
                 if edges_of is not None:
                     edges_of(key, {})[label] = child_key
-                if child_key in parents:
+                if child_key in depths:
                     if rec is not None:
                         rec.count("engine/dedup_hits")
                     if reduce:
@@ -394,7 +392,6 @@ class KernelExplorer:
                     self._budget_hit()
                     return
                 visited += 1
-                parents[child_key] = (key, label)
                 depths[child_key] = depth + 1
                 if rec is not None:
                     rec.count("engine/frontier_pushes")
@@ -437,7 +434,7 @@ class KernelExplorer:
 
         The re-queued state is popped and expanded like any frontier
         entry but yields no new visit (it was already visited, counted
-        and reported) and leaves :attr:`parents` untouched; only the
+        and reported) and leaves :attr:`depths` untouched; only the
         not-yet-seen children it produces surface as visits.  It keeps
         the depth of its first visit, so the re-expansion inherits the
         depth budget its subtree was originally measured under."""
@@ -467,7 +464,6 @@ class KernelExplorer:
                 raise EngineParityError(
                     f"schedule divergence: {snap.schedule!r} != {rep.schedule!r}"
                 )
-            self.parents = snapshot_side.parents
             self.depths = snapshot_side.depths
             self.edges = snapshot_side.edges
             yield snap

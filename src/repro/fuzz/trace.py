@@ -428,13 +428,3 @@ class LassoTrace:
         except json.JSONDecodeError as exc:
             raise UsageError(f"bad lasso trace JSON: {exc}") from None
         return cls.from_document(document)
-
-
-def save_lasso_trace(path: str, trace: LassoTrace) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(trace.to_json())
-
-
-def load_lasso_trace(path: str) -> LassoTrace:
-    with open(path, "r", encoding="utf-8") as handle:
-        return LassoTrace.from_json(handle.read())

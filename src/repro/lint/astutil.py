@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 
 def parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
@@ -65,13 +65,6 @@ def dotted_name(node: ast.expr, aliases: Dict[str, str]) -> Optional[str]:
     root = aliases.get(node.id, node.id)
     parts.append(root)
     return ".".join(reversed(parts))
-
-
-def iter_functions(tree: ast.AST) -> Iterator[ast.AST]:
-    """Every function/async-function definition in the tree."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def call_keyword(call: ast.Call, name: str) -> Optional[ast.expr]:

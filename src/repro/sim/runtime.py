@@ -101,10 +101,6 @@ class RuntimeView:
     def last_response(self, pid: int) -> Optional[Response]:
         return self._runtime.last_response.get(pid)
 
-    def last_event(self) -> Optional[object]:
-        events = self._runtime.events
-        return events[-1] if events else None
-
     @property
     def history(self) -> History:
         """The history so far (materialised on demand)."""

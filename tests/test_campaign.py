@@ -348,6 +348,28 @@ class TestCampaignCli:
         document = json.loads(capsys.readouterr().out)
         assert document["summary"]["all_ok"] is True
 
+    def test_pool_run_merges_the_serial_metrics(self, tmp_path):
+        # Fork workers must record per-job metrics like a serial run:
+        # the merged document sources every job row, and its counters
+        # (work counts, no timings) are the serial run's.
+        documents = {}
+        for workers in ("0", "2"):
+            store = str(tmp_path / f"c{workers}.db")
+            out = str(tmp_path / f"m{workers}.json")
+            assert self.run_cli(
+                "init", "--store", store, "--grid", "fig1a", "n=2..3"
+            ) == 0
+            assert self.run_cli(
+                "run", "--store", store, "--workers", workers,
+                "--metrics-out", out,
+            ) == 0
+            with open(out) as handle:
+                documents[workers] = json.load(handle)
+        serial, pool = documents["0"], documents["2"]
+        assert pool["meta"]["merged_from"] == serial["meta"]["merged_from"] == 2
+        assert pool["counters"]["campaign/jobs"] == 2
+        assert pool["counters"] == serial["counters"]
+
     def test_init_unknown_experiment_is_usage_error(self, tmp_path):
         assert self.run_cli(
             "init", "--store", str(tmp_path / "c.db"), "--grid", "fig9z"

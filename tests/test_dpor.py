@@ -229,6 +229,34 @@ class TestSleepSets:
         sleeps.note_expansion("k", {"a": step(0)})
         assert sleeps.revisit_sleep("k", {}) == {}
 
+    def test_empty_expansion_sleep_is_not_stored(self):
+        # Nothing an expansion with an empty sleep skipped can be
+        # missing later: the store keeps no entry for it, and a
+        # non-empty sleep is kept as its labels alone.
+        sleeps = SleepSets()
+        sleeps.note_expansion("k", {})
+        sleeps.note_expansion("j", {"a": step(0), "b": step(1)})
+        assert sleeps._expanded == {"j": ("a", "b")}
+        assert sleeps.revisit_sleep("k", {}, ["a"]) is None
+
+    def test_repair_reads_the_arriving_footprints(self):
+        # The intersection takes the footprints this path arrives with;
+        # equal to the stored ones, though distinct objects here.
+        sleeps = SleepSets()
+        sleeps.note_expansion("k", {"a": step(0), "b": step(1, reads=[("r", 0)])})
+        arriving = {"b": step(1, reads=[("r", 0)])}
+        merged = sleeps.revisit_sleep("k", arriving, ["a", "b"])
+        assert merged == arriving and merged["b"] is arriving["b"]
+        assert sleeps._expanded == {"k": ("b",)}
+        assert sleeps.revisit_sleep("k", dict(arriving), ["a", "b"]) is None
+
+    def test_empty_repair_drops_the_entry(self):
+        sleeps = SleepSets()
+        sleeps.note_expansion("k", {"a": step(0)})
+        assert sleeps.revisit_sleep("k", {}, ["a"]) == {}
+        assert sleeps._expanded == {}
+        assert sleeps.revisit_sleep("k", {}, ["a"]) is None
+
 
 # ---------------------------------------------------------------------------
 # None-vs-dpor parity (fixed scenarios)

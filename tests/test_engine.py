@@ -30,6 +30,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -51,10 +52,10 @@ from repro.engine.explorer import (
     KernelExplorer,
     SearchBudgetExceeded,
 )
-from repro.fuzz.driver import FuzzDriver
+from repro.fuzz.driver import FuzzDriver, fuzz_workload
 from repro.fuzz.trace import schedule_to_decisions
 from repro.obs.recorder import recording
-from repro.scenarios import get_scenario
+from repro.scenarios import get_scenario, verify
 from repro.sim import explore_histories
 from repro.sim.drivers import CrashDecision, InvokeDecision, StepDecision
 from repro.sim.kernel import Implementation, Op
@@ -137,27 +138,37 @@ class TestGraphSearch:
                         distance[child] = distance[node] + 1
                         next_layer.append(child)
             layer = next_layer
-        bfs = two_cells("bfs")
+        bfs = two_cells("bfs", record_edges=True)
         visits = list(bfs.run())
         depths = [visit.depth for visit in visits]
         assert depths == sorted(depths) and depths[-1] >= 3
         assert bfs.depths == distance
+        assert [visit.fingerprint for visit in visits if visit.depth == 0] == [root]
         for visit in visits:
             assert len(visit.schedule) == visit.depth == bfs.depths[visit.fingerprint]
-        assert bfs.parents[visits[0].fingerprint] == (None, None)
+            # A visit's schedule is a path of recorded edges to it.
+            node = root
+            for label in visit.schedule:
+                node = bfs.edges[node][label]
+            assert node == visit.fingerprint
 
     def test_dfs_expands_newest_first(self):
         # Visits are discovery-ordered in every strategy; the strategy
         # shows in *which parent* discovers a shared child.  Both
         # writes done is reached from p0-wrote and from p1-wrote: BFS
         # expands p0-wrote first (FIFO), DFS p1-wrote (LIFO).
-        bfs, dfs = two_cells("bfs"), two_cells("dfs")
+        bfs = two_cells("bfs", record_edges=True)
+        dfs = two_cells("dfs", record_edges=True)
         at_bfs, at_dfs = fingerprints_by_schedule(bfs), fingerprints_by_schedule(dfs)
         assert (0, 1) in at_bfs and (1, 0) not in at_bfs
         assert (1, 0) in at_dfs and (0, 1) not in at_dfs
-        assert at_bfs[(0, 1)] == at_dfs[(1, 0)]
-        assert bfs.parents[at_bfs[(0, 1)]] == (at_bfs[(0,)], 1)
-        assert dfs.parents[at_dfs[(1, 0)]] == (at_dfs[(1,)], 0)
+        both = at_bfs[(0, 1)]
+        assert both == at_dfs[(1, 0)]
+        assert bfs.depths[both] == dfs.depths[both] == 2
+        # Both searches record both edges into the shared child; the
+        # visit's schedule names the one that discovered it.
+        for explorer, at in ((bfs, at_bfs), (dfs, at_dfs)):
+            assert explorer.edges[at[(0,)]][1] == explorer.edges[at[(1,)]][0] == both
 
     @pytest.mark.parametrize("strategy", ["iterative-deepening", "BFS", "random"])
     def test_unknown_strategy_rejected_at_construction(self, strategy):
@@ -181,7 +192,7 @@ class TestGraphSearch:
         explorer = two_cells(max_configurations=2, on_budget="stop")
         visits = list(explorer.run())
         assert [visit.schedule for visit in visits] == [(), (0,)]
-        assert len(explorer.parents) == 2
+        assert explorer.depths == {visits[0].fingerprint: 0, visits[1].fingerprint: 1}
         with pytest.raises(SearchBudgetExceeded):
             list(two_cells(max_configurations=0).run())
         assert list(two_cells(max_configurations=0, on_budget="stop").run()) == []
@@ -412,6 +423,72 @@ class TestLazyCapture:
             "snapshot and the scratch configuration does not hold it",
         ):
             list(_dfs_dpor("consensus-grid:impl=cas,n=3,proposals=alt").run())
+
+
+class TestSearchMemory:
+    """What one exhaustive search keeps per configuration: one visited
+    table, labels of non-empty sleeps, and keys that share their pool
+    pairs instead of copying them."""
+
+    def test_bakery_proof_traced_peak(self):
+        # About 6 MB traced over 17k configurations (Python 3.11).
+        scenario = get_scenario("lock-mutex:impl=bakery,n=2,rounds=1")
+        tracemalloc.start()
+        try:
+            verdict = verify(scenario, backend="exhaustive", reduction="dpor")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.outcome == "holds"
+        assert peak <= 8_000_000, f"traced peak {peak / 1e6:.2f} MB"
+
+    def test_untouched_object_keeps_its_pair(self):
+        pool = ObjectPool([AtomicRegister("r0", 0), AtomicRegister("r1", 0)])
+        before = pool.snapshot_state()
+        pool.apply("r1", "write", (1,))
+        after = pool.snapshot_state()
+        assert after[0] is before[0]
+        assert after[1] == ("r1", ("register", 1)) != before[1]
+        # Back in an earlier state: the interned pair, not a new one.
+        pool.apply("r1", "write", (0,))
+        assert pool.snapshot_state()[1] is before[1]
+
+    def test_equal_states_on_two_paths_share_pairs(self):
+        config = KernelConfig.initial(TwoCells)
+        config.apply_all([InvokeDecision(0, "tick"), InvokeDecision(1, "tick")])
+        root = config.capture()
+        keys = []
+        for order in ((0, 1), (1, 0)):
+            config.restore_from(root)
+            config.apply_all([StepDecision(pid) for pid in order])
+            keys.append(config.fingerprint())
+        first, second = keys
+        # The flat key: pool pairs in name order, process keys, events.
+        assert len(first.value) == 2 + 2 + 1
+        assert first.value[:2] == (("r0", ("register", 1)), ("r1", ("register", 1)))
+        assert first.value[0] is second.value[0]
+        assert first.value[1] is second.value[1]
+
+    def test_capture_computes_no_fingerprints(self, monkeypatch):
+        # A capture seeds the pool key only when it was already built,
+        # so the fuzzer, which captures but never keys, builds none.
+        config = KernelConfig.initial(TwoCells)
+        assert config.capture().pool_fingerprints is None
+        config.fingerprint()
+        assert (
+            config.capture().pool_fingerprints
+            is config.runtime.pool.snapshot_state()
+        )
+        calls = []
+        snapshot_state = ObjectPool.snapshot_state
+
+        def counting(pool):
+            calls.append(1)
+            return snapshot_state(pool)
+
+        monkeypatch.setattr(ObjectPool, "snapshot_state", counting)
+        report = fuzz_workload(get_scenario("agp-opacity"), seed=1, iterations=100)
+        assert report.interleavings == 100 and calls == []
 
 
 class TestSnapshotRestore:
