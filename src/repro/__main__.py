@@ -62,7 +62,7 @@ import tempfile
 import time
 from typing import Any, Dict, List
 
-from repro.util.errors import StoreError, UsageError
+from repro.util.errors import StoreError, UsageError, unknown_choice
 from repro.util.params import parse_params
 
 #: Default campaign store path (override with ``--store``).
@@ -92,11 +92,11 @@ def cmd_run(targets: List[str], params: Dict[str, Any]) -> int:
 
     if targets == ["all"]:
         targets = sorted(EXPERIMENTS)
-    failures = 0
     for experiment_id in targets:
         if experiment_id not in EXPERIMENTS:
-            print(f"unknown experiment {experiment_id!r}; try 'list'", file=sys.stderr)
-            return 2
+            raise unknown_choice("experiment", experiment_id, EXPERIMENTS)
+    failures = 0
+    for experiment_id in targets:
         started = time.time()
         result = run_experiment(experiment_id, **params) if params else run_experiment(
             experiment_id

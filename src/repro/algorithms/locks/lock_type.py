@@ -32,7 +32,6 @@ def lock_object_type() -> ObjectType:
                 name="release", argument_domains=(), response_domain=(RELEASED,)
             ),
         ),
-        sequential_spec=None,
         good_response=lambda response: response.value == GRANTED,
         progress_mode=ProgressMode.REPEATED,
     )

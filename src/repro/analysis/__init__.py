@@ -9,6 +9,7 @@ from repro.analysis.registry import (
     entries_ensuring,
     tm_registry,
 )
+from repro.analysis.batteries import consensus_plays, tm_plays
 from repro.analysis.classification import ClassifiedGrid, GridPoint, classify_grid
 from repro.analysis.report import render_claims, render_grid, render_hasse
 from repro.analysis.experiments import (
@@ -16,9 +17,7 @@ from repro.analysis.experiments import (
     Claim,
     ExperimentResult,
     ExperimentSpec,
-    consensus_plays,
     run_experiment,
-    tm_plays,
 )
 
 __all__ = [

@@ -115,6 +115,21 @@ def lk_points(n: int, lk) -> Optional[List[Tuple[int, int]]]:
     return points
 
 
+def _require_plays(
+    battery: Dict[str, List[Play]], families: Sequence[str], n: int
+) -> Dict[str, List[Play]]:
+    """Refuse a battery that gives some implementation no plays: no
+    cell can be judged for it, so every point would read as an
+    incoherent battery."""
+    empty = [key for key, plays in battery.items() if not plays]
+    if empty:
+        raise UsageError(
+            f"the scheduler selection {list(families)!r} gives "
+            f"{', '.join(empty)} no plays at n={n}"
+        )
+    return battery
+
+
 def _play(
     plays: List[Play],
     entry: RegistryEntry,
@@ -178,7 +193,7 @@ def consensus_plays(
                 RandomScheduler(play_seed),
                 list(range(n)),
             )
-    return battery
+    return _require_plays(battery, families, n)
 
 
 def tm_plays(
@@ -187,7 +202,6 @@ def tm_plays(
     variables: Sequence[int] = (0,),
     transactions: int = 2,
     max_steps: int = 240,
-    include_counterexample: bool = True,
     schedulers=None,
     crash: Optional[str] = None,
     seed: Optional[int] = None,
@@ -233,10 +247,10 @@ def tm_plays(
                         victim=victim, helper=helper, variable=variables[0]
                     ),
                 )
-        if "counterexample" in families and include_counterexample and n >= 3:
+        if "counterexample" in families and n >= 3:
             add(
                 entry,
                 "counterexample-adversary",
                 CounterexampleAdversary(tuple(range(3))),
             )
-    return battery
+    return _require_plays(battery, families, n)

@@ -2,32 +2,39 @@
 
 A grid point ``(l,k)`` is *excluded* (black in Figure 1) when no
 implementation ensures both the safety property and
-``(l,k)``-freedom.  Relative to a registry and a battery of plays:
+``(l,k)``-freedom.  Each point is judged by
+:func:`repro.core.exclusion.judge` over the battery's plays: it is
+**excluded** when the exclusion report holds (every registered
+implementation has a play in the safety property that violates
+``(l,k)``-freedom), and **not excluded** when some implementation's
+plays all satisfy both (a witness).  Points that are neither would
+indicate an incoherent battery and are flagged ``undetermined``; the
+shipped batteries never produce them, and the tests assert so.
 
-* ``(l,k)`` is **excluded** if every registered implementation (that
-  ensures the safety property) has at least one battery play whose
-  history satisfies the safety property while the execution summary
-  violates ``(l,k)``-freedom;
-* ``(l,k)`` is **not excluded** if some implementation's plays *all*
-  satisfy both (a witness implementation).
-
-Points that are neither (adversaries defeated some implementations but
-a would-be witness also has a violating play — which would indicate an
-incoherent battery) are flagged ``undetermined``; the shipped batteries
-never produce them, and the tests assert so.
+This module checks each play's safety once per grid, builds the
+outcomes the judgement reads, and renders each report as a
+:class:`GridPoint`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.core.exclusion import (
+    ExclusionReport,
+    GameOutcome,
+    NonExclusionReport,
+    judge,
+)
 from repro.core.freedom import LKFreedom
 from repro.core.history import History
 from repro.core.properties import (
     Certainty,
     ExecutionSummary,
+    LivenessProperty,
     SafetyProperty,
+    Verdict,
 )
 
 #: One battery play: (history, summary, play label).
@@ -88,101 +95,87 @@ class ClassifiedGrid:
         )
 
 
+def check_plays(
+    safety: SafetyProperty, plays_by_impl: Mapping[str, Sequence[Play]]
+) -> Dict[str, List[Tuple[Play, Verdict]]]:
+    """Each play with its safety verdict (opacity on long histories is
+    the dominant cost, so a grid checks each play once)."""
+    return {
+        key: [(play, safety.check_history(play[0])) for play in plays]
+        for key, plays in plays_by_impl.items()
+    }
+
+
+def play_outcomes(
+    liveness: LivenessProperty, checked: Mapping[str, Sequence[Tuple[Play, Verdict]]]
+) -> Dict[str, List[GameOutcome]]:
+    """One :class:`GameOutcome` per checked play against ``liveness``."""
+    return {
+        key: [
+            GameOutcome(
+                key, label, history, summary, verdict, liveness.evaluate(summary)
+            )
+            for (history, summary, label), verdict in runs
+        ]
+        for key, runs in checked.items()
+    }
+
+
+def cell_reports(
+    n: int,
+    safety: SafetyProperty,
+    plays_by_impl: Mapping[str, Sequence[Play]],
+    semantics: str = "conditional",
+    points: Optional[Sequence[Tuple[int, int]]] = None,
+) -> Iterator[Tuple[LKFreedom, Union[ExclusionReport, NonExclusionReport]]]:
+    """The judged certificate of each ``(l,k)`` point (see
+    :func:`repro.core.exclusion.judge`)."""
+    checked = check_plays(safety, plays_by_impl)
+    if points is None:
+        points = [(l, k) for k in range(1, n + 1) for l in range(1, k + 1)]
+    for l, k in points:
+        prop = LKFreedom(l, k, semantics=semantics)
+        yield prop, judge(safety.name, prop.name, play_outcomes(prop, checked))
+
+
 def classify_grid(
     n: int,
     safety: SafetyProperty,
     plays_by_impl: Mapping[str, Sequence[Play]],
     semantics: str = "conditional",
-    safety_precomputed: Optional[Mapping[str, Sequence[bool]]] = None,
     points: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> ClassifiedGrid:
     """Classify every ``(l,k)`` with ``1 <= l <= k <= n``.
 
     ``plays_by_impl`` maps implementation keys (all of which must
     ensure the safety property by design) to their battery plays.
-    ``safety_precomputed`` optionally supplies per-play safety verdicts
-    (checking opacity on long histories is the dominant cost; callers
-    that already validated them can pass the bits).  ``points``
-    restricts classification to a subset of the grid (the campaign
-    ``lk`` axis); the default is the full triangle.
+    ``points`` restricts classification to a subset of the grid (the
+    campaign ``lk`` axis); the default is the full triangle.
     """
     grid = ClassifiedGrid(n=n, safety_name=safety.name, semantics=semantics)
-    safety_bits: Dict[str, List[bool]] = {}
-    for key, plays in plays_by_impl.items():
-        if safety_precomputed is not None and key in safety_precomputed:
-            safety_bits[key] = list(safety_precomputed[key])
-        else:
-            safety_bits[key] = [
-                bool(safety.check_history(history)) for history, _s, _label in plays
-            ]
-    if points is None:
-        points = [
-            (l, k) for k in range(1, n + 1) for l in range(1, k + 1)
-        ]
-    for l, k in points:
-        prop = LKFreedom(l, k, semantics=semantics)
-        grid.points.append(
-            _classify_point(prop, plays_by_impl, safety_bits)
-        )
+    for prop, report in cell_reports(n, safety, plays_by_impl, semantics, points):
+        grid.points.append(_grid_point(prop, report))
     return grid
 
 
-def _classify_point(
-    prop: LKFreedom,
-    plays_by_impl: Mapping[str, Sequence[Play]],
-    safety_bits: Mapping[str, Sequence[bool]],
+def _grid_point(
+    prop: LKFreedom, report: Union[ExclusionReport, NonExclusionReport]
 ) -> GridPoint:
-    defeats: Dict[str, Tuple[str, Certainty]] = {}
-    witnesses: Dict[str, Certainty] = {}
-    for key, plays in plays_by_impl.items():
-        defeat: Optional[Tuple[str, Certainty]] = None
-        all_satisfy = True
-        witness_certainty = Certainty.PROVED
-        for (history, summary, label), safe in zip(plays, safety_bits[key]):
-            verdict = prop.evaluate(summary)
-            if safe and not verdict.holds:
-                all_satisfy = False
-                candidate = (label, verdict.certainty)
-                if defeat is None or (
-                    defeat[1] is Certainty.HORIZON
-                    and verdict.certainty is Certainty.PROVED
-                ):
-                    defeat = candidate
-            elif not safe:
-                all_satisfy = False  # unsafe play: not usable either way
-            elif verdict.certainty is Certainty.HORIZON:
-                witness_certainty = Certainty.HORIZON
-        if defeat is not None:
-            defeats[key] = defeat
-        elif all_satisfy and plays:
-            witnesses[key] = witness_certainty
-    excludes = set(defeats) == set(plays_by_impl) and bool(plays_by_impl)
-    if excludes:
-        certainty = (
-            Certainty.HORIZON
-            if any(c is Certainty.HORIZON for _label, c in defeats.values())
-            else Certainty.PROVED
+    """Render one judged cell."""
+    if isinstance(report, NonExclusionReport):
+        excludes, evidence = False, f"witness implementation: {report.implementation}"
+    elif report.holds:
+        excludes, evidence = True, "; ".join(
+            f"{key} defeated by {outcome.label}"
+            for key, outcome in sorted(report.defeats.items())
         )
-        evidence = "; ".join(
-            f"{key} defeated by {label}" for key, (label, _c) in sorted(defeats.items())
-        )
+    else:
         return GridPoint(
-            l=prop.l, k=prop.k, excludes=True, certainty=certainty, evidence=evidence
-        )
-    if witnesses:
-        key = sorted(witnesses)[0]
-        return GridPoint(
-            l=prop.l,
-            k=prop.k,
+            prop.l,
+            prop.k,
             excludes=False,
-            certainty=witnesses[key],
-            evidence=f"witness implementation: {key}",
+            certainty=Certainty.HORIZON,
+            evidence="battery incoherent: no full defeat and no clean witness",
+            undetermined=True,
         )
-    return GridPoint(
-        l=prop.l,
-        k=prop.k,
-        excludes=False,
-        certainty=Certainty.HORIZON,
-        evidence="battery incoherent: no full defeat and no clean witness",
-        undetermined=True,
-    )
+    return GridPoint(prop.l, prop.k, excludes, report.certainty, evidence)

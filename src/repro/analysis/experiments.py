@@ -32,16 +32,13 @@ from repro.adversaries.counterexample import CounterexampleAdversary
 from repro.adversaries.tm_local_progress import TMLocalProgressAdversary
 from repro.adversaries.valency import find_nondeciding_schedule
 from repro.algorithms.consensus import CasConsensus, CommitAdoptConsensus
-from repro.analysis.batteries import (  # noqa: F401  (families re-exported:
-    # the battery surface moved to repro.analysis.batteries, this module
-    # keeps the historical import path alive for external callers)
-    CONSENSUS_SCHEDULE_FAMILIES,
-    TM_SCHEDULE_FAMILIES,
-    consensus_plays,
-    lk_points,
-    tm_plays,
+from repro.analysis.batteries import consensus_plays, lk_points, tm_plays
+from repro.analysis.classification import (
+    ClassifiedGrid,
+    check_plays,
+    classify_grid,
+    play_outcomes,
 )
-from repro.analysis.classification import ClassifiedGrid, classify_grid
 from repro.analysis.registry import (
     COUNTEREXAMPLE_S,
     OPACITY,
@@ -52,6 +49,7 @@ from repro.analysis.registry import (
 )
 from repro.analysis.report import render_claims, render_grid, render_hasse
 from repro.core.adversary import certify_disjoint_by_first_event
+from repro.core.exclusion import NonExclusionReport
 from repro.core.freedom import LKFreedom
 from repro.core.history import History
 from repro.core.lattice import LivenessOrder
@@ -680,13 +678,12 @@ def run_lem54(
         schedulers=scheduler,
         crash=crash,
         seed=seed,
-    )["i12"]
+    )
     safety = counterexample_safety(deep_opacity=True)
     property_12 = LKFreedom(1, 2)
-    safety_ok = all(safety.permits(history) for history, _s, _l in battery)
-    liveness_ok = all(
-        property_12.evaluate(summary).holds for _h, summary, _l in battery
-    )
+    runs = play_outcomes(property_12, check_plays(safety, battery))["i12"]
+    witness = NonExclusionReport(property_12.name, safety.name, "i12", runs)
+    safety_ok, liveness_ok = witness.safe, witness.live
     result = ExperimentResult(
         experiment_id="lem54",
         title="Lemma 5.4: Algorithm I(1,2) ensures S and (1,2)-freedom",
@@ -728,7 +725,7 @@ def run_lem54(
             ok=rule_enforced,
         )
     )
-    result.artifacts["battery_size"] = len(battery)
+    result.artifacts["battery_size"] = len(runs)
     return result
 
 

@@ -1,4 +1,4 @@
-"""Exclusion of safety by liveness (Definition 4.1) — verdicts & reports.
+"""Exclusion of safety by liveness (Definition 4.1) — the judgement.
 
 ``L`` excludes ``S`` iff no implementation ensures both.  A finite
 artifact can certify the two directions differently:
@@ -12,36 +12,34 @@ artifact can certify the two directions differently:
   execution violates ``L``.  (Exactly universal exclusion is available in
   :mod:`repro.setmodel` for finite micro types.)
 
-The report dataclasses here are the common currency between the
-adversaries and the analysis layer.
+:func:`judge` makes that judgement over a registry's checked plays.  It
+is the only place a cell of Figure 1 is decided: the grid classifier in
+:mod:`repro.analysis.classification` builds one :class:`GameOutcome` per
+play and renders the report it gets back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.core.history import History
-from repro.core.properties import (
-    Certainty,
-    ExecutionSummary,
-    LivenessProperty,
-    SafetyProperty,
-    Verdict,
-)
+from repro.core.properties import Certainty, ExecutionSummary, Verdict
 
 
 @dataclass(frozen=True)
 class GameOutcome:
     """One adversary-vs-implementation play (a fair run of ``A_I``).
 
-    ``history`` and ``summary`` describe the run; the two verdicts record
-    whether the history stayed in ``S`` (it must, if the implementation
-    ensures ``S``) and whether the execution violated ``L`` (the
-    adversary's goal).
+    ``label`` names the play (its schedule or adversary); ``history``
+    and ``summary`` describe the run; the two verdicts record whether the
+    history stayed in ``S`` (it must, if the implementation ensures
+    ``S``) and whether the execution violated ``L`` (the adversary's
+    goal).
     """
 
     implementation: str
+    label: str
     history: History
     summary: ExecutionSummary
     safety_verdict: Verdict
@@ -64,30 +62,36 @@ class GameOutcome:
         return Certainty.HORIZON
 
 
+def _weakest(outcomes: Sequence[GameOutcome]) -> Certainty:
+    if any(o.certainty is Certainty.HORIZON for o in outcomes):
+        return Certainty.HORIZON
+    return Certainty.PROVED
+
+
 @dataclass
 class ExclusionReport:
     """Outcome of checking ``L excludes S`` against a registry.
 
-    ``holds`` is True when every registered implementation was defeated.
+    ``defeats`` maps each registered implementation to the play that
+    defeats it, or to ``None`` when none does.  ``holds`` is True when
+    every registered implementation was defeated.
     """
 
     liveness: str
     safety: str
-    outcomes: List[GameOutcome] = field(default_factory=list)
+    defeats: Dict[str, Optional[GameOutcome]] = field(default_factory=dict)
 
     @property
     def holds(self) -> bool:
-        return bool(self.outcomes) and all(o.defeated for o in self.outcomes)
+        return bool(self.defeats) and None not in self.defeats.values()
 
     @property
     def certainty(self) -> Certainty:
-        if any(o.certainty is Certainty.HORIZON for o in self.outcomes):
-            return Certainty.HORIZON
-        return Certainty.PROVED
+        return _weakest([o for o in self.defeats.values() if o is not None])
 
     def undefeated(self) -> List[str]:
         """Names of implementations the adversary failed to defeat."""
-        return [o.implementation for o in self.outcomes if not o.defeated]
+        return [name for name, o in self.defeats.items() if o is None]
 
     def describe(self) -> str:
         """One-line summary for reports."""
@@ -112,16 +116,22 @@ class NonExclusionReport:
     runs: List[GameOutcome] = field(default_factory=list)
 
     @property
+    def safe(self) -> bool:
+        """Every run's history lies in ``S``."""
+        return all(r.safety_verdict.holds for r in self.runs)
+
+    @property
+    def live(self) -> bool:
+        """Every run's execution satisfies ``L``."""
+        return all(r.liveness_verdict.holds for r in self.runs)
+
+    @property
     def holds(self) -> bool:
-        return bool(self.runs) and all(
-            r.safety_verdict.holds and r.liveness_verdict.holds for r in self.runs
-        )
+        return bool(self.runs) and self.safe and self.live
 
     @property
     def certainty(self) -> Certainty:
-        if any(r.certainty is Certainty.HORIZON for r in self.runs):
-            return Certainty.HORIZON
-        return Certainty.PROVED
+        return _weakest(self.runs)
 
     def violations(self) -> List[GameOutcome]:
         """Runs in which a property failed (empty when the witness
@@ -143,47 +153,39 @@ class NonExclusionReport:
 
 
 def build_exclusion_report(
-    safety: SafetyProperty,
-    liveness: LivenessProperty,
-    plays: Iterable[Tuple[str, History, ExecutionSummary]],
+    safety: str, liveness: str, outcomes: Mapping[str, Sequence[GameOutcome]]
 ) -> ExclusionReport:
-    """Assemble an :class:`ExclusionReport` from adversary plays.
+    """Assemble an :class:`ExclusionReport` from checked plays.
 
-    Each play is ``(implementation_name, history, summary)``; the report
-    evaluates safety on the history and liveness on the summary.
+    ``outcomes`` maps each registered implementation to its plays.  An
+    implementation is defeated by its first PROVED defeating play, or
+    else by its first defeating play; one with no plays is never
+    defeated.
     """
-    report = ExclusionReport(liveness=liveness.name, safety=safety.name)
-    for name, history, summary in plays:
-        report.outcomes.append(
-            GameOutcome(
-                implementation=name,
-                history=history,
-                summary=summary,
-                safety_verdict=safety.check_history(history),
-                liveness_verdict=liveness.evaluate(summary),
-            )
-        )
+    report = ExclusionReport(liveness=liveness, safety=safety)
+    for name, runs in outcomes.items():
+        defeating = [o for o in runs if o.defeated]
+        proved = [o for o in defeating if o.certainty is Certainty.PROVED]
+        report.defeats[name] = (proved or defeating or [None])[0]
     return report
 
 
-def build_non_exclusion_report(
-    safety: SafetyProperty,
-    liveness: LivenessProperty,
-    implementation: str,
-    runs: Iterable[Tuple[History, ExecutionSummary]],
-) -> NonExclusionReport:
-    """Assemble a :class:`NonExclusionReport` from witness runs."""
-    report = NonExclusionReport(
-        liveness=liveness.name, safety=safety.name, implementation=implementation
-    )
-    for history, summary in runs:
-        report.runs.append(
-            GameOutcome(
-                implementation=implementation,
-                history=history,
-                summary=summary,
-                safety_verdict=safety.check_history(history),
-                liveness_verdict=liveness.evaluate(summary),
-            )
-        )
-    return report
+def judge(
+    safety: str, liveness: str, outcomes: Mapping[str, Sequence[GameOutcome]]
+) -> Union[ExclusionReport, NonExclusionReport]:
+    """Decide ``L excludes S`` over a registry's checked plays.
+
+    Returns the :class:`ExclusionReport` when it holds, or else the
+    :class:`NonExclusionReport` of the first implementation (in sorted
+    order) whose runs all satisfy both properties.  When neither
+    holds, the battery is incoherent and the (failing) exclusion
+    report is returned.
+    """
+    exclusion = build_exclusion_report(safety, liveness, outcomes)
+    if exclusion.holds:
+        return exclusion
+    for name in sorted(outcomes):
+        witness = NonExclusionReport(liveness, safety, name, list(outcomes[name]))
+        if witness.holds:
+            return witness
+    return exclusion

@@ -27,7 +27,7 @@ All Figure 1 classifications agree under both readings.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, List, Tuple
 
 from repro.core.properties import ExecutionSummary, LivenessProperty, Verdict
 
@@ -171,19 +171,6 @@ class LKFreedom(LivenessProperty):
             return Verdict.passed(reason, certainty=summary.certainty)
         return Verdict.failed(reason, witness=summary, certainty=summary.certainty)
 
-    # -- structural (parameter-level) ordering ------------------------------
-
-    def dominates(self, other: "LKFreedom") -> bool:
-        """Sufficient structural condition for being stronger.
-
-        ``(l,k)`` with ``l >= l'`` and ``k >= k'`` is stronger than
-        ``(l',k')`` (both guards are harder to escape and the consequent
-        demands more).  The converse fails: the semantic comparison over
-        the abstract-execution space is the ground truth and is what the
-        tests cross-check this predicate against.
-        """
-        return self.l >= other.l and self.k >= other.k
-
     @staticmethod
     def grid(n: int, **kwargs) -> List["LKFreedom"]:
         """All ``(l,k)``-freedom properties with ``1 <= l <= k <= n``.
@@ -195,16 +182,3 @@ class LKFreedom(LivenessProperty):
             for k in range(1, n + 1)
             for l in range(1, k + 1)
         ]
-
-
-def obstruction_freedom(**kwargs) -> LKFreedom:
-    """``(1,1)``-freedom, which the paper identifies with
-    obstruction-freedom."""
-    return LKFreedom(1, 1, **kwargs)
-
-
-def weakest_biprogressing() -> LKFreedom:
-    """``(2,2)``-freedom — the weakest biprogressing ``(l,k)``-freedom
-    (Section 5.2), i.e. the weakest member of the family requiring
-    progress for at least two correct processes."""
-    return LKFreedom(2, 2)

@@ -11,7 +11,7 @@ uses, all evaluated on
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Sequence
+from typing import List, Sequence
 
 from repro.core.properties import (
     Certainty,
@@ -54,19 +54,6 @@ class LocalProgress(Lmax):
     """Local progress [4]: ``Lmax`` for transactional memory objects."""
 
     name = "local-progress"
-
-
-class TrivialLiveness(LivenessProperty):
-    """The weakest liveness property: the set of *all* executions.
-
-    Every implementation ensures it; it never excludes any safety
-    property.  Used as a sanity anchor in ordering tests.
-    """
-
-    name = "trivial-liveness"
-
-    def evaluate(self, summary: ExecutionSummary) -> Verdict:
-        return Verdict.passed("trivial liveness admits every execution")
 
 
 class LockFreedom(LivenessProperty):

@@ -1,11 +1,13 @@
 """Shared object types ``Tp = (St, Inv, Res, Seq)`` (Section 2).
 
 An object type bundles the invocation and response alphabets of a shared
-object with its sequential specification and with the *progress semantics*
+object with the *progress semantics*
 used by liveness properties (Section 5.1): the set ``G_Tp`` of "good"
 responses that constitute progress, and whether progress means receiving a
 good response *eventually* (one-shot objects such as consensus) or
-*repeatedly* (long-lived objects such as transactional memory).
+*repeatedly* (long-lived objects such as transactional memory).  The
+sequential specification ``Seq`` is not part of the bundle: each object's
+safety checker decides its histories.
 """
 
 from __future__ import annotations
@@ -14,20 +16,9 @@ import enum
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Iterable, Iterator, List, Sequence, Tuple
 
-from repro.core.events import Crash, Event, Invocation, Response
+from repro.core.events import Invocation, Response
 from repro.util.errors import SpecificationError, unknown_choice
 
 
@@ -157,7 +148,7 @@ class OperationSignature:
 
 @dataclass
 class ObjectType:
-    """A shared object type ``Tp = (St, Inv, Res, Seq)`` plus progress data.
+    """The alphabets of a shared object type plus its progress data.
 
     Attributes
     ----------
@@ -165,10 +156,6 @@ class ObjectType:
         Human-readable type name (``"consensus"``, ``"tm"``, ...).
     operations:
         Signatures of the operations in ``Inv``.
-    sequential_spec:
-        The sequential specification ``Seq`` (may be ``None`` for types
-        whose safety is checked by a bespoke checker, e.g. TM opacity,
-        which consults a spec of its own).
     good_response:
         Predicate selecting ``G_Tp ⊆ Res`` — the responses that constitute
         progress (Section 5.1).  Defaults to "every response is good".
@@ -178,7 +165,6 @@ class ObjectType:
 
     name: str
     operations: Tuple[OperationSignature, ...]
-    sequential_spec: Optional[SequentialSpec] = None
     good_response: Callable[[Response], bool] = field(default=lambda response: True)
     progress_mode: ProgressMode = ProgressMode.REPEATED
 
@@ -197,21 +183,6 @@ class ObjectType:
         )
 
     # -- finite alphabets (used by repro.setmodel and the explorers) --------
-
-    def ext_alphabet(self, processes: Sequence[int]) -> List[Event]:
-        """The external alphabet ``ext(Tp)`` for the given processes.
-
-        Contains every invocation (over declared argument domains), every
-        response (over declared response domains) and the crash action of
-        each process, exactly as in Section 2.
-        """
-        events: List[Event] = []
-        for pid in processes:
-            for sig in self.operations:
-                events.extend(sig.invocations_for(pid))
-                events.extend(sig.responses_for(pid))
-            events.append(Crash(process=pid))
-        return events
 
     def invocation_alphabet(self, processes: Sequence[int]) -> List[Invocation]:
         """All invocations over declared argument domains."""

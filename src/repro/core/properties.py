@@ -249,18 +249,6 @@ class LivenessProperty(Property):
         )
 
 
-class TrivialSafety(SafetyProperty):
-    """The safety property containing every well-formed history.
-
-    Used as the unit of conjunction and in tests.
-    """
-
-    name = "trivial-safety"
-
-    def check_history(self, history: History) -> Verdict:
-        return Verdict.passed("trivial safety admits every well-formed history")
-
-
 class ConjunctionSafety(SafetyProperty):
     """Intersection of safety properties (itself a safety property).
 

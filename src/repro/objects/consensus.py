@@ -52,7 +52,6 @@ def consensus_object_type(values: Sequence[Any] = (0, 1)) -> ObjectType:
                 response_domain=values,
             ),
         ),
-        sequential_spec=ConsensusSpec(),
         good_response=lambda response: True,  # any decision is progress
         progress_mode=ProgressMode.EVENTUAL,
     )

@@ -50,7 +50,6 @@ def set_agreement_object_type(values: Sequence[Any] = (0, 1, 2)) -> ObjectType:
                 response_domain=values,
             ),
         ),
-        sequential_spec=None,  # safety is the global k-agreement predicate
         good_response=lambda response: True,
         progress_mode=ProgressMode.EVENTUAL,
     )

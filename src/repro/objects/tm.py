@@ -113,7 +113,6 @@ def tm_object_type(
                 name="tryC", argument_domains=(), response_domain=(COMMITTED, ABORTED)
             ),
         ),
-        sequential_spec=None,  # TM safety is transaction-level; see opacity.py
         good_response=lambda response: response.value is COMMITTED,
         progress_mode=ProgressMode.REPEATED,
     )

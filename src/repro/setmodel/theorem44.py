@@ -44,7 +44,6 @@ def _micro_type(responses: Tuple[object, ...]) -> ObjectType:
                 name="a", argument_domains=(), response_domain=responses
             ),
         ),
-        sequential_spec=None,
         good_response=lambda response: True,
         progress_mode=ProgressMode.EVENTUAL,
     )

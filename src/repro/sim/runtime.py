@@ -95,9 +95,6 @@ class RuntimeView:
     def response_count(self, pid: int) -> int:
         return self._runtime.stats[pid].responses
 
-    def good_response_count(self, pid: int) -> int:
-        return self._runtime.stats[pid].good_responses
-
     def last_response(self, pid: int) -> Optional[Response]:
         return self._runtime.last_response.get(pid)
 

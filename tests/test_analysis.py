@@ -14,12 +14,17 @@ from repro.analysis import (
     render_hasse,
     tm_registry,
 )
+from repro.analysis.batteries import consensus_plays, tm_plays
+from repro.analysis.classification import cell_reports
+from repro.core.exclusion import ExclusionReport
 from repro.core.freedom import LKFreedom
 from repro.core.history import History
 from repro.core.lattice import LivenessOrder
 from repro.core.liveness import Lmax, LockFreedom
 from repro.core.properties import Certainty, ExecutionSummary
 from repro.objects.consensus import AgreementValidity
+from repro.objects.counterexample_s import counterexample_safety
+from repro.objects.opacity import OpacityChecker
 
 from conftest import inv, res
 
@@ -108,15 +113,62 @@ class TestClassification:
         with pytest.raises(KeyError):
             grid.point(5, 5)
 
-    def test_safety_precomputed_short_circuit(self):
-        plays = self._plays()
-        grid = classify_grid(
-            2,
-            AgreementValidity(),
-            plays,
-            safety_precomputed={"implA": [True], "implB": [True]},
+    def test_proved_defeat_is_chosen_over_an_earlier_horizon_one(self):
+        history = History([inv(0, "propose", 0), res(0, "propose", 0)])
+        starving = ExecutionSummary.of(2, correct=[0, 1], steppers=[0, 1])
+        horizon = ExecutionSummary.of(
+            2, correct=[0, 1], steppers=[0, 1], certainty=Certainty.HORIZON
         )
-        assert not grid.point(1, 1).excludes
+        plays = [(history, horizon, "bounded"), (history, starving, "lasso")]
+        grid = classify_grid(
+            2, AgreementValidity(), {"implA": plays, "implB": plays[:1]}
+        )
+        point = grid.point(2, 2)
+        assert point.excludes
+        assert point.evidence == (
+            "implA defeated by lasso; implB defeated by bounded"
+        )
+        assert point.certainty is Certainty.HORIZON
+        grid = classify_grid(2, AgreementValidity(), {"implA": plays})
+        assert grid.point(2, 2).certainty is Certainty.PROVED
+
+    def test_implementation_without_plays_is_not_defeated(self):
+        plays = self._plays()
+        plays["implB"] = []
+        grid = classify_grid(2, AgreementValidity(), plays)
+        point = grid.point(2, 2)
+        assert not point.excludes
+        assert point.undetermined
+
+
+def _shipped_panel(panel):
+    """The registry, safety property and battery behind a shipped panel
+    at its default size and budgets, with its count of excluded cells."""
+    if panel == "fig1a":
+        entries = consensus_registry(3, registers_only=True)
+        return entries, AgreementValidity(), consensus_plays(3, entries), 5
+    if panel == "fig1b":
+        entries = entries_ensuring(tm_registry(3, variables=(0,)), OPACITY)
+        return entries, OpacityChecker(deep=True), tm_plays(3, entries), 3
+    entries = entries_ensuring(tm_registry(3, variables=(0,)), COUNTEREXAMPLE_S)
+    return entries, counterexample_safety(deep_opacity=True), tm_plays(3, entries), 4
+
+
+@pytest.mark.parametrize("panel", ["fig1a", "fig1b", "sec53"])
+def test_every_excluded_shipped_cell_has_one_defeat_per_entry(panel):
+    entries, safety, battery, excluded = _shipped_panel(panel)
+    reports = [
+        (prop, report)
+        for prop, report in cell_reports(3, safety, battery)
+        if isinstance(report, ExclusionReport)
+    ]
+    assert len(reports) == excluded
+    for prop, report in reports:
+        assert report.holds, prop.name
+        assert sorted(report.defeats) == sorted(entry.key for entry in entries)
+        for outcome in report.defeats.values():
+            assert safety.check_history(outcome.history).holds
+            assert not prop.evaluate(outcome.summary).holds
 
 
 class TestRendering:

@@ -1,8 +1,12 @@
 """Unit tests for exclusion reports (repro.core.exclusion)."""
 
+from dataclasses import replace
+
 from repro.core.exclusion import (
+    GameOutcome,
+    NonExclusionReport,
     build_exclusion_report,
-    build_non_exclusion_report,
+    judge,
 )
 from repro.core.freedom import LKFreedom
 from repro.core.history import History
@@ -34,69 +38,99 @@ UNSAFE = (
 )
 
 
+
+def outcome(implementation, play, liveness):
+    history, summary = play
+    return GameOutcome(
+        implementation,
+        "play",
+        history,
+        summary,
+        AgreementValidity().check_history(history),
+        liveness.evaluate(summary),
+    )
+
+
+def exclusion(liveness, plays):
+    outcomes = {}
+    for name, *play in plays:
+        outcomes.setdefault(name, []).append(outcome(name, play, liveness))
+    return build_exclusion_report("agreement-validity", liveness.name, outcomes)
+
+
+def witness(liveness, implementation, runs):
+    return NonExclusionReport(
+        liveness.name,
+        "agreement-validity",
+        implementation,
+        [outcome(implementation, run, liveness) for run in runs],
+    )
+
+
 class TestExclusionReport:
     def test_full_defeat(self):
-        report = build_exclusion_report(
-            AgreementValidity(),
-            Lmax(),
-            [("implA", *SAFE_STARVING), ("implB", *SAFE_STARVING)],
+        report = exclusion(
+            Lmax(), [("implA", *SAFE_STARVING), ("implB", *SAFE_STARVING)]
         )
         assert report.holds
         assert report.undefeated() == []
         assert "EXCLUDES" in report.describe()
 
     def test_surviving_implementation_blocks_exclusion(self):
-        report = build_exclusion_report(
-            AgreementValidity(),
-            Lmax(),
-            [("implA", *SAFE_STARVING), ("implB", *SAFE_LIVE)],
-        )
+        report = exclusion(Lmax(), [("implA", *SAFE_STARVING), ("implB", *SAFE_LIVE)])
         assert not report.holds
         assert report.undefeated() == ["implB"]
 
     def test_unsafe_play_is_not_a_defeat(self):
-        report = build_exclusion_report(
-            AgreementValidity(), Lmax(), [("implA", *UNSAFE)]
-        )
+        report = exclusion(Lmax(), [("implA", *UNSAFE)])
         assert not report.holds
 
     def test_empty_report_does_not_hold(self):
-        report = build_exclusion_report(AgreementValidity(), Lmax(), [])
+        report = exclusion(Lmax(), [])
         assert not report.holds
 
     def test_certainty_propagates(self):
-        horizon_summary = SAFE_STARVING[1].with_certainty(Certainty.HORIZON)
-        report = build_exclusion_report(
-            AgreementValidity(),
-            Lmax(),
-            [("implA", SAFE_STARVING[0], horizon_summary)],
-        )
+        horizon_summary = replace(SAFE_STARVING[1], certainty=Certainty.HORIZON)
+        report = exclusion(Lmax(), [("implA", SAFE_STARVING[0], horizon_summary)])
         assert report.certainty is Certainty.HORIZON
 
 
 class TestNonExclusionReport:
     def test_witness_stands(self):
-        report = build_non_exclusion_report(
-            AgreementValidity(), LKFreedom(1, 1), "implB", [SAFE_LIVE]
-        )
+        report = witness(LKFreedom(1, 1), "implB", [SAFE_LIVE])
         assert report.holds
         assert report.violations() == []
 
     def test_witness_falls_on_liveness_violation(self):
-        report = build_non_exclusion_report(
-            AgreementValidity(), Lmax(), "implA", [SAFE_STARVING]
-        )
+        report = witness(Lmax(), "implA", [SAFE_STARVING])
         assert not report.holds
         assert len(report.violations()) == 1
 
     def test_witness_falls_on_safety_violation(self):
-        report = build_non_exclusion_report(
-            AgreementValidity(), LKFreedom(1, 1), "implC", [UNSAFE]
-        )
+        report = witness(LKFreedom(1, 1), "implC", [UNSAFE])
         assert not report.holds
 
     def test_describe_mentions_implementation(self):
-        report = build_non_exclusion_report(
-            AgreementValidity(), LKFreedom(1, 1), "implB", [SAFE_LIVE]
-        )
+        report = witness(LKFreedom(1, 1), "implB", [SAFE_LIVE])
         assert "implB" in report.describe()
+
+
+class TestJudge:
+    def test_first_standing_witness_in_sorted_order(self):
+        plays = {
+            "implC": [outcome("implC", SAFE_LIVE, Lmax())],
+            "implB": [outcome("implB", SAFE_LIVE, Lmax())],
+            "implA": [outcome("implA", SAFE_STARVING, Lmax())],
+        }
+        report = judge("agreement-validity", "lmax", plays)
+        assert isinstance(report, NonExclusionReport)
+        assert report.implementation == "implB"
+
+    def test_neither_certificate_returns_the_failing_exclusion(self):
+        plays = {
+            "implA": [outcome("implA", SAFE_STARVING, Lmax())],
+            "implB": [outcome("implB", UNSAFE, Lmax())],
+        }
+        report = judge("agreement-validity", "lmax", plays)
+        assert not report.holds
+        assert report.undefeated() == ["implB"]

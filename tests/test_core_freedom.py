@@ -6,8 +6,6 @@ from repro.core.freedom import (
     KObstructionFreedom,
     LKFreedom,
     LLockFreedom,
-    obstruction_freedom,
-    weakest_biprogressing,
 )
 from repro.core.liveness import Lmax, LockFreedom, enumerate_summaries
 from repro.core.properties import ExecutionSummary
@@ -122,20 +120,8 @@ class TestLKFreedom:
         assert LKFreedom(2, 2).evaluate(three_steppers_none_progress).holds
         assert not LKFreedom(1, 3).evaluate(three_steppers_none_progress).holds
 
-    def test_dominates_matches_semantic_order(self):
-        space = enumerate_summaries(3)
-        grid = LKFreedom.grid(3)
-        for a in grid:
-            for b in grid:
-                if a.dominates(b):
-                    assert a.admits(space) <= b.admits(space), (a.name, b.name)
-
     def test_grid_size(self):
         assert len(LKFreedom.grid(4)) == 10  # triangular numbers
-
-    def test_helpers(self):
-        assert obstruction_freedom().l == 1 and obstruction_freedom().k == 1
-        assert weakest_biprogressing().l == 2 and weakest_biprogressing().k == 2
 
     def test_all_lk_properties_are_liveness(self):
         """Every (l,k)-freedom is a weakening of Lmax (Definition 3.2)."""

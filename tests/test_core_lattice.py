@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.freedom import LKFreedom
 from repro.core.lattice import LivenessOrder
-from repro.core.liveness import Lmax, LockFreedom, TrivialLiveness
+from repro.core.liveness import Lmax, LockFreedom
 
 
 def make_order(n=3, extra=()):
@@ -55,24 +55,24 @@ class TestRelations:
 class TestGlobalStructure:
     def test_lmax_is_unique_maximal_element(self):
         order = LivenessOrder(
-            [Lmax(), LockFreedom(), TrivialLiveness()], n_processes=3
+            [Lmax(), LockFreedom(), LKFreedom(1, 1)], n_processes=3
         )
         assert order.maximal_elements() == ["Lmax"]
-        assert order.minimal_elements() == ["trivial-liveness"]
+        assert order.minimal_elements() == ["(1,1)-freedom"]
 
     def test_grid_is_not_totally_ordered(self):
         assert not make_order().is_totally_ordered()
 
     def test_chain_is_totally_ordered(self):
-        order = LivenessOrder([Lmax(), LockFreedom(), TrivialLiveness()], 3)
+        order = LivenessOrder([Lmax(), LockFreedom(), LKFreedom(1, 1)], 3)
         assert order.is_totally_ordered()
 
     def test_hasse_edges_have_no_shortcuts(self):
-        order = LivenessOrder([Lmax(), LockFreedom(), TrivialLiveness()], 2)
+        order = LivenessOrder([Lmax(), LockFreedom(), LKFreedom(1, 1)], 2)
         edges = order.hasse_edges()
         assert ("Lmax", "lock-freedom") in edges
-        assert ("lock-freedom", "trivial-liveness") in edges
-        assert ("Lmax", "trivial-liveness") not in edges
+        assert ("lock-freedom", "(1,1)-freedom") in edges
+        assert ("Lmax", "(1,1)-freedom") not in edges
 
     def test_relation_matrix_is_complete(self):
         order = make_order(n=2)

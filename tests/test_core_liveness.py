@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.core.freedom import LKFreedom
 from repro.core.liveness import (
     Lmax,
     LocalProgress,
     LockFreedom,
     SoloTermination,
-    TrivialLiveness,
     WaitFreedom,
     compare,
     enumerate_summaries,
@@ -113,15 +113,11 @@ class TestCompare:
         assert compare(Lmax(), LockFreedom(), space) == "stronger"
         assert compare(LockFreedom(), Lmax(), space) == "weaker"
 
-    def test_trivial_weakest(self):
-        space = enumerate_summaries(3)
-        assert compare(TrivialLiveness(), Lmax(), space) == "weaker"
-
     def test_every_property_contains_lmax_executions(self):
         # Definition 3.2: every liveness property is a superset of Lmax.
         space = enumerate_summaries(3)
         lmax_set = Lmax().admits(space)
-        for prop in (LockFreedom(), SoloTermination(), TrivialLiveness()):
+        for prop in (LockFreedom(), SoloTermination(), LKFreedom(1, 1)):
             assert lmax_set <= prop.admits(space)
 
     def test_equal_relation(self):

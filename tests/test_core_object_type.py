@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.events import Crash, Invocation, Response
+from repro.core.events import Invocation, Response
 from repro.core.object_type import (
     ObjectType,
     OperationSignature,
@@ -28,13 +28,6 @@ class TestOperationSignature:
 
 
 class TestObjectType:
-    def test_ext_alphabet_contains_crash(self):
-        object_type = consensus_object_type(values=(0, 1))
-        alphabet = object_type.ext_alphabet([0, 1])
-        assert Crash(0) in alphabet
-        assert Invocation(1, "propose", (0,)) in alphabet
-        assert Response(0, "propose", 1) in alphabet
-
     def test_signature_lookup(self):
         object_type = consensus_object_type()
         assert object_type.signature("propose").name == "propose"

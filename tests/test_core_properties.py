@@ -8,9 +8,9 @@ from repro.core.properties import (
     ConjunctionSafety,
     ExecutionSummary,
     SafetyProperty,
-    TrivialSafety,
     Verdict,
 )
+from repro.objects.mutex import MutualExclusionChecker
 
 from conftest import inv, res
 
@@ -105,17 +105,17 @@ class TestConjunction:
             ConjunctionSafety(parts=())
 
     def test_fails_when_any_part_fails(self):
-        conjunction = ConjunctionSafety([TrivialSafety(), RejectValueSafety()])
+        conjunction = ConjunctionSafety([MutualExclusionChecker(), RejectValueSafety()])
         bad = History([inv(0, "a"), res(0, "a", 13)])
         verdict = conjunction.check_history(bad)
         assert not verdict.holds
         assert "no-13" in verdict.reason
 
     def test_passes_when_all_parts_pass(self):
-        conjunction = ConjunctionSafety([TrivialSafety(), RejectValueSafety()])
+        conjunction = ConjunctionSafety([MutualExclusionChecker(), RejectValueSafety()])
         assert conjunction.check_history(History([inv(0, "a")])).holds
 
     def test_name_composition(self):
-        conjunction = ConjunctionSafety([TrivialSafety(), RejectValueSafety()])
-        assert "trivial-safety" in conjunction.name
+        conjunction = ConjunctionSafety([MutualExclusionChecker(), RejectValueSafety()])
+        assert MutualExclusionChecker.name in conjunction.name
         assert "no-13" in conjunction.name

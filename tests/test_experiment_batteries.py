@@ -3,8 +3,10 @@
 import pytest
 
 from repro.analysis import consensus_registry, tm_registry, OPACITY, entries_ensuring
-from repro.analysis.experiments import consensus_plays, run_fig1a, run_fig1b, tm_plays
+from repro.analysis.batteries import consensus_plays, tm_plays
+from repro.analysis.experiments import run_fig1a, run_fig1b
 from repro.core.properties import Certainty
+from repro.util.errors import UsageError
 
 
 class TestConsensusBattery:
@@ -45,6 +47,19 @@ class TestTmBattery:
         battery = tm_plays(2, entries, max_steps=120, transactions=1)
         labels = {label for plays in battery.values() for *_x, label in plays}
         assert "counterexample-adversary" not in labels
+
+
+class TestEmptyBattery:
+    """A battery that gives an implementation no plays is refused: no
+    cell could be judged for it."""
+
+    def test_counterexample_family_below_three_processes(self):
+        with pytest.raises(UsageError, match=r"\['counterexample'\].*n=2"):
+            run_fig1b(n=2, scheduler="counterexample")
+
+    def test_empty_scheduler_selection(self):
+        with pytest.raises(UsageError, match=r"\[\].*commit-adopt, silent.*n=2"):
+            run_fig1a(n=2, scheduler="")
 
 
 class TestOtherSizes:

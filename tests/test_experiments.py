@@ -35,6 +35,14 @@ class TestRegistry:
         with pytest.raises(UsageError, match="unknown experiment"):
             run_experiment("fig9z")
 
+    def test_cli_checks_every_target_before_running_any(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["run", "thm44", "fig9z"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown experiment 'fig9z'; did you mean" in captured.err
+
 
 class TestFastExperiments:
     @pytest.mark.parametrize("experiment_id", ["thm44", "thm49", "cor45", "sec6"])
