@@ -23,15 +23,9 @@ round-robin awaiting for concurrent batches.
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Hashable, Optional, TYPE_CHECKING
 
-from repro.sim.drivers import (
-    Decision,
-    Driver,
-    InvokeDecision,
-    StepDecision,
-    StopDecision,
-)
+from repro.sim.drivers import Driver
 from repro.util.errors import AdversaryError
 
 if TYPE_CHECKING:  # pragma: no cover

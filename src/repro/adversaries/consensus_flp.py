@@ -27,7 +27,7 @@ Three artifacts:
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Hashable, Optional, TYPE_CHECKING
 
 from repro.core.adversary import FiniteAdversarySet
 from repro.core.events import Invocation, Response, is_invocation

@@ -29,7 +29,7 @@ abstraction repeats each cycle.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Hashable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.objects.tm import ABORTED, COMMITTED, OK
 from repro.sim.drivers import InvokeDecision, StepDecision, StopDecision

@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.base_objects.base import ObjectPool
-from repro.base_objects.regfile import RegisterFile
+from repro.base_objects.regfile import RegisterFile, RegisterFileState
 from repro.base_objects.register import AtomicRegister
 from repro.core.object_type import ObjectType
 from repro.objects.consensus import consensus_object_type
@@ -157,9 +157,9 @@ class CommitAdoptConsensus(Implementation):
         rounds = [m.get("round", 0) for m in memories]
         participant_rounds = [r for r in rounds if r >= 1]
         base = min(participant_rounds) if participant_rounds else 0
-        register_file = pool.get("A")
-        assert isinstance(register_file, RegisterFile)
-        live_cells = register_file.cells_matching(lambda key: key[0] >= base)
+        registers = pool.state_of("A")
+        assert isinstance(registers, RegisterFileState)
+        live_cells = registers.cells_matching(lambda key: key[0] >= base)
         normalized_cells = tuple(
             sorted(
                 (
@@ -169,7 +169,7 @@ class CommitAdoptConsensus(Implementation):
                 key=repr,
             )
         )
-        decision = pool.get("D").snapshot_state()
+        decision = pool.state_of("D")
         normalized_memories = tuple(
             freeze(
                 {

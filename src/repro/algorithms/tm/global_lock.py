@@ -21,7 +21,7 @@ from repro.base_objects.base import ObjectPool
 from repro.base_objects.register import AtomicRegister
 from repro.base_objects.tas import TestAndSet
 from repro.core.object_type import ObjectType
-from repro.objects.tm import ABORTED, COMMITTED, OK, tm_object_type
+from repro.objects.tm import COMMITTED, OK, tm_object_type
 from repro.sim.kernel import Algorithm, Implementation, Op
 from repro.util.errors import SimulationError
 

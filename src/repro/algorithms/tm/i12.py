@@ -166,12 +166,10 @@ class I12TransactionalMemory(Implementation):
         """Timestamp-shift quotient (see module docstring)."""
         timestamps = [m.get("timestamp", 0) for m in memories]
         base = min(timestamps)
-        snapshot_object = pool.get("R")
-        assert isinstance(snapshot_object, AtomicSnapshot)
         shifted_snapshot = tuple(
-            component - base for component in snapshot_object.snapshot_state()[1]
+            component - base for component in pool.state_of("R")[1]
         )
-        cas_state = pool.get("C").snapshot_state()
+        cas_state = pool.state_of("C")
         shifted_memories = tuple(
             freeze(
                 {

@@ -16,7 +16,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.base_objects.base import ObjectPool
 from repro.core.object_type import ObjectType
 from repro.objects.tm import ABORTED, tm_object_type
-from repro.sim.kernel import Algorithm, Implementation, Op
+from repro.sim.kernel import Algorithm, Implementation
 from repro.util.errors import SimulationError
 
 

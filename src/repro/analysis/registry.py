@@ -24,7 +24,7 @@ claims on generated histories rather than trusting them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 from repro.algorithms.consensus import (

@@ -14,7 +14,7 @@ from repro.util.errors import SimulationError
 
 
 class CompareAndSwap(BaseObject):
-    """A compare-and-swap register.
+    """A compare-and-swap register; its state is ``("cas", value)``.
 
     Primitives:
 
@@ -28,31 +28,31 @@ class CompareAndSwap(BaseObject):
     def __init__(self, name: str, initial: Any = None):
         super().__init__(name)
         self._initial = initial
-        self._value = initial
 
     def methods(self) -> Tuple[str, ...]:
         return ("read", "write", "compare_and_swap")
 
-    def apply(self, method: str, args: Tuple[Any, ...]) -> Any:
+    def initial_state(self) -> Hashable:
+        return ("cas", self._initial)
+
+    def step(self, state: Any, method: str, args: Tuple[Any, ...]) -> Tuple[Any, Hashable]:
         if method == "read":
             if args:
                 raise SimulationError("read takes no arguments")
-            return self._value
+            return state[1], state
         if method == "write":
             if len(args) != 1:
                 raise SimulationError("write takes exactly one argument")
-            self._value = args[0]
-            return None
+            return None, ("cas", args[0])
         if method == "compare_and_swap":
             if len(args) != 2:
                 raise SimulationError(
                     "compare_and_swap takes (expected, new)"
                 )
             expected, new = args
-            if self._value == expected:
-                self._value = new
-                return True
-            return False
+            if state[1] == expected:
+                return True, ("cas", new)
+            return False, state
         return self._reject(method)
 
     def footprint(self, method: str, args: Tuple[Any, ...]) -> Tuple[str, Hashable]:
@@ -60,14 +60,3 @@ class CompareAndSwap(BaseObject):
         # fail: whether it fails depends on the value, which a concurrent
         # write changes — so it must conflict with everything.
         return ("read" if method == "read" else "write", None)
-
-    def snapshot_state(self) -> Hashable:
-        return ("cas", self._value)
-
-    def reset(self) -> None:
-        self._value = self._initial
-
-    @property
-    def value(self) -> Any:
-        """Current value (test/assertion access, not an atomic step)."""
-        return self._value

@@ -9,7 +9,7 @@ from repro.util.errors import SimulationError
 
 
 class FetchAndIncrement(BaseObject):
-    """An atomic counter.
+    """An atomic counter; its state is ``("counter", value)``.
 
     Primitives:
 
@@ -20,29 +20,24 @@ class FetchAndIncrement(BaseObject):
     def __init__(self, name: str, initial: int = 0):
         super().__init__(name)
         self._initial = initial
-        self._value = initial
 
     def methods(self) -> Tuple[str, ...]:
         return ("fetch_and_increment", "read")
 
-    def apply(self, method: str, args: Tuple[Any, ...]) -> Any:
+    def initial_state(self) -> Hashable:
+        return ("counter", self._initial)
+
+    def step(self, state: Any, method: str, args: Tuple[Any, ...]) -> Tuple[Any, Hashable]:
         if method == "fetch_and_increment":
             if args:
                 raise SimulationError("fetch_and_increment takes no arguments")
-            value = self._value
-            self._value += 1
-            return value
+            value = state[1]
+            return value, ("counter", value + 1)
         if method == "read":
             if args:
                 raise SimulationError("read takes no arguments")
-            return self._value
+            return state[1], state
         return self._reject(method)
 
     def footprint(self, method: str, args: Tuple[Any, ...]) -> Tuple[str, Hashable]:
         return ("read" if method == "read" else "write", None)
-
-    def snapshot_state(self) -> Hashable:
-        return ("counter", self._value)
-
-    def reset(self) -> None:
-        self._value = self._initial

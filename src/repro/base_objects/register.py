@@ -7,14 +7,15 @@ implementations to read/write registers).
 
 from __future__ import annotations
 
-from typing import Any, Hashable, List, Tuple
+from typing import Any, Hashable, Tuple
 
 from repro.base_objects.base import BaseObject
 from repro.util.errors import SimulationError
 
 
 class AtomicRegister(BaseObject):
-    """A single multi-reader multi-writer atomic register.
+    """A single multi-reader multi-writer atomic register; its state is
+    ``("register", value)``.
 
     Primitives: ``read()`` and ``write(value)``.
     """
@@ -22,40 +23,31 @@ class AtomicRegister(BaseObject):
     def __init__(self, name: str, initial: Any = None):
         super().__init__(name)
         self._initial = initial
-        self._value = initial
 
     def methods(self) -> Tuple[str, ...]:
         return ("read", "write")
 
-    def apply(self, method: str, args: Tuple[Any, ...]) -> Any:
+    def initial_state(self) -> Hashable:
+        return ("register", self._initial)
+
+    def step(self, state: Any, method: str, args: Tuple[Any, ...]) -> Tuple[Any, Hashable]:
         if method == "read":
             if args:
                 raise SimulationError("read takes no arguments")
-            return self._value
+            return state[1], state
         if method == "write":
             if len(args) != 1:
                 raise SimulationError("write takes exactly one argument")
-            self._value = args[0]
-            return None
+            return None, ("register", args[0])
         return self._reject(method)
 
     def footprint(self, method: str, args: Tuple[Any, ...]) -> Tuple[str, Hashable]:
         return ("read" if method == "read" else "write", None)
 
-    def snapshot_state(self) -> Hashable:
-        return ("register", self._value)
-
-    def reset(self) -> None:
-        self._value = self._initial
-
-    @property
-    def value(self) -> Any:
-        """Current value (for assertions in tests; not an atomic step)."""
-        return self._value
-
 
 class RegisterArray(BaseObject):
-    """A fixed-size array of atomic registers addressed by index.
+    """A fixed-size array of atomic registers addressed by index; its
+    state is ``("register-array", cells)``.
 
     Primitives: ``read(i)`` and ``write(i, value)``.  Each primitive
     touches one cell — the array provides *no* multi-cell atomicity
@@ -69,10 +61,12 @@ class RegisterArray(BaseObject):
             raise ValueError("array size must be positive")
         self.size = size
         self._initial = initial
-        self._cells: List[Any] = [initial] * size
 
     def methods(self) -> Tuple[str, ...]:
         return ("read", "write")
+
+    def initial_state(self) -> Hashable:
+        return ("register-array", (self._initial,) * self.size)
 
     def _check_index(self, index: Any) -> int:
         if not isinstance(index, int) or not 0 <= index < self.size:
@@ -82,16 +76,18 @@ class RegisterArray(BaseObject):
             )
         return index
 
-    def apply(self, method: str, args: Tuple[Any, ...]) -> Any:
+    def step(self, state: Any, method: str, args: Tuple[Any, ...]) -> Tuple[Any, Hashable]:
         if method == "read":
             if len(args) != 1:
                 raise SimulationError("array read takes exactly one index")
-            return self._cells[self._check_index(args[0])]
+            cells = state[1]
+            return cells[self._check_index(args[0])], state
         if method == "write":
             if len(args) != 2:
                 raise SimulationError("array write takes an index and a value")
-            self._cells[self._check_index(args[0])] = args[1]
-            return None
+            cells = list(state[1])
+            cells[self._check_index(args[0])] = args[1]
+            return None, ("register-array", tuple(cells))
         return self._reject(method)
 
     def footprint(self, method: str, args: Tuple[Any, ...]) -> Tuple[str, Hashable]:
@@ -99,15 +95,3 @@ class RegisterArray(BaseObject):
         # argument; a malformed call falls back to the whole object.
         key = args[0] if args else None
         return ("read" if method == "read" else "write", key)
-
-    def snapshot_state(self) -> Hashable:
-        return ("register-array", tuple(self._cells))
-
-    def capture_state(self) -> Any:
-        return tuple(self._cells)
-
-    def restore_state(self, state: Any) -> None:
-        self._cells = list(state)
-
-    def reset(self) -> None:
-        self._cells = [self._initial] * self.size

@@ -11,14 +11,15 @@ does.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, List, Tuple
+from typing import Any, Hashable, Tuple
 
 from repro.base_objects.base import BaseObject
 from repro.util.errors import SimulationError
 
 
 class AtomicSnapshot(BaseObject):
-    """A single-writer-per-component atomic snapshot object.
+    """A single-writer-per-component atomic snapshot object; its state
+    is ``("snapshot", components)``.
 
     Primitives:
 
@@ -33,10 +34,12 @@ class AtomicSnapshot(BaseObject):
             raise ValueError("snapshot size must be positive")
         self.size = size
         self._initial = initial
-        self._components: List[Any] = [initial] * size
 
     def methods(self) -> Tuple[str, ...]:
         return ("update", "scan", "read")
+
+    def initial_state(self) -> Hashable:
+        return ("snapshot", (self._initial,) * self.size)
 
     def _check_index(self, index: Any) -> int:
         if not isinstance(index, int) or not 0 <= index < self.size:
@@ -46,20 +49,22 @@ class AtomicSnapshot(BaseObject):
             )
         return index
 
-    def apply(self, method: str, args: Tuple[Any, ...]) -> Any:
+    def step(self, state: Any, method: str, args: Tuple[Any, ...]) -> Tuple[Any, Hashable]:
         if method == "update":
             if len(args) != 2:
                 raise SimulationError("update takes (component, value)")
-            self._components[self._check_index(args[0])] = args[1]
-            return None
+            components = list(state[1])
+            components[self._check_index(args[0])] = args[1]
+            return None, ("snapshot", tuple(components))
         if method == "scan":
             if args:
                 raise SimulationError("scan takes no arguments")
-            return tuple(self._components)
+            return state[1], state
         if method == "read":
             if len(args) != 1:
                 raise SimulationError("read takes exactly one component index")
-            return self._components[self._check_index(args[0])]
+            components = state[1]
+            return components[self._check_index(args[0])], state
         return self._reject(method)
 
     def footprint(self, method: str, args: Tuple[Any, ...]) -> Tuple[str, Hashable]:
@@ -67,15 +72,3 @@ class AtomicSnapshot(BaseObject):
             return ("read", None)  # whole-object read
         key = args[0] if args else None
         return ("read" if method == "read" else "write", key)
-
-    def snapshot_state(self) -> Hashable:
-        return ("snapshot", tuple(self._components))
-
-    def capture_state(self) -> Any:
-        return tuple(self._components)
-
-    def restore_state(self, state: Any) -> None:
-        self._components = list(state)
-
-    def reset(self) -> None:
-        self._components = [self._initial] * self.size

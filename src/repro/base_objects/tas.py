@@ -12,9 +12,12 @@ from typing import Any, Hashable, Tuple
 from repro.base_objects.base import BaseObject
 from repro.util.errors import SimulationError
 
+_CLEAR = ("tas", False)
+_SET = ("tas", True)
+
 
 class TestAndSet(BaseObject):
-    """A test-and-set bit.
+    """A test-and-set bit; its state is ``("tas", bit)``.
 
     (``__test__ = False`` below only tells pytest this is not a test
     class, despite the Test- prefix.)
@@ -29,36 +32,26 @@ class TestAndSet(BaseObject):
 
     __test__ = False
 
-    def __init__(self, name: str):
-        super().__init__(name)
-        self._set = False
-
     def methods(self) -> Tuple[str, ...]:
         return ("test_and_set", "read", "clear")
 
-    def apply(self, method: str, args: Tuple[Any, ...]) -> Any:
+    def initial_state(self) -> Hashable:
+        return _CLEAR
+
+    def step(self, state: Any, method: str, args: Tuple[Any, ...]) -> Tuple[Any, Hashable]:
         if method == "test_and_set":
             if args:
                 raise SimulationError("test_and_set takes no arguments")
-            previous = self._set
-            self._set = True
-            return previous
+            return state[1], _SET
         if method == "read":
             if args:
                 raise SimulationError("read takes no arguments")
-            return self._set
+            return state[1], state
         if method == "clear":
             if args:
                 raise SimulationError("clear takes no arguments")
-            self._set = False
-            return None
+            return None, _CLEAR
         return self._reject(method)
 
     def footprint(self, method: str, args: Tuple[Any, ...]) -> Tuple[str, Hashable]:
         return ("read" if method == "read" else "write", None)
-
-    def snapshot_state(self) -> Hashable:
-        return ("tas", self._set)
-
-    def reset(self) -> None:
-        self._set = False

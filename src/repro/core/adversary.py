@@ -26,8 +26,8 @@ paper uses for Corollaries 4.5 and 4.6.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, FrozenSet, Iterable, Optional, Sequence
 
 from repro.core.history import History
 from repro.core.properties import SafetyProperty, Verdict

@@ -28,7 +28,6 @@ from typing import (
 )
 
 from repro.core.events import (
-    Crash,
     Event,
     Invocation,
     Operation,

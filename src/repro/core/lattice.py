@@ -19,7 +19,7 @@ which consumes the orders computed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.liveness import enumerate_summaries
 from repro.core.properties import ExecutionSummary, LivenessProperty

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, FrozenSet, Iterable, Optional, Sequence
 
 from repro.core.history import History
@@ -168,10 +168,6 @@ class ExecutionSummary:
             certainty=certainty,
             history=history,
         )
-
-    def with_certainty(self, certainty: Certainty) -> "ExecutionSummary":
-        """A copy of this summary tagged with the given certainty."""
-        return replace(self, certainty=certainty)
 
 
 class Property(ABC):

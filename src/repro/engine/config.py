@@ -7,7 +7,8 @@ run per DAG edge (O(depth) per node).  This module removes that cost.
 
 A configuration is restorable from plain values:
 
-* the base-object pool state (``ObjectPool.capture``);
+* the base-object pool state (``ObjectPool.capture``), a tuple of
+  ``(name, state)`` pairs;
 * each process's memory, and the :class:`~repro.sim.kernel.OpNode` of
   its in-flight operation, if any;
 * the external event list and per-process statistics.
@@ -25,18 +26,16 @@ Soundness is exactly the determinism contract of
 are hashable (hence value-like) by the fingerprint contract.
 
 Snapshots share state instead of copying it.  Every value the kernel
-holds is immutable and hashable (the contract of :mod:`repro.sim.kernel`),
-so the only mutable things are the containers around those values: a
-base object's ``__dict__`` and the few lists or dicts some base objects
-keep.  Process memories are never mutated once a process or node holds
-them (an operation works on a dict of its own).  The immutable parts
-(events, nodes, memories) are shared by reference between a snapshot
-and every configuration restored from it; a restore copies only
-containers, one level deep (the attributes of a restored base object,
-stats), never the values they hold.  And restores are deltas: a process
-or base object the scratch configuration already holds, untouched, in
-exactly the snapshot's state is skipped (see
-:meth:`KernelConfig.restore_from`).
+holds is immutable and hashable (the contract of :mod:`repro.sim.kernel`):
+base-object states are values that a step replaces
+(:mod:`repro.base_objects.base`), and process memories are never
+mutated once a process or node holds them (an operation works on a
+dict of its own).  The immutable parts (the pool state, events, nodes,
+memories) are shared by reference between a snapshot and every
+configuration restored from it; a restore copies only the per-process
+stats.  And restores are deltas: a process the scratch configuration
+already holds, untouched, in exactly the snapshot's state is skipped
+(see :meth:`KernelConfig.restore_from`).
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ from typing import (
     Tuple,
 )
 
+from repro.base_objects.base import PoolState
 from repro.core.history import History
 from repro.obs.recorder import active as _obs_active
 from repro.sim.drivers import Decision, ScriptedDriver
@@ -97,11 +97,12 @@ class KernelSnapshot(NamedTuple):
 
     step_count: int
     events: Tuple[object, ...]
-    pool_state: Dict[str, Any]
+    #: The pool's ``(name, state)`` pairs (:meth:`ObjectPool.capture`).
+    pool_state: PoolState
+    #: The capturing pool's names (``ObjectPool.layout``), which a
+    #: restore checks by identity.
+    pool_layout: Tuple[str, ...]
     processes: Tuple[ProcessSnapshot, ...]
-    #: The pool's ``snapshot_state()`` at capture time, when it was
-    #: already computed (cache seed); capture never computes it.
-    pool_fingerprints: Optional[Tuple[Tuple[str, Hashable], ...]] = None
     #: ``events`` as a hash-once key, when one was built (cache seed).
     events_key: Optional[HashedKey] = None
 
@@ -197,12 +198,12 @@ class KernelConfig:
         The restore is a delta: a process whose snapshot part *is* (by
         identity) the one this configuration was last restored from or
         captured into, and which no decision has touched since, already
-        holds exactly that state and is skipped.  The pool skips clean
-        objects the same way
+        holds exactly that state and is skipped.  The pool's state is
+        one value, so restoring it is one assignment
         (:meth:`~repro.base_objects.base.ObjectPool.restore`).
         """
         runtime = self.runtime
-        runtime.pool.restore(snapshot.pool_state, snapshot.pool_fingerprints)
+        runtime.pool.restore(snapshot.pool_state, snapshot.pool_layout)
         runtime.step_count = snapshot.step_count
         runtime.events = list(snapshot.events)
         runtime.last_response.clear()
@@ -302,8 +303,8 @@ class KernelConfig:
             step_count=runtime.step_count,
             events=self._events(),
             pool_state=runtime.pool.capture(),
+            pool_layout=runtime.pool.layout,
             processes=tuple(processes),
-            pool_fingerprints=runtime.pool.cached_snapshot_state(),
             events_key=self._events_key,
         )
 

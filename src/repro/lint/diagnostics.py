@@ -9,7 +9,9 @@ Suppressions are source comments with a *recorded justification*::
     json.dumps(value)
 
 The comment suppresses the named rule(s) on its own line and, when it
-stands alone, on the following line.  ``disable-file=RULE`` anywhere in
+stands alone, on the following line.  A ``# noqa: F401`` comment (the
+common marker of a deliberate re-export) suppresses the unused-import
+rule IM001 on its line.  ``disable-file=RULE`` anywhere in
 a module suppresses the rule for the whole file.  Suppressed
 diagnostics are not dropped silently: the report keeps them (with their
 justification) and ``--format json`` serializes them, so every accepted
@@ -21,7 +23,7 @@ from __future__ import annotations
 import re
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: Matches ``# repro-lint: disable=RULE[,RULE...] [-- justification]``.
 _SUPPRESS_RE = re.compile(
@@ -29,6 +31,9 @@ _SUPPRESS_RE = re.compile(
     r"(?P<rules>[A-Z]+\d+(?:\s*,\s*[A-Z]+\d+)*)"
     r"(?:\s*--\s*(?P<why>.*\S))?\s*$"
 )
+
+#: Matches ``# noqa: F401 [justification]``.
+_NOQA_F401_RE = re.compile(r"#\s*noqa:\s*F401\b\s*(?P<why>.*?)\s*$")
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,11 @@ def parse_suppressions(source: str) -> SuppressionIndex:
     """Scan source lines for repro-lint suppression comments."""
     index = SuppressionIndex()
     for lineno, text in enumerate(source.splitlines(), start=1):
+        noqa = _NOQA_F401_RE.search(text)
+        if noqa is not None:
+            index.by_line.setdefault(lineno, {})["IM001"] = (
+                noqa.group("why") or "re-export (noqa: F401)"
+            )
         match = _SUPPRESS_RE.search(text)
         if match is None:
             continue

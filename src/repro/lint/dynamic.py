@@ -11,10 +11,11 @@ checks that derivation against reality twice:
   the recorded :class:`~repro.sim.kernel.Footprint` is reduced to the
   same ``{"mode", "cell"}`` row the static map uses.  The two maps must
   byte-match under :func:`~repro.util.hashing.canonical_json`.  The
-  exercise also fingerprints the object around each step: a state change
-  under a declared ``read`` is an under-approximating footprint even
-  when the declaration is internally consistent — exactly the bug class
-  DPOR cannot survive.
+  exercise also reads the object's state around each step: a primitive
+  declared ``read`` must leave the very state object it was given, and
+  any other state under a declared ``read`` is an under-approximating
+  footprint even when the declaration is internally consistent —
+  exactly the bug class DPOR cannot survive.
 
 * **Catalog walk** — a seeded random walk over the ``exhaustible``
   scenario slice replays real implementations decision-by-decision with
@@ -104,10 +105,10 @@ def discover_args(
     cls: Type[BaseObject], method: str
 ) -> Optional[Tuple[Any, ...]]:
     """First candidate argument tuple the primitive accepts."""
+    instance = construct_probe(cls)
     for args in CANDIDATE_ARGS:
-        instance = construct_probe(cls)
         try:
-            instance.apply(method, args)
+            instance.step(instance.initial_state(), method, args)
         except Exception:
             continue
         return args
@@ -181,7 +182,7 @@ def exercise_class(cls: Type[BaseObject]) -> ClassProbe:
         runtime.apply_decision(
             InvokeDecision(pid=0, operation=method, args=args)
         )
-        state_before = runtime.pool.get(_PROBE_NAME).snapshot_state()
+        state_before = runtime.pool.state_of(_PROBE_NAME)
         runtime.apply_decision(StepDecision(pid=0))
         footprint = runtime.last_footprint
         if footprint is None or footprint.kind != "step":
@@ -190,15 +191,15 @@ def exercise_class(cls: Type[BaseObject]) -> ClassProbe:
                 f"footprint (kind={getattr(footprint, 'kind', None)!r})"
             )
             continue
-        state_after = runtime.pool.get(_PROBE_NAME).snapshot_state()
+        state_after = runtime.pool.state_of(_PROBE_NAME)
         row = _footprint_row(footprint)
         probe.rows[method] = row
-        if row["mode"] == "read" and state_before != state_after:
+        if row["mode"] == "read" and state_after is not state_before:
             probe.problems.append(
                 f"{cls.__name__}.{method}{args!r}: declared mode 'read' but "
-                f"snapshot_state changed {state_before!r} -> {state_after!r} "
-                "(footprint under-approximates; DPOR would commute a "
-                "mutation)"
+                f"step returned a new state {state_before!r} -> "
+                f"{state_after!r} (footprint under-approximates; DPOR "
+                "would commute a mutation)"
             )
     return probe
 

@@ -26,6 +26,7 @@ from repro.lint.diagnostics import (
 from repro.lint.footprint import check_footprints
 from repro.lint.rules_determinism import check_determinism
 from repro.lint.rules_errors import check_errors
+from repro.lint.rules_imports import check_imports
 from repro.lint.rules_obs import check_obs
 from repro.util.errors import unknown_choice
 
@@ -49,7 +50,7 @@ RULES: Dict[str, Rule] = {
             "FP001",
             "footprint soundness",
             "BaseObject.footprint() never under-approximates what "
-            "apply() touches (DPOR soundness)",
+            "step() touches (DPOR soundness)",
         ),
         Rule(
             "DT001",
@@ -82,6 +83,12 @@ RULES: Dict[str, Rule] = {
             "lookups fail through unknown_choice/UsageError, never a "
             "bare KeyError",
         ),
+        Rule(
+            "IM001",
+            "unused import",
+            "every module-level import is read by its module, or marked "
+            "`# noqa: F401` as a re-export",
+        ),
     )
 }
 
@@ -90,6 +97,7 @@ CHECKERS: Tuple[Checker, ...] = (
     check_determinism,
     check_obs,
     check_errors,
+    check_imports,
 )
 
 

@@ -3,7 +3,7 @@
 The partial-order reduction (:mod:`repro.engine.dpor`) commutes steps
 whose declared footprints do not conflict.  The declaration lives in
 :meth:`repro.base_objects.base.BaseObject.footprint`; the truth lives in
-``apply``.  A primitive that *mutates* state while its footprint can
+``step``.  A primitive that *changes* the state while its footprint can
 declare mode ``"read"``, or that touches cells outside the declared
 key, makes DPOR prune reachable interleavings — wrong verdicts under
 ``reduction=dpor``, with nothing crashing.
@@ -17,15 +17,18 @@ This module walks the AST of every ``BaseObject`` subclass:
   declaration can return, where a key is ``whole``, ``arg:i`` (derived
   from ``args[i]``, possibly through ``freeze``/checker wrappers), or
   unresolvable;
-* each ``apply`` branch is scanned for ``self.<attr>`` reads and writes
-  (attribute stores, augmented assigns, subscript stores, mutating
-  method calls, keyed ``[...]``/``.get`` reads), with one level of
-  ``self._helper(...)`` inlining.
+* each ``step`` branch is scanned for what it does with its ``state``
+  parameter: a branch that returns anything other than ``state`` as the
+  new state writes it — the cells it stores into a copy of the state's
+  container (``cells = list(state[1]); cells[args[0]] = ...``), or else
+  the whole state; subscripts and ``.get`` calls on the state read the
+  keyed cell, and any other use of it reads the whole state.
 
-FP001 fires when a branch writes state but the declaration can say
+FP001 fires when a branch writes the state but the declaration can say
 ``read``, when an access is not covered by a declared ``arg:i`` cell,
-or when the declaration is not statically analyzable at all (keeping
-footprints simple is part of the contract).
+when a branch mutates the state it was given (``step`` is pure), or when
+the declaration is not statically analyzable at all (keeping footprints
+simple is part of the contract).
 
 :func:`static_footprint_map` exports the per-class per-method
 ``{"mode", "cell"}`` map; :mod:`repro.lint.dynamic` byte-compares it
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import ast
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.diagnostics import Diagnostic
@@ -55,10 +58,9 @@ OTHER = "other"
 
 @dataclass(frozen=True)
 class Access:
-    """One ``self.<attr>`` touch inside an ``apply`` branch."""
+    """One touch of the state inside a ``step`` branch."""
 
-    attr: str
-    kind: str  # "read" | "write"
+    kind: str  # "read" | "write" | "mutate"
     key: str  # WHOLE | "arg:i" | OTHER
     line: int
     col: int
@@ -75,11 +77,8 @@ class ClassAnalysis:
     #: method -> possible (mode, key) pairs; mode may be "?" when the
     #: declaration could not be evaluated.
     footprints: Dict[str, Set[Tuple[str, str]]]
-    #: method -> accesses inside its apply branch (plus shared preamble).
+    #: method -> state accesses of its step branch (plus shared preamble).
     accesses: Dict[str, List[Access]]
-    #: attributes some apply branch writes (the concurrency-visible state).
-    mutable_attrs: Set[str]
-    has_footprint_override: bool
 
     def footprint_row(self, method: str) -> Dict[str, str]:
         """The exported ``{"mode", "cell"}`` row for one method."""
@@ -253,18 +252,33 @@ def _possible_footprints(
 
 
 # ---------------------------------------------------------------------------
-# apply() access collection
+# step() access collection
 # ---------------------------------------------------------------------------
+
+#: Calls that copy a container: ``cells = list(state[1])`` binds a
+#: fresh copy whose keyed stores rebuild those cells of the state.
+COPIERS = {"list", "dict"}
 
 
 class _AccessCollector:
-    """Collect ``self.<attr>`` reads/writes from one statement list."""
+    """Collect the state accesses of one ``step`` branch.
 
-    def __init__(self, helpers: Dict[str, ast.FunctionDef], depth: int = 0):
-        self.helpers = helpers
-        self.depth = depth
-        self.accesses: List[Access] = []
+    ``state`` (the step's state parameter), its constant-index items and
+    its attributes are *state paths*; so are locals bound to one.  Using
+    a state path as a value reads the whole state, subscripting it or
+    calling ``.get`` on it reads the keyed cell.  A local bound to a copy
+    of a state path is a *copy*: a keyed store into it rebuilds that
+    cell.  A return whose new state is not ``state`` itself rebuilds the
+    state: the cells its copies were stored at, or else the whole state.
+    """
+
+    def __init__(self, state_name: str):
+        self.paths: Set[str] = {state_name}
+        self.state_name = state_name
+        self.copies: Set[str] = set()
         self.env: Dict[str, str] = {}  # local name -> "arg:i"
+        self.accesses: List[Access] = []
+        self.stores = 0
 
     def _key(self, node: ast.expr) -> str:
         arg = _arg_key(node)
@@ -274,124 +288,183 @@ class _AccessCollector:
             return self.env[node.id]
         return OTHER
 
-    def _self_attr(self, node: ast.expr) -> Optional[str]:
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            return node.attr
-        return None
+    def _is_path(self, node: ast.expr) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in self.paths
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            return self._is_path(node.value)
+        if isinstance(node, ast.Attribute):
+            return self._is_path(node.value)
+        return False
 
-    def record(self, attr: str, kind: str, key: str, node: ast.AST) -> None:
-        self.accesses.append(
-            Access(attr, kind, key, node.lineno, node.col_offset)
+    def _is_copy(self, node: ast.expr) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in COPIERS
+            and len(node.args) == 1
+            and self._is_path(node.args[0])
         )
+
+    def _built_from_copies(self, node: ast.expr) -> bool:
+        """Whether a new state holds nothing but constants and copies,
+        through tuples, ``tuple(...)`` and state-class constructors: then
+        the cells stored into the copies are all it rebuilt."""
+        if isinstance(node, ast.Constant):
+            return True
+        if isinstance(node, ast.Name):
+            return node.id in self.copies
+        if isinstance(node, ast.Tuple):
+            return all(self._built_from_copies(e) for e in node.elts)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and (node.func.id == "tuple" or node.func.id[:1].isupper())
+            and not node.keywords
+        ):
+            return all(self._built_from_copies(a) for a in node.args)
+        return False
+
+    def record(self, kind: str, key: str, node: ast.AST) -> None:
+        self.accesses.append(Access(kind, key, node.lineno, node.col_offset))
 
     def collect(self, stmts: Sequence[ast.stmt]) -> List[Access]:
         for stmt in stmts:
-            self.visit(stmt)
+            self.visit_stmt(stmt)
         return self.accesses
 
-    def visit_target(self, node: ast.expr) -> None:
-        attr = self._self_attr(node)
-        if attr is not None:
-            self.record(attr, "write", WHOLE, node)
+    def visit_stmt(self, stmt: ast.stmt) -> None:
+        if isinstance(stmt, ast.Assign):
+            self._assign(stmt)
             return
-        if isinstance(node, ast.Subscript):
-            base = self._self_attr(node.value)
-            if base is not None:
-                self.record(base, "write", self._key(node.slice), node)
-                self.visit(node.slice)
-                return
-        if isinstance(node, (ast.Tuple, ast.List)):
-            for element in node.elts:
-                self.visit_target(element)
+        if isinstance(stmt, ast.AugAssign):
+            self._store(stmt.target)
+            self.visit(stmt.value)
             return
-        if isinstance(node, ast.Starred):
-            self.visit_target(node.value)
+        if isinstance(stmt, ast.Return):
+            self._return(stmt)
             return
-        # Name / other targets: plain locals, nothing shared touched.
+        if isinstance(stmt, (ast.If, ast.For, ast.While, ast.With, ast.Try)):
+            for child in ast.iter_child_nodes(stmt):
+                if isinstance(child, ast.stmt):
+                    self.visit_stmt(child)
+                elif isinstance(child, ast.expr):
+                    self.visit(child)
+            return
+        self.visit(stmt)
 
-    def _track_assign(self, stmt: ast.Assign) -> None:
-        # ``expected, new = args`` and ``key = args[0]`` style bindings,
-        # so later subscripts through the local still resolve to arg:i.
-        if len(stmt.targets) != 1:
-            return
-        target = stmt.targets[0]
-        if isinstance(target, ast.Name):
-            key = self._key(stmt.value)
+    def _assign(self, stmt: ast.Assign) -> None:
+        value = stmt.value
+        if len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name):
+            name = stmt.targets[0].id
+            if self._is_path(value):
+                self.paths.add(name)
+                return
+            if self._is_copy(value):
+                self.copies.add(name)
+                return
+            key = self._key(value)
             if key != OTHER:
-                self.env[target.id] = key
+                self.env[name] = key
         if (
-            isinstance(target, (ast.Tuple, ast.List))
-            and isinstance(stmt.value, ast.Name)
-            and stmt.value.id == "args"
+            len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], (ast.Tuple, ast.List))
+            and isinstance(value, ast.Name)
+            and value.id == "args"
         ):
-            for index, element in enumerate(target.elts):
+            # ``expected, new = args``: later uses resolve to arg:i.
+            for index, element in enumerate(stmt.targets[0].elts):
                 if isinstance(element, ast.Name):
                     self.env[element.id] = f"arg:{index}"
+        for target in stmt.targets:
+            self._store(target)
+        self.visit(value)
+
+    def _store(self, target: ast.expr) -> None:
+        if isinstance(target, ast.Subscript):
+            base = target.value
+            if isinstance(base, ast.Name) and base.id in self.copies:
+                self.record("write", self._key(target.slice), target)
+                self.stores += 1
+            elif self._is_path(base):
+                self.record("mutate", self._key(target.slice), target)
+            self.visit(target.slice)
+            return
+        if isinstance(target, ast.Attribute) and self._is_path(target.value):
+            self.record("mutate", WHOLE, target)
+            return
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self._store(element)
+        # Plain names are locals: nothing shared is touched.
+
+    def _return(self, stmt: ast.Return) -> None:
+        value = stmt.value
+        if isinstance(value, ast.Tuple) and len(value.elts) == 2:
+            result, new_state = value.elts
+            self.visit(result)
+            if isinstance(new_state, ast.Name) and new_state.id == self.state_name:
+                return
+            self.visit(new_state)
+            if not self.stores or not self._built_from_copies(new_state):
+                self.record("write", WHOLE, new_state)
+            return
+        if value is not None and _is_reject(value):
+            return
+        # Not a (result, state) pair: assume the whole state is rebuilt.
+        if value is not None:
+            self.visit(value)
+        self.record("write", WHOLE, stmt)
 
     def visit(self, node: ast.AST) -> None:
-        if isinstance(node, ast.Assign):
-            self._track_assign(node)
-            for target in node.targets:
-                self.visit_target(target)
-            self.visit(node.value)
+        if isinstance(node, ast.expr) and self._is_path(node):
+            self.record("read", WHOLE, node)
             return
-        if isinstance(node, ast.AugAssign):
-            self.visit_target(node.target)
-            self.visit(node.value)
-            return
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            base_attr = self._self_attr(node.func.value)
-            if base_attr is not None:
-                if node.func.attr in MUTATORS:
-                    self.record(base_attr, "write", WHOLE, node)
-                elif node.func.attr == "get" and node.args:
-                    self.record(
-                        base_attr, "read", self._key(node.args[0]), node
-                    )
-                else:
-                    self.record(base_attr, "read", WHOLE, node)
-                for arg in node.args:
-                    self.visit(arg)
-                for keyword in node.keywords:
-                    self.visit(keyword.value)
-                return
-            if (
-                isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"
-                and node.func.attr in self.helpers
-                and self.depth < 2
-            ):
-                helper = _AccessCollector(self.helpers, self.depth + 1)
-                self.accesses.extend(
-                    helper.collect(self.helpers[node.func.attr].body)
-                )
-                for arg in node.args:
-                    self.visit(arg)
-                return
-        if isinstance(node, ast.Subscript) and isinstance(
-            node.ctx, ast.Load
+        if isinstance(node, ast.Name) and node.id in self.copies:
+            return  # the rebuilt container, not a read of the state
+        if isinstance(node, ast.Subscript) and (
+            self._is_path(node.value)
+            or (isinstance(node.value, ast.Name) and node.value.id in self.copies)
         ):
-            base = self._self_attr(node.value)
-            if base is not None:
-                self.record(base, "read", self._key(node.slice), node)
-                self.visit(node.slice)
-                return
-        attr = self._self_attr(node) if isinstance(node, ast.Attribute) else None
-        if attr is not None and isinstance(node.ctx, ast.Load):
-            self.record(attr, "read", WHOLE, node)
+            self.record("read", self._key(node.slice), node)
+            self.visit(node.slice)
+            return
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and self._is_path(node.func.value)
+        ):
+            method = node.func.attr
+            if method in MUTATORS:
+                self.record("mutate", WHOLE, node)
+            elif method == "get" and node.args:
+                self.record("read", self._key(node.args[0]), node)
+            else:
+                self.record("read", WHOLE, node)
+            for arg in node.args:
+                self.visit(arg)
+            for keyword in node.keywords:
+                self.visit(keyword.value)
             return
         for child in ast.iter_child_nodes(node):
             self.visit(child)
 
 
-def _apply_branches(
+def _is_reject(node: ast.expr) -> bool:
+    """``self._reject(method)``: raises, returns nothing."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "_reject"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "self"
+    )
+
+
+def _step_branches(
     funcdef: ast.FunctionDef,
 ) -> Tuple[Dict[str, List[ast.stmt]], List[ast.stmt]]:
-    """Split apply() into per-method branches plus shared statements."""
+    """Split step() into per-method branches plus shared statements."""
     branches: Dict[str, List[ast.stmt]] = {}
     common: List[ast.stmt] = []
 
@@ -416,12 +489,22 @@ def _apply_branches(
                     branches.setdefault(method, []).extend(stmt.body)
                     walk(stmt.orelse)
                     continue
-            if isinstance(stmt, ast.Return) or isinstance(stmt, ast.Raise):
+            if isinstance(stmt, ast.Raise):
+                continue
+            if isinstance(stmt, ast.Return) and (
+                stmt.value is not None and _is_reject(stmt.value)
+            ):
                 continue
             common.append(stmt)
 
     walk(funcdef.body)
     return branches, common
+
+
+def _state_parameter(funcdef: ast.FunctionDef) -> str:
+    """The name of step()'s state parameter (after ``self``)."""
+    parameters = funcdef.args.args
+    return parameters[1].arg if len(parameters) > 1 else "state"
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +590,7 @@ def analyze_class(
     ``module_classes`` (name -> classdef for the whole module) lets the
     analysis resolve same-module inheritance: a subclass overriding only
     ``footprint()`` is analyzed against its parent's ``methods()`` and
-    ``apply()``.  Cross-module inheritance is not resolved — base
+    ``step()``.  Cross-module inheritance is not resolved — base
     objects subclass :class:`~repro.base_objects.base.BaseObject`
     directly, and missing definitions fall back to the conservative
     defaults.
@@ -524,12 +607,12 @@ def analyze_class(
         if methods:
             break
     footprint_def = functions.get("footprint")
-    apply_def = functions.get("apply")
+    step_def = functions.get("step")
 
     branches: Dict[str, List[ast.stmt]] = {}
     common: List[ast.stmt] = []
-    if apply_def is not None:
-        branches, common = _apply_branches(apply_def)
+    if step_def is not None:
+        branches, common = _step_branches(step_def)
 
     universe = tuple(dict.fromkeys(list(methods) + sorted(branches)))
 
@@ -543,23 +626,13 @@ def analyze_class(
                 returns = set(returns) | {("?", OTHER)}
             footprints[method] = returns
 
-    helpers = {
-        name: fn for name, fn in functions.items() if name not in ("apply",)
-    }
     accesses: Dict[str, List[Access]] = {}
-    common_accesses = _AccessCollector(helpers).collect(common)
     for method in universe:
-        collector = _AccessCollector(helpers)
-        accesses[method] = common_accesses + collector.collect(
-            branches.get(method, [])
-        )
-
-    mutable: Set[str] = {
-        access.attr
-        for method_accesses in accesses.values()
-        for access in method_accesses
-        if access.kind == "write"
-    }
+        if step_def is None:
+            accesses[method] = []
+            continue
+        collector = _AccessCollector(_state_parameter(step_def))
+        accesses[method] = collector.collect(common + branches.get(method, []))
     return ClassAnalysis(
         name=classdef.name,
         line=classdef.lineno,
@@ -567,9 +640,10 @@ def analyze_class(
         methods=universe,
         footprints=footprints,
         accesses=accesses,
-        mutable_attrs=mutable,
-        has_footprint_override=footprint_def is not None,
     )
+
+
+_ACCESS_VERBS = {"read": "reads", "write": "rebuilds", "mutate": "mutates"}
 
 
 def check_footprints(
@@ -586,13 +660,18 @@ def check_footprints(
         analysis = analyze_class(classdef, module_classes)
         for method in analysis.methods:
             pairs = analysis.footprints[method]
-            relevant = [
-                access
-                for access in analysis.accesses[method]
-                if access.kind == "write"
-                or access.attr in analysis.mutable_attrs
-            ]
-            writes = [a for a in relevant if a.kind == "write"]
+            accesses = analysis.accesses[method]
+            writes = [a for a in accesses if a.kind != "read"]
+            for access in accesses:
+                if access.kind == "mutate":
+                    diagnostics.append(
+                        Diagnostic(
+                            "FP001", relpath, access.line, access.col,
+                            f"{analysis.name}.step() branch for {method!r} "
+                            "mutates the state it was given; step() must "
+                            "return a new state and leave its input as it is",
+                        )
+                    )
             for mode, key in sorted(pairs):
                 if mode == "?":
                     diagnostics.append(
@@ -609,10 +688,10 @@ def check_footprints(
                     diagnostics.append(
                         Diagnostic(
                             "FP001", relpath, worst.line, worst.col,
-                            f"{analysis.name}.apply() branch for "
-                            f"{method!r} writes self.{worst.attr} but "
-                            "footprint() can declare mode 'read' — DPOR "
-                            "would commute a mutation (unsound reduction)",
+                            f"{analysis.name}.step() branch for {method!r} "
+                            "returns a new state but footprint() can "
+                            "declare mode 'read' — DPOR would commute a "
+                            "mutation (unsound reduction)",
                         )
                     )
                 if key == OTHER:
@@ -626,18 +705,21 @@ def check_footprints(
                     )
                     continue
                 if key.startswith("arg:"):
-                    for access in relevant:
+                    for access in accesses:
                         if access.key != key:
+                            touched = (
+                                "the whole state"
+                                if access.key == WHOLE
+                                else f"cell {access.key}"
+                            )
                             diagnostics.append(
                                 Diagnostic(
                                     "FP001", relpath, access.line, access.col,
-                                    f"{analysis.name}.apply() branch for "
-                                    f"{method!r} touches self.{access.attr} "
-                                    f"({access.kind}, "
-                                    f"{'whole attribute' if access.key == WHOLE else access.key}) "
-                                    f"outside the declared cell {key} — "
-                                    "footprint under-approximates the "
-                                    "touched set",
+                                    f"{analysis.name}.step() branch for "
+                                    f"{method!r} {_ACCESS_VERBS[access.kind]} "
+                                    f"{touched} outside the declared cell "
+                                    f"{key} — footprint under-approximates "
+                                    "the touched set",
                                 )
                             )
     return diagnostics

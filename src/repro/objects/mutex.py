@@ -22,7 +22,7 @@ history keep that moment, so the verdict is monotone.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Set
 
 from repro.core.events import Crash, Invocation, Response
 from repro.core.history import History

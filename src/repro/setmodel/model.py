@@ -28,8 +28,8 @@ enumeration ``2^(|S ∩ ¬Lmax|)``; both raise :class:`ModelError` beyond
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.core.history import History
 from repro.util.errors import ModelError

@@ -27,9 +27,8 @@ property of tiny models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.core.history import History
 from repro.core.object_type import ObjectType, OperationSignature, ProgressMode
 from repro.setmodel.model import FiniteModel, HistorySet
 from repro.setmodel.universe import build_model, silent_policy

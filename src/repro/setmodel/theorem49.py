@@ -26,7 +26,7 @@ is not weaker than any candidate ``L_s ≠ Lmax``) on the positive model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.setmodel.model import FiniteModel, HistorySet, ImplementationModel
 from repro.setmodel.theorem44 import _micro_type

@@ -31,9 +31,9 @@ sets; this module produces them from actual
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.events import Invocation, Response, is_invocation, is_response
+from repro.core.events import Invocation, is_response
 from repro.core.history import EMPTY_HISTORY, History
 from repro.core.object_type import ObjectType
 from repro.setmodel.model import FiniteModel, ImplementationModel

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Hashable, Optional, Sequence, Set, TYPE_CHECKING
+from typing import Callable, Dict, Hashable, Optional, Set, TYPE_CHECKING
 
 from repro.util.errors import UsageError
 

@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, Hashable, NamedTuple, Optional, Tuple
 
 from repro.base_objects.base import ObjectPool
-from repro.core.events import Invocation
+from repro.core.events import Invocation, Response
 from repro.core.object_type import ObjectType
 from repro.obs.recorder import active as _obs_active
 from repro.util.errors import SimulationError
@@ -206,11 +206,16 @@ class OpNode:
     The rest is a write-once memo of the step out of this point, filled
     the first time any runtime takes it: :attr:`next_memory` (``None``
     until then), and either :attr:`next_op` (the primitive the step
-    applies) or, when ``next_op`` is ``None``, the operation's return
-    :attr:`value`.  Children are keyed by the primitive result: the
+    applies) or, when ``next_op`` is ``None``, the :attr:`response`
+    event of the operation's return.  Children are keyed by the
+    primitive result: the
     first inline in :attr:`child`, any further ones in :attr:`children`.
     Links run only downward (a child holds its parent's *path*, never
     its parent), so a trie of nodes is free of reference cycles.
+
+    The step out of a node is the same in every runtime, so the node
+    also keeps the step's :attr:`footprint`, built the first time a
+    runtime records one.
 
     :attr:`process_fingerprint` caches the owning process's fingerprint
     at this point (:meth:`ProcessState.fingerprint`) as a hash-once
@@ -233,13 +238,14 @@ class OpNode:
         "pending_op",
         "memory",
         "next_op",
-        "value",
+        "response",
         "next_memory",
         "child",
         "children",
         "generator",
         "working_memory",
         "process_fingerprint",
+        "footprint",
     )
 
     def __init__(
@@ -260,13 +266,14 @@ class OpNode:
         self.last_result = last_result
         self.pending_op = pending_op
         self.next_op: Optional[Op] = None
-        self.value: Any = None
+        self.response: Optional[Response] = None
         self.next_memory: Optional[Dict[str, Any]] = None
         self.child: Optional[OpNode] = None
         self.children: Optional[Dict[Any, OpNode]] = None
         self.generator: Optional[Algorithm] = None
         self.working_memory: Optional[Dict[str, Any]] = None
         self.process_fingerprint: Optional[HashedKey] = None
+        self.footprint: Optional[Footprint] = None
 
     def results(self) -> Tuple[Any, ...]:
         """The primitive results fed so far, oldest first."""

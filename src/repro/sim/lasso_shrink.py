@@ -28,7 +28,7 @@ infinite one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
+from typing import Hashable, Optional, Sequence, Tuple
 
 from repro.core.object_type import ProgressMode
 from repro.core.properties import LivenessProperty

@@ -21,10 +21,10 @@ liveness properties consume, applying one of three semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.core.history import History
-from repro.core.object_type import ObjectType, ProgressMode
+from repro.core.object_type import ProgressMode
 from repro.core.properties import Certainty, ExecutionSummary
 
 

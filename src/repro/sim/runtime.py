@@ -184,6 +184,11 @@ class Runtime:
         # only the DPOR-enabled exploration engine consumes footprints.
         self.record_footprints = False
         self.last_footprint: Optional[Footprint] = None
+        # The footprints of invoke and completing steps depend on the
+        # pid alone, so each is built once per process.
+        pids = range(implementation.n_processes)
+        self._invoke_footprints = [Footprint(pid, "invoke") for pid in pids]
+        self._response_footprints = [Footprint(pid, "response") for pid in pids]
         self._is_good = implementation.object_type.is_good
         # The root node of every operation this runtime invoked, keyed
         # by the invocation and the identity of the idle memory it was
@@ -247,7 +252,7 @@ class Runtime:
                 memory = self._advance(pid, node)
             op = node.next_op
             if op is None:
-                response = Response(pid, node.invocation.operation, node.value)
+                response = node.response
                 state.frame = None
                 state.memory = memory
                 self.events.append(response)
@@ -259,7 +264,7 @@ class Runtime:
                 if self.record_footprints:
                     # The operation returned before requesting a
                     # primitive, so a completing step touches no cell.
-                    self.last_footprint = Footprint(pid, "response")
+                    self.last_footprint = self._response_footprints[pid]
                 self.step_count += 1
                 return
             # Apply the step's primitive atomically and move to the
@@ -271,14 +276,19 @@ class Runtime:
             state.frame = child
             state.memory = memory
             if self.record_footprints:
-                mode, key = self.pool.footprint(op.obj, op.method, op.args)
-                cells = ((op.obj, key),)
-                self.last_footprint = Footprint(
-                    pid,
-                    "step",
-                    reads=cells if mode == "read" else (),
-                    writes=cells if mode == "write" else (),
-                )
+                # A node's pid and primitive never change: its step
+                # footprint is built once.
+                footprint = node.footprint
+                if footprint is None:
+                    mode, key = self.pool.footprint(op.obj, op.method, op.args)
+                    cells = ((op.obj, key),)
+                    footprint = node.footprint = Footprint(
+                        pid,
+                        "step",
+                        reads=cells if mode == "read" else (),
+                        writes=cells if mode == "write" else (),
+                    )
+                self.last_footprint = footprint
         elif kind is InvokeDecision:
             pid = decision.pid
             state = self.processes[pid]
@@ -299,7 +309,7 @@ class Runtime:
             if self.record_footprints:
                 # Creating the generator runs no algorithm code (the
                 # body starts on the first step) and touches no pool.
-                self.last_footprint = Footprint(pid, "invoke")
+                self.last_footprint = self._invoke_footprints[pid]
         elif kind is CrashDecision:
             pid = decision.pid
             state = self.processes[pid]
@@ -351,8 +361,8 @@ class Runtime:
         (``None`` starts a fresh one), or, when the node has none, first
         rebuilds one by fast-forwarding a fresh generator through the
         node's recorded results.  Records the primitive the generator
-        requests (or its return value) and the memory after, and
-        returns that memory.  The generator is left on the node, just
+        requests (or the response event of its return) and the memory
+        after, and returns that memory.  The generator is left on the node, just
         past the recorded primitive, for :meth:`OpNode.child_for` to
         hand to the first child.
 
@@ -368,7 +378,7 @@ class Runtime:
             op = generator.send(node.last_result)
         except StopIteration as stop:
             node.generator = node.working_memory = None
-            node.value = stop.value
+            node.response = Response(pid, node.invocation.operation, stop.value)
         except BaseException:
             node.generator = node.working_memory = None
             raise

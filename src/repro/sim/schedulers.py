@@ -12,7 +12,7 @@ is legal; the ones here cover the schedules the paper's arguments need:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Hashable, List, Optional, Sequence, TYPE_CHECKING
+from typing import Hashable, Optional, Sequence, TYPE_CHECKING
 
 from repro.util.errors import SimulationError
 from repro.util.rng import DeterministicRng, normalize_seed

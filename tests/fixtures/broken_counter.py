@@ -2,8 +2,8 @@
 declared read.
 
 ``BrokenCounter.get`` has fetch-and-increment semantics — it returns the
-hidden count *and* bumps it — while ``footprint()`` declares ``("read",
-None)``.  That under-approximation is exactly the bug class FP001
+count *and* steps to the bumped one — while ``footprint()`` declares
+``("read", None)``.  That under-approximation is exactly the bug class FP001
 exists for: DPOR treats two ``get`` steps of different processes as
 independent (read/read on the same object commutes), explores one
 representative order, and silently loses the interleaving where the
@@ -35,29 +35,21 @@ OBJ = "broken"
 class BrokenCounter(BaseObject):
     """Fetch-and-increment that lies about being a read."""
 
-    def __init__(self, name: str):
-        super().__init__(name)
-        self._count = 0
-
     def methods(self) -> Tuple[str, ...]:
         return ("get",)
 
-    def apply(self, method: str, args: Tuple[Any, ...]) -> Any:
+    def initial_state(self):
+        return ("broken-counter", 0)
+
+    def step(self, state, method: str, args: Tuple[Any, ...]):
         if method == "get":
-            value = self._count
-            self._count += 1
-            return value
+            count = state[1]
+            return count, ("broken-counter", count + 1)
         return self._reject(method)
 
     def footprint(self, method, args):
         # The lie: a mutation declared as a whole-object read.
         return ("read", None)
-
-    def snapshot_state(self):
-        return ("broken-counter", self._count)
-
-    def reset(self) -> None:
-        self._count = 0
 
 
 class FixedCounter(BrokenCounter):

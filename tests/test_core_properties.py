@@ -52,13 +52,6 @@ class TestExecutionSummary:
         assert summary.correct == frozenset({0, 1})
         assert summary.steppers == frozenset({1})
 
-    def test_with_certainty(self):
-        summary = ExecutionSummary.of(1, correct=[0])
-        assert (
-            summary.with_certainty(Certainty.HORIZON).certainty
-            is Certainty.HORIZON
-        )
-
 
 class RejectValueSafety(SafetyProperty):
     """Test double: rejects any response with a forbidden value."""

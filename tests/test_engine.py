@@ -470,13 +470,14 @@ class TestSearchMemory:
         assert first.value[1] is second.value[1]
 
     def test_capture_computes_no_fingerprints(self, monkeypatch):
-        # A capture seeds the pool key only when it was already built,
-        # so the fuzzer, which captures but never keys, builds none.
+        # A capture is the pool's state tuple as it stands; once a key
+        # interned its pairs, that tuple is the state captures share.
+        # The fuzzer, which captures but never keys, builds no key.
         config = KernelConfig.initial(TwoCells)
-        assert config.capture().pool_fingerprints is None
+        assert config.capture().pool_state is config.runtime.pool.capture()
         config.fingerprint()
         assert (
-            config.capture().pool_fingerprints
+            config.capture().pool_state
             is config.runtime.pool.snapshot_state()
         )
         calls = []
@@ -529,15 +530,16 @@ class TestSnapshotRestore:
         first = pool.capture()
         pool.apply("a", "write", (1,))
         second = pool.capture()
-        assert second["b"] is first["b"]  # untouched state is shared
-        assert second["a"] is not first["a"]
+        assert second[1] is first[1]  # untouched state is shared
+        assert second[0] is not first[0]
+        assert first[0] == ("a", ("register", 0))  # the capture kept its state
 
     def test_pool_restore_rejects_mismatched_names(self):
         from repro.util.errors import SimulationError
 
         pool = ObjectPool([AtomicRegister("a", 0)])
         with pytest.raises(SimulationError):
-            pool.restore({"other": None})
+            pool.restore((("other", ("register", 0)),))
 
 
 class TestEngineParity:
@@ -769,7 +771,7 @@ class TestDeltaRestore:
         base = pool.capture()
         pool.apply("a", "write", (1,))
         pool.restore(base)
-        assert pool.get("a").snapshot_state() == pool.get("b").snapshot_state()
+        assert pool.state_of("a") == pool.state_of("b")
         pool.apply("b", "write", (2,))
         moved = pool.capture()
         pool.restore(base)
@@ -777,7 +779,7 @@ class TestDeltaRestore:
             [AtomicRegister("a", 0), AtomicRegister("b", 0)]
         ).snapshot_state()
         pool.restore(moved)
-        assert pool.get("b").apply("read", ()) == 2
+        assert pool.apply("b", "read", ()) == 2
 
 
 _KEY_SCRIPT = """

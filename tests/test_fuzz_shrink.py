@@ -244,27 +244,20 @@ class Fuse(BaseObject):
     """``blow``/``heal`` set and clear the fuse; ``touch`` on a blown
     fuse is an invalid primitive (raises)."""
 
-    def __init__(self, name):
-        super().__init__(name)
-        self.blown = False
-
     def methods(self):
         return ("blow", "heal", "touch")
 
-    def apply(self, method, args):
-        if method == "touch" and self.blown:
-            raise SimulationError("touched a blown fuse")
+    def initial_state(self):
+        return False
+
+    def step(self, state, method, args):
+        if method == "touch":
+            if state:
+                raise SimulationError("touched a blown fuse")
+            return None, state
         if method in ("blow", "heal"):
-            self.blown = method == "blow"
-        elif method != "touch":
-            return self._reject(method)
-        return None
-
-    def snapshot_state(self):
-        return self.blown
-
-    def reset(self):
-        self.blown = False
+            return None, method == "blow"
+        return self._reject(method)
 
 
 FUSE_TYPE = ObjectType(

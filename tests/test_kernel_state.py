@@ -1,15 +1,15 @@
 """Tests for the kernel's immutable-state contract.
 
-Process memories hold immutable, hashable values, and base objects
-capture an immutable image of their state, so the engine shares state
-between snapshots instead of deep-copying it and fingerprints a memory
-as its sorted items.  In test form:
+Process memories and base-object states are immutable, hashable
+values, so the engine shares state between snapshots instead of
+deep-copying it and fingerprints a memory as its sorted items.  In test
+form:
 
-* the contract fails loudly: a list left in a process memory, or an
-  unhashable base-object attribute under the default capture, raises
+* the contract fails loudly: a list left in a process memory, or a
+  base-object state that cannot be hashed, raises
   :class:`SimulationError` naming where it is;
-* the three objects that keep a mutable container capture a copy, so
-  writes after a capture never reach the captured state;
+* the three objects whose state holds a container step to a new one,
+  so writes after a capture never reach the captured state;
 * the flat memory key partitions memories exactly as ``freeze()`` did;
 * snapshot and replay exploration agree in lockstep (``mode="parity"``)
   on one implementation per container-holding object kind;
@@ -68,23 +68,16 @@ class ListMemory(Implementation):
 
 
 class Bag(BaseObject):
-    """Keeps a list it appends to, without overriding capture."""
-
-    def __init__(self, name):
-        super().__init__(name)
-        self.items = []
+    """Keeps its items in a list: a state that cannot be hashed."""
 
     def methods(self):
         return ("put",)
 
-    def apply(self, method, args):
-        self.items.append(args[0])
+    def initial_state(self):
+        return []
 
-    def snapshot_state(self):
-        return ("bag", tuple(self.items))
-
-    def reset(self):
-        self.items = []
+    def step(self, state, method, args):
+        return None, state + [args[0]]
 
 
 class BagWriter(Implementation):
@@ -111,12 +104,13 @@ class TestContractFailsLoudly:
         with pytest.raises(SimulationError, match=r"p0 memory\['seen'\]"):
             driver.run(5)
 
-    def test_unhashable_attribute_fails_at_capture(self):
-        with pytest.raises(SimulationError, match="'bag'.*'items'.*capture_state"):
-            Bag("bag").capture_state()
+    def test_unhashable_state_fails_at_pool_construction(self):
+        # Before any capture could share it between snapshots.
+        with pytest.raises(SimulationError, match=r"'bag' \(Bag\) state \[\]"):
+            ObjectPool([Bag("bag")])
 
     def test_unhashable_attribute_fails_in_exploration(self):
-        with pytest.raises(SimulationError, match="'bag'.*'items'"):
+        with pytest.raises(SimulationError, match="'bag'.*not hashable"):
             list(explore_histories(BagWriter, {0: [("note", ())], 1: []}))
 
 
@@ -135,15 +129,12 @@ def _file():
 @pytest.mark.parametrize("make", [_array, _snapshot, _file])
 def test_restore_is_not_aliased_by_later_writes(make):
     obj, (write, write_args), (read, read_args) = make()
-    obj.apply(write, write_args)
-    captured = obj.capture_state()
-    expected = obj.apply(read, read_args)
-    obj.restore_state(captured)
-    obj.apply(write, write_args[:-1] + (6,))
-    assert obj.apply(read, read_args) != expected
-    obj.restore_state(captured)
-    assert obj.apply(read, read_args) == expected
-    assert obj.capture_state() == captured
+    _, captured = obj.step(obj.initial_state(), write, write_args)
+    expected, _ = obj.step(captured, read, read_args)
+    _, later = obj.step(captured, write, write_args[:-1] + (6,))
+    assert obj.step(later, read, read_args)[0] != expected
+    assert obj.step(captured, read, read_args)[0] == expected
+    assert captured == obj.step(obj.initial_state(), write, write_args)[1]
 
 
 #: Immutable memory values, drawn from a small domain so that equal
@@ -223,7 +214,6 @@ def _unseeded(snapshot):
     from it looks every process key up itself."""
     return snapshot._replace(
         processes=tuple(part._replace(fingerprint=None) for part in snapshot.processes),
-        pool_fingerprints=None,
         events_key=None,
     )
 
@@ -302,3 +292,45 @@ def test_crashed_process_keys_apart_from_live_one():
     assert (pool, processes[1:]) == (live[0], live[1][1:])
     config.restore_from(_unseeded(root))
     assert config.kernel_fingerprint() == live
+
+
+# -- pool states restored across implementation instances -----------------------
+
+
+@pytest.mark.parametrize(
+    "scenario_id",
+    [
+        "consensus-grid:impl=commit-adopt,n=3,proposals=alt",  # RegisterFile
+        "lock-mutex:impl=bakery,n=2,rounds=2",  # RegisterArray
+        "i12-opacity",  # AtomicSnapshot, CompareAndSwap
+    ],
+)
+def test_snapshot_restores_into_a_second_instance(scenario_id):
+    # As KernelConfig.from_snapshot and mode="parity" do: the snapshot's
+    # pool state moves into pools built by other factory() calls.  The
+    # first configuration runs on from the snapshot first; each second
+    # instance then takes the same decisions to the same events and
+    # keys, which it could not if a step had reached back into the
+    # state the snapshot shares with them.
+    scenario = get_scenario(scenario_id)
+    successors = plan_successors(scenario.plan)
+    rng = DeterministicRng(f"second-instance-{scenario_id}")
+    config = KernelConfig.initial(scenario.factory)
+    for _ in _walk(config, successors, rng, 12, 0.0):
+        pass
+    snapshot = config.capture()
+    key = config.fingerprint()
+    decisions, expected = [], []
+    for decision in _walk(config, successors, rng, 30, 0.0):
+        decisions.append(decision)
+        expected.append((tuple(config.runtime.events), config.fingerprint()))
+    assert decisions
+    for _ in range(2):
+        other = KernelConfig.from_snapshot(scenario.factory, snapshot)
+        assert other.implementation is not config.implementation
+        assert other.runtime.pool is not config.runtime.pool
+        assert other.fingerprint() == key
+        for decision, (events, fingerprint) in zip(decisions, expected):
+            other.apply(decision)
+            assert tuple(other.runtime.events) == events
+            assert other.fingerprint() == fingerprint

@@ -60,19 +60,16 @@ from repro.base_objects.base import BaseObject
 class Sample(BaseObject):
     def methods(self):
         return ("get",)
-    def snapshot_state(self):
-        return ("sample", self._count)
-    def reset(self):
-        self._count = 0
+    def initial_state(self):
+        return ("sample", 0)
 """
 
 VIOLATING = {
     "FP001": BASE_OBJECT_PREAMBLE + """
-    def apply(self, method, args):
+    def step(self, state, method, args):
         if method == "get":
-            value = self._count
-            self._count += 1
-            return value
+            value = state[1]
+            return value, ("sample", value + 1)
         return self._reject(method)
     def footprint(self, method, args):
         return ("read", None)
@@ -97,15 +94,19 @@ VIOLATING = {
         "        raise KeyError(key)\n"
         "    return table[key]\n"
     ),
+    "IM001": (
+        "import json\nfrom typing import List\n\n"
+        "def dump(value):\n"
+        "    return json.dumps(value, sort_keys=True)\n"
+    ),
 }
 
 CLEAN = {
     "FP001": BASE_OBJECT_PREAMBLE + """
-    def apply(self, method, args):
+    def step(self, state, method, args):
         if method == "get":
-            value = self._count
-            self._count += 1
-            return value
+            value = state[1]
+            return value, ("sample", value + 1)
         return self._reject(method)
     def footprint(self, method, args):
         return ("write", None)
@@ -141,6 +142,11 @@ CLEAN = {
         "        raise unknown_choice('thing', key, table)\n"
         "    return table[key]\n"
     ),
+    "IM001": (
+        "from typing import List\n\n"
+        "def first(items: List[int]) -> int:\n"
+        "    return items[0]\n"
+    ),
 }
 
 
@@ -163,6 +169,145 @@ class TestRulePairs:
         table = rules_table_markdown()
         for rule in RULES:
             assert rule in table
+
+
+class TestFootprintRule:
+    """FP001 over ``step``: a branch that returns a new state writes,
+    keyed by the cells it stores into a copy of the state's container."""
+
+    CELLS = """
+from repro.base_objects.base import BaseObject
+
+class Cells(BaseObject):
+    def methods(self):
+        return ("read", "write")
+    def initial_state(self):
+        return ("cells", (0, 0))
+    def footprint(self, method, args):
+        return ("read" if method == "read" else "write", args[0])
+"""
+
+    def fp001(self, tmp_path, step_source):
+        report = lint_source(tmp_path, self.CELLS + step_source, select=["FP001"])
+        return [d.message for d in report.diagnostics]
+
+    def test_keyed_copy_and_store_is_covered(self, tmp_path):
+        assert self.fp001(tmp_path, """
+    def step(self, state, method, args):
+        if method == "read":
+            cells = state[1]
+            return cells[args[0]], state
+        if method == "write":
+            cells = list(state[1])
+            cells[args[0]] = args[1]
+            return None, ("cells", tuple(cells))
+        return self._reject(method)
+""") == []
+
+    def test_whole_rebuild_under_a_keyed_write_is_flagged(self, tmp_path):
+        (message,) = self.fp001(tmp_path, """
+    def step(self, state, method, args):
+        if method == "read":
+            return state[1][args[0]], state
+        if method == "write":
+            return None, ("cells", (args[1], args[1]))
+        return self._reject(method)
+""")
+        assert "'write' rebuilds the whole state outside the declared cell arg:0" in message
+
+    def test_a_rebuild_beyond_the_stored_cells_is_flagged(self, tmp_path):
+        (message,) = self.fp001(tmp_path, """
+    def step(self, state, method, args):
+        if method == "read":
+            return state[1][args[0]], state
+        if method == "write":
+            cells = list(state[1])
+            cells[args[0]] = args[1]
+            return None, ("cells", tuple(cells), len(cells))
+        return self._reject(method)
+""")
+        assert "'write' rebuilds the whole state outside the declared cell arg:0" in message
+
+    def test_whole_read_under_a_keyed_read_is_flagged(self, tmp_path):
+        (message,) = self.fp001(tmp_path, """
+    def step(self, state, method, args):
+        if method == "read":
+            return sum(state[1]), state
+        if method == "write":
+            cells = list(state[1])
+            cells[args[0]] = args[1]
+            return None, ("cells", tuple(cells))
+        return self._reject(method)
+""")
+        assert "'read' reads the whole state outside the declared cell arg:0" in message
+
+    def test_mutating_the_given_state_is_flagged(self, tmp_path):
+        messages = self.fp001(tmp_path, """
+    def step(self, state, method, args):
+        if method == "read":
+            return state[1][args[0]], state
+        if method == "write":
+            state[1][args[0]] = args[1]
+            return None, state
+        return self._reject(method)
+""")
+        assert any("'write' mutates the state it was given" in m for m in messages)
+
+
+class TestUnusedImports:
+    def test_unused_name_flagged_where_it_is_imported(self, tmp_path):
+        source = (
+            "from typing import (\n"
+            "    Dict,\n"
+            "    List,\n"
+            ")\n\n"
+            "def table() -> Dict[str, int]:\n"
+            "    return {}\n"
+        )
+        report = lint_source(tmp_path, source, select=["IM001"])
+        (diagnostic,) = report.diagnostics
+        assert (diagnostic.line, diagnostic.col) == (3, 4)
+        assert "'List' is imported but never used" in diagnostic.message
+
+    def test_used_names_pass(self, tmp_path):
+        # Read in code, in a quoted annotation, through an attribute of
+        # a dotted import, or listed in __all__.
+        source = (
+            "import os.path\n"
+            "from typing import TYPE_CHECKING, Optional\n"
+            "from repro.util.errors import UsageError, SimulationError\n\n"
+            "__all__ = ['SimulationError']\n\n"
+            "if TYPE_CHECKING:\n"
+            "    from repro.sim.runtime import Runtime\n\n"
+            "def where(runtime: 'Optional[Runtime]') -> str:\n"
+            "    if runtime is None:\n"
+            "        raise UsageError('no runtime')\n"
+            "    return os.path.sep\n"
+        )
+        report = lint_source(tmp_path, source, select=["IM001"])
+        assert report.diagnostics == [], report.render_text()
+
+    def test_noqa_marks_a_re_export(self, tmp_path):
+        source = (
+            "from repro.util.errors import (\n"
+            "    SimulationError,  # noqa: F401\n"
+            "    UsageError,\n"
+            ")\n"
+            "from repro.util.freeze import freeze  # noqa: F401 (re-exported)\n"
+        )
+        report = lint_source(tmp_path, source, select=["IM001"])
+        assert ["UsageError" in d.message for d in report.diagnostics] == [True]
+        assert sorted(s.justification for s in report.suppressed) == [
+            "(re-exported)",
+            "re-export (noqa: F401)",
+        ]
+
+    def test_package_init_re_exports_pass(self, tmp_path):
+        source = "from repro.util.errors import SimulationError, UsageError\n"
+        report = lint_source(tmp_path, source, select=["IM001"], name="__init__.py")
+        assert report.diagnostics == []
+        report = lint_source(tmp_path, source, select=["IM001"], name="module.py")
+        assert len(report.diagnostics) == 2
 
 
 class TestObsGuards:
@@ -376,7 +521,7 @@ class TestBrokenCounterFixture:
         report = lint_paths([str(BROKEN_COUNTER)])
         fp_hits = [d for d in report.diagnostics if d.rule == "FP001"]
         assert fp_hits, report.render_text()
-        assert any("writes self._count" in d.message for d in fp_hits)
+        assert any("returns a new state" in d.message for d in fp_hits)
         # The honest control class is not flagged: every hit names the
         # broken declaration, none the fixed one.
         assert all("BrokenCounter" in d.message for d in fp_hits)
