@@ -14,6 +14,13 @@ supplies two callbacks —
 
 and the explorer walks the deduplicated configuration graph, yielding
 one :class:`ConfigVisit` per unique configuration, at discovery time.
+Each call of :meth:`KernelExplorer.run` chooses its report: every
+configuration (the valency search needs interior nodes and their
+edges), or with ``maximal_only=True`` only the configurations that end
+a maximal run — no choice left, or at search depth ``max_depth`` — the
+only ones exhaustive history exploration checks.  The search is the
+same for both; the maximal-runs report only skips building and
+yielding the interior visits.
 
 Search
 ------
@@ -55,7 +62,9 @@ Modes
 ``parity``
     Runs both modes in lockstep and raises :class:`EngineParityError` on
     the first divergence in fingerprint or schedule — the executable
-    form of the claim that snapshot/restore is exact.
+    form of the claim that snapshot/restore is exact.  Both sides report
+    every configuration, so the maximal-runs report still compares the
+    interior ones it does not yield.
 """
 
 from __future__ import annotations
@@ -114,7 +123,10 @@ class ConfigVisit(NamedTuple):
 
     ``config`` is live only until the iterator advances (the engine
     recycles it); consumers must extract what they need immediately.
-    A named tuple, since one is built per explored configuration.
+    A named tuple, since one is built per reported configuration: per
+    unique configuration in the every-configuration report, per maximal
+    run in the maximal-runs report (``choices`` is then empty, or
+    ``depth`` is at least ``max_depth``).
     """
 
     config: KernelConfig
@@ -157,6 +169,10 @@ class KernelExplorer:
         quietly with the frontier dropped.
     record_edges:
         Also record every explored edge in :attr:`edges`.
+
+    :meth:`run` yields every visit, or with ``maximal_only=True`` only
+    the visits that end a maximal run (see the module docstring); the
+    tables below are the same for both reports.
 
     While and after :meth:`run` is consumed, :attr:`depths` maps each
     visited fingerprint to the depth it was visited at (under ``bfs``,
@@ -212,15 +228,28 @@ class KernelExplorer:
 
     # -- public API --------------------------------------------------------
 
-    def run(self) -> Iterator[ConfigVisit]:
-        """Lazily yield one visit per unique configuration."""
+    def run(self, maximal_only: bool = False) -> Iterator[ConfigVisit]:
+        """Lazily yield one visit per unique configuration, or, with
+        ``maximal_only``, only the visits that end a maximal run: those
+        with no choice left or at search depth ``max_depth`` or more.
+        The search itself (order, dedup, captures, restores) is the same
+        for both reports."""
         if self.mode == "parity":
-            return self._run_parity()
-        return self._run_single()
+            return self._run_parity(maximal_only)
+        return self._run_single(maximal_only)
+
+    def _report_depth(self, maximal_only: bool) -> float:
+        """The search depth from which a visit is reported whatever its
+        choices (a visit with none is always reported): every depth for
+        the every-configuration report, ``max_depth`` (never, when
+        unbounded) for the maximal-runs report."""
+        if not maximal_only:
+            return 0
+        return float("inf") if self.max_depth is None else self.max_depth
 
     # -- internals ---------------------------------------------------------
 
-    def _run_single(self) -> Iterator[ConfigVisit]:
+    def _run_single(self, maximal_only: bool) -> Iterator[ConfigVisit]:
         # The whole search is this one frame: everything per edge is a
         # local.  A frontier entry is [fingerprint, depth, schedule,
         # decisions, snapshot, choices, sleep]: ``decisions`` is the
@@ -237,6 +266,7 @@ class KernelExplorer:
         snapshot = self.mode == "snapshot"
         successors, prune, fingerprint = self.successors, self.prune, self.fingerprint
         max_depth, budget = self.max_depth, self.max_configurations
+        report_depth = self._report_depth(maximal_only)
         self.depths = depths = {}
         self.edges = edges = {}
         edges_of = edges.setdefault if self.record_edges else None
@@ -288,7 +318,8 @@ class KernelExplorer:
             self._budget_hit()
             return
         visited = 1
-        yield ConfigVisit(config, key, (), 0, choices)
+        if not choices or 0 >= report_depth:
+            yield ConfigVisit(config, key, (), 0, choices)
         push([key, 0, (), (), snap, choices, sleep])
 
         while frontier:
@@ -298,10 +329,12 @@ class KernelExplorer:
                 rec.count("engine/frontier_pops")
             if entry is owed:
                 owed = None
-                awake = (
-                    sum(1 for label, _ in choices if label not in sleep)
-                    if sleep else len(choices)
-                )
+                awake = len(choices)
+                if sleep:
+                    awake = 0
+                    for label, _ in choices:
+                        if label not in sleep:
+                            awake += 1
                 if awake > 1:
                     if rec is not None:
                         rec.count("engine/snapshot_captures")
@@ -395,9 +428,10 @@ class KernelExplorer:
                 depths[child_key] = depth + 1
                 if rec is not None:
                     rec.count("engine/frontier_pushes")
-                yield ConfigVisit(
-                    config, child_key, child_schedule, depth + 1, child_choices
-                )
+                if not child_choices or depth + 1 >= report_depth:
+                    yield ConfigVisit(
+                        config, child_key, child_schedule, depth + 1, child_choices
+                    )
                 child = [
                     child_key, depth + 1, child_schedule, child_decisions,
                     None, child_choices, child_sleep,
@@ -407,11 +441,14 @@ class KernelExplorer:
                 # a snapshot; leaves and depth-capped nodes never need
                 # one, and neither does a DPOR node whose every choice is
                 # asleep (expanding it restores nothing).
-                if snapshot and expandable and not (
-                    child_sleep
-                    and all(choice in child_sleep for choice, _ in child_choices)
-                ):
-                    owed = child
+                if snapshot and expandable:
+                    if child_sleep:
+                        for choice, _ in child_choices:
+                            if choice not in child_sleep:
+                                owed = child
+                                break
+                    else:
+                        owed = child
             if blocked and blocked == len(choices) and rec is not None:
                 rec.count("dpor/pruned")
 
@@ -439,14 +476,20 @@ class KernelExplorer:
         the depth of its first visit, so the re-expansion inherits the
         depth budget its subtree was originally measured under."""
         choices = tuple(self.successors(config))
-        merged = sleeps.revisit_sleep(key, sleep, (label for label, _ in choices))
+        enabled = []
+        for label, _ in choices:
+            enabled.append(label)
+        merged = sleeps.revisit_sleep(key, sleep, enabled)
         if merged is None:
             return None
         if rec is not None:
             rec.count("dpor/revisit_repairs")
         return choices, merged
 
-    def _run_parity(self) -> Iterator[ConfigVisit]:
+    def _run_parity(self, maximal_only: bool) -> Iterator[ConfigVisit]:
+        # Both sides report every configuration, so an interior
+        # divergence fails even when only maximal runs are reported.
+        report_depth = self._report_depth(maximal_only)
         snapshot_side = self._clone(mode="snapshot")
         replay_side = self._clone(mode="replay")
         for snap, rep in zip_longest(snapshot_side.run(), replay_side.run()):
@@ -466,7 +509,8 @@ class KernelExplorer:
                 )
             self.depths = snapshot_side.depths
             self.edges = snapshot_side.edges
-            yield snap
+            if not snap.choices or snap.depth >= report_depth:
+                yield snap
 
     def _clone(self, mode: str) -> "KernelExplorer":
         return KernelExplorer(

@@ -21,9 +21,14 @@ O(depth) per node) remains available as ``mode="replay"``, and
 divergence.  The search is serial; it scales through partial-order
 reduction (``reduction="dpor"``), not through a process pool.
 
-The fingerprint is the same exact-configuration fingerprint the lasso
-detector uses — sound dedup under the determinism contract of
-:mod:`repro.sim.kernel`.
+The dedup key is the exact configuration *and* its event history
+(:meth:`~repro.engine.config.KernelConfig.fingerprint`), not the
+history-free :meth:`~repro.engine.config.KernelConfig.kernel_fingerprint`
+a lasso is keyed by: sound dedup under the determinism contract of
+:mod:`repro.sim.kernel` that keeps every distinct history (see
+:func:`explore_histories`).  The engine reports only the maximal runs
+(``KernelExplorer.run(maximal_only=True)``), so no interior
+configuration costs a visit here.
 
 Used by the test suite to verify, e.g., that *every* interleaving of
 two AGP transactions is opaque and that every interleaving of two
@@ -119,13 +124,6 @@ def plan_successors(plan: InvocationPlan) -> Callable[[KernelConfig], List]:
     return successors
 
 
-def _plan_complete(config_pending: Callable[[int], bool], invocations_of, plan) -> bool:
-    return all(
-        invocations_of(pid) >= len(plan[pid]) and not config_pending(pid)
-        for pid in plan
-    )
-
-
 def explore_histories(
     implementation_factory: Callable[[], Implementation],
     plan: InvocationPlan,
@@ -173,11 +171,19 @@ def explore_histories(
             max_configurations=max_configurations,
             reduction=reduction,
         )
-        for visit in explorer.run():
-            run = _visit_to_run(visit.schedule, visit.choices, visit.depth,
-                                max_depth, visit.config, plan)
-            if run is not None:
-                yield run
+        # The maximal-runs report: leaves that are choice-free or at
+        # depth ``max_depth``, the only visits a run is built from.
+        for visit in explorer.run(maximal_only=True):
+            config = visit.config
+            yield ExploredRun(
+                schedule=visit.schedule,
+                history=config.history(),
+                complete=all(
+                    config.invocations_of(pid) >= len(plan[pid])
+                    and not config.is_pending(pid)
+                    for pid in plan
+                ),
+            )
     except SearchBudgetExceeded:
         # Re-raise with the exploration-level budget in the message; the
         # type (a RuntimeError subclass) is part of the API — the verify
@@ -185,19 +191,6 @@ def explore_histories(
         raise SearchBudgetExceeded(
             f"exploration exceeded {max_configurations} configurations"
         ) from None
-
-
-def _visit_to_run(
-    schedule, choices, depth, max_depth, config: KernelConfig, plan
-) -> Optional[ExploredRun]:
-    """Maximal-run filter: leaves are depth-bounded or choice-free."""
-    if choices and depth < max_depth:
-        return None
-    return ExploredRun(
-        schedule=tuple(schedule),
-        history=config.history(),
-        complete=_plan_complete(config.is_pending, config.invocations_of, plan),
-    )
 
 
 def check_all_histories(

@@ -372,11 +372,6 @@ class ProcessState:
     #: The in-flight operation's current point, ``None`` when idle.
     frame: Optional[OpNode] = None
     crashed: bool = False
-    steps: int = 0
-    last_step: int = -1
-    good_response_steps: list = field(default_factory=list)
-    response_count: int = 0
-    invocation_count: int = 0
 
     @property
     def idle(self) -> bool:

@@ -1,5 +1,6 @@
 """Tests for dynamic partial-order reduction: kernel footprints, the
-independence relation, sleep-set bookkeeping (including the stateful
+independence relation and the verdict invariance it claims for every
+shipped safety property, sleep-set bookkeeping (including the stateful
 dedup repair), none-vs-dpor verdict parity on fixed and random
 scenarios, the liveness reduction, and the hash-seed determinism of the
 whole pipeline (byte-identical verdict documents under different
@@ -9,13 +10,17 @@ whole pipeline (byte-identical verdict documents under different
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
 import pytest
 
 from repro.algorithms.consensus import CasConsensus, StubbornConsensus
+from repro.algorithms.locks.lock_type import GRANTED, RELEASED
 from repro.algorithms.tm import AgpTransactionalMemory
+from repro.core.events import Crash, Invocation, Response
+from repro.core.history import History
 from repro.engine.config import KernelConfig
 from repro.engine.dpor import (
     DporParityError,
@@ -32,6 +37,10 @@ from repro.sim import check_all_histories, explore_histories
 from repro.sim.drivers import CrashDecision, InvokeDecision, StepDecision
 from repro.sim.kernel import Footprint
 from repro.sim.liveness_search import LivenessSearch, PlanPolicy
+from repro.util.rng import DeterministicRng
+
+from test_collector import CHECKERS, _fuzz_histories
+from test_differential_properties import random_crashing_tm_history
 
 PROPOSE_PLAN = {0: [("propose", (0,))], 1: [("propose", (1,))]}
 TM_PLAN = {
@@ -174,6 +183,105 @@ class TestIndependence:
             check_reduction("nope")
         with pytest.raises(ValueError, match="reduction"):
             check_reduction("dpor-parity", ("none", "dpor"))
+
+
+def _random_calls_history(rng, call, processes=3, length=14):
+    """A random well-formed history over ``processes`` processes: an
+    idle process invokes ``call(rng, pid)``'s ``(operation, args,
+    response values)``, a pending one responds with one of the values,
+    and a process crashes with small probability and then stops."""
+    events, pending, crashed = [], {}, set()
+    while len(events) < length:
+        running = [pid for pid in range(processes) if pid not in crashed]
+        if not running:
+            break
+        pid = rng.choice(running)
+        if rng.maybe(0.03):
+            events.append(Crash(pid))
+            crashed.add(pid)
+        elif pid in pending:
+            operation, values = pending.pop(pid)
+            events.append(Response(pid, operation, rng.choice(values)))
+        else:
+            operation, args, values = call(rng, pid)
+            events.append(Invocation(pid, operation, args))
+            pending[pid] = (operation, values)
+    return History(events)
+
+
+def _propose(rng, pid):
+    return "propose", (rng.choice((0, 1)),), (0, 1)
+
+
+def _lock_call(holding):
+    def call(rng, pid):
+        # Each process alternates acquire and release.
+        if pid in holding:
+            holding.discard(pid)
+            return "release", (), (RELEASED,)
+        holding.add(pid)
+        return "acquire", (), (GRANTED,)
+
+    return call
+
+
+def _random_histories(scenario_id, seeds=range(300)):
+    """Seeded random histories of the object type of ``scenario_id``."""
+    histories = []
+    for seed in seeds:
+        rng = DeterministicRng(seed)
+        if scenario_id.startswith("agp-"):
+            histories.append(random_crashing_tm_history(rng))
+        elif scenario_id.startswith("consensus-"):
+            histories.append(_random_calls_history(rng, _propose))
+        else:
+            histories.append(_random_calls_history(rng, _lock_call(set())))
+    return histories
+
+
+def _adjacent_same_kind_swaps(history):
+    """Each history with one adjacent pair of same-kind visible events
+    (invocation/invocation or response/response) of different processes
+    swapped."""
+    events = history.events
+    for i in range(len(events) - 1):
+        a, b = events[i], events[i + 1]
+        if a.process != b.process and type(a) is type(b) and not isinstance(a, Crash):
+            yield History(events[:i] + (b, a) + events[i + 2:])
+
+
+def _reason_class(verdict):
+    """A verdict's reason with every number masked: the event positions,
+    values and processes it names may move with a swap, its kind may
+    not."""
+    return re.sub(r"\d+", "#", verdict.reason)
+
+
+class TestIndependenceKeepsVerdicts:
+    """The safety relation's claim (:mod:`repro.engine.dpor`): swapping
+    two adjacent same-kind visible events of different processes keeps
+    the verdict and its reason class for every shipped safety property,
+    on seeded random histories and on fuzz walks of the catalog."""
+
+    @pytest.mark.parametrize("name", sorted(CHECKERS))
+    def test_adjacent_same_kind_swap_keeps_verdict(self, name):
+        factory, scenario_id = CHECKERS[name]
+        checker = factory()
+        histories = _random_histories(scenario_id) + _fuzz_histories(scenario_id)
+        swaps, verdicts = 0, set()
+        for history in histories:
+            verdict = checker.check_history(history)
+            verdicts.add(verdict.holds)
+            for swapped in _adjacent_same_kind_swaps(history):
+                after = checker.check_history(swapped)
+                assert (after.holds, _reason_class(after)) == (
+                    verdict.holds, _reason_class(verdict)
+                ), f"{name}: {history} -> {swapped}"
+                swaps += 1
+        assert swaps >= 200
+        # Violations occur among the random and fuzz histories, so both
+        # verdicts are exercised.
+        assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,9 @@ The engine's load-bearing promises, in test form:
 * its visit order is pinned: three searches reproduce recorded digests
   of their ordered schedules (and, for the valency search, edges), and
   a DPOR revisit repair re-queues its state and counts its capture;
+* its maximal-runs report is the every-configuration report filtered
+  by the maximal-run rule, in order, in every mode, and parity mode
+  still fails on a divergence at a configuration it does not report;
 * it captures only the nodes it comes back to (every snapshot but the
   root's is restored), and a node it must restore without a snapshot
   fails loudly.
@@ -55,11 +58,11 @@ from repro.engine.explorer import (
 from repro.fuzz.driver import FuzzDriver, fuzz_workload
 from repro.fuzz.trace import schedule_to_decisions
 from repro.obs.recorder import recording
-from repro.scenarios import get_scenario, verify
+from repro.scenarios import get_scenario, iter_scenarios, verify
 from repro.sim import explore_histories
 from repro.sim.drivers import CrashDecision, InvokeDecision, StepDecision
 from repro.sim.kernel import Implementation, Op
-from repro.sim.explore import plan_successors
+from repro.sim.explore import ExploredRun, plan_successors
 from repro.sim.liveness_search import LivenessSearch, PlanPolicy
 from repro.util.errors import SimulationError
 from repro.util.freeze import HashedKey
@@ -344,6 +347,110 @@ class TestVisitOrderPin:
             632,
             "82eb37dce809a2f8d5f55eb335a02d59f35dcb584893ed92654b733fbf7903a6",
         )
+
+
+def _maximal_reference(scenario, reduction):
+    """The runs of the every-configuration report (snapshot mode) kept by
+    the maximal-run rule, in visit order, as explore_histories builds
+    them."""
+    plan, max_depth = scenario.plan, scenario.bounds.max_depth
+    explorer = KernelExplorer(
+        scenario.factory,
+        plan_successors(plan),
+        strategy="dfs",
+        max_depth=max_depth,
+        max_configurations=scenario.bounds.max_configurations,
+        reduction=reduction,
+    )
+    runs = []
+    for visit in explorer.run():
+        if visit.choices and visit.depth < max_depth:
+            continue
+        config = visit.config
+        complete = all(
+            config.invocations_of(pid) >= len(plan[pid]) and not config.is_pending(pid)
+            for pid in plan
+        )
+        runs.append(ExploredRun(visit.schedule, config.history(), complete))
+    return runs
+
+
+def _maximal_report(scenario, reduction, mode="snapshot"):
+    """explore_histories' runs: the search's maximal-runs report."""
+    return list(explore_histories(
+        scenario.factory,
+        scenario.plan,
+        max_depth=scenario.bounds.max_depth,
+        max_configurations=scenario.bounds.max_configurations,
+        mode=mode,
+        reduction=reduction,
+    ))
+
+
+class TestMaximalRunsReport:
+    """``run(maximal_only=True)`` reports exactly the visits the
+    every-configuration report would keep under the maximal-run rule (no
+    choice left, or search depth at least ``max_depth``), in the same
+    order, in every mode; and parity mode still compares the interior
+    configurations it does not report."""
+
+    @pytest.mark.parametrize("reduction", ["dpor", "none"])
+    @pytest.mark.parametrize(
+        "scenario_id",
+        sorted(s.scenario_id for s in iter_scenarios("exhaustible")),
+    )
+    def test_equals_filtered_every_configuration_report(self, scenario_id, reduction):
+        scenario = get_scenario(scenario_id)
+        runs = _maximal_report(scenario, reduction)
+        assert runs
+        assert runs == _maximal_reference(scenario, reduction)
+
+    @pytest.mark.parametrize("mode", ["replay", "parity"])
+    @pytest.mark.parametrize(
+        "scenario_id", ["agp-opacity", "lock-mutex:impl=bakery,n=2,rounds=1"]
+    )
+    def test_replay_and_parity_modes(self, scenario_id, mode):
+        scenario = get_scenario(scenario_id)
+        runs = _maximal_report(scenario, "dpor", mode=mode)
+        assert runs == _maximal_reference(scenario, "dpor")
+
+    def test_maximal_only_reports_leaves_and_depth_capped_visits(self):
+        # Unbounded, the two choice-free leaves; bounded, the visits at
+        # the cap, all of which still have choices.
+        every = [(v.schedule, len(v.choices)) for v in two_cells().run()]
+        assert [(s, n) for s, n in every if n == 0] == [
+            ((0, 0, 1, 1), 0), ((0, 1, 1, 0), 0),
+        ]
+        unbounded = [v.schedule for v in two_cells().run(maximal_only=True)]
+        assert unbounded == [(0, 0, 1, 1), (0, 1, 1, 0)]
+        capped = list(two_cells(max_depth=1).run(maximal_only=True))
+        assert [(v.schedule, v.depth, len(v.choices)) for v in capped] == [
+            ((0,), 1, 2), ((1,), 1, 2),
+        ]
+
+    def test_parity_fails_on_an_interior_divergence(self, monkeypatch):
+        # The replay side keys one interior configuration (the root)
+        # differently.  No reported run changes, so only the comparison
+        # of every configuration can notice.
+        scenario = get_scenario("agp-opacity")
+        root = KernelConfig.initial(scenario.factory)
+        assert plan_successors(scenario.plan)(root)
+        root_key = root.fingerprint()
+        clone = KernelExplorer._clone
+
+        def tampered_clone(explorer, mode):
+            side = clone(explorer, mode)
+            if mode == "replay":
+                def fingerprint(config):
+                    key = config.fingerprint()
+                    return ("tampered", key) if key == root_key else key
+
+                side.fingerprint = fingerprint
+            return side
+
+        monkeypatch.setattr(KernelExplorer, "_clone", tampered_clone)
+        with pytest.raises(EngineParityError, match="fingerprint divergence"):
+            _maximal_report(scenario, "dpor", mode="parity")
 
 
 def _dfs_dpor(scenario_id):
