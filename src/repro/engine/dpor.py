@@ -198,16 +198,16 @@ class SleepSets:
         stored = self._expanded.get(key)
         if stored is None:
             return None
-        enabled_set = None if enabled is None else set(enabled)
-        for label in stored:
-            if label not in sleep and (enabled_set is None or label in enabled_set):
-                break
+        if enabled is None:
+            covered = all(label in sleep for label in stored)
         else:
+            enabled_set = set(enabled)
+            covered = all(
+                label in sleep or label not in enabled_set for label in stored
+            )
+        if covered:
             return None
-        merged: Sleep = {}
-        for label in stored:
-            if label in sleep:
-                merged[label] = sleep[label]
+        merged = {label: sleep[label] for label in stored if label in sleep}
         if merged:
             self._expanded[key] = tuple(merged)
         else:

@@ -110,6 +110,14 @@ def check_strategy(strategy: str) -> str:
     return strategy
 
 
+def _reported(choices: tuple, depth: int, cap: Optional[int]) -> bool:
+    """Whether a report yields a visit: it ends a maximal run (no choice
+    left), or its depth is at least ``cap``, which is 0 for the
+    every-configuration report, ``max_depth`` for the maximal-runs
+    report and ``None`` (never) for an unbounded maximal-runs report."""
+    return not choices or (cap is not None and depth >= cap)
+
+
 class SearchBudgetExceeded(RuntimeError):
     """The search would visit more unique nodes than its budget allows."""
 
@@ -234,22 +242,14 @@ class KernelExplorer:
         with no choice left or at search depth ``max_depth`` or more.
         The search itself (order, dedup, captures, restores) is the same
         for both reports."""
+        cap = self.max_depth if maximal_only else 0
         if self.mode == "parity":
-            return self._run_parity(maximal_only)
-        return self._run_single(maximal_only)
-
-    def _report_depth(self, maximal_only: bool) -> float:
-        """The search depth from which a visit is reported whatever its
-        choices (a visit with none is always reported): every depth for
-        the every-configuration report, ``max_depth`` (never, when
-        unbounded) for the maximal-runs report."""
-        if not maximal_only:
-            return 0
-        return float("inf") if self.max_depth is None else self.max_depth
+            return self._run_parity(cap)
+        return self._run_single(cap)
 
     # -- internals ---------------------------------------------------------
 
-    def _run_single(self, maximal_only: bool) -> Iterator[ConfigVisit]:
+    def _run_single(self, cap: Optional[int]) -> Iterator[ConfigVisit]:
         # The whole search is this one frame: everything per edge is a
         # local.  A frontier entry is [fingerprint, depth, schedule,
         # decisions, snapshot, choices, sleep]: ``decisions`` is the
@@ -266,7 +266,6 @@ class KernelExplorer:
         snapshot = self.mode == "snapshot"
         successors, prune, fingerprint = self.successors, self.prune, self.fingerprint
         max_depth, budget = self.max_depth, self.max_configurations
-        report_depth = self._report_depth(maximal_only)
         self.depths = depths = {}
         self.edges = edges = {}
         edges_of = edges.setdefault if self.record_edges else None
@@ -318,7 +317,7 @@ class KernelExplorer:
             self._budget_hit()
             return
         visited = 1
-        if not choices or 0 >= report_depth:
+        if _reported(choices, 0, cap):
             yield ConfigVisit(config, key, (), 0, choices)
         push([key, 0, (), (), snap, choices, sleep])
 
@@ -329,12 +328,10 @@ class KernelExplorer:
                 rec.count("engine/frontier_pops")
             if entry is owed:
                 owed = None
-                awake = len(choices)
-                if sleep:
-                    awake = 0
-                    for label, _ in choices:
-                        if label not in sleep:
-                            awake += 1
+                awake = 0
+                for label, _ in choices:
+                    if not sleep or label not in sleep:
+                        awake += 1
                 if awake > 1:
                     if rec is not None:
                         rec.count("engine/snapshot_captures")
@@ -428,7 +425,7 @@ class KernelExplorer:
                 depths[child_key] = depth + 1
                 if rec is not None:
                     rec.count("engine/frontier_pushes")
-                if not child_choices or depth + 1 >= report_depth:
+                if _reported(child_choices, depth + 1, cap):
                     yield ConfigVisit(
                         config, child_key, child_schedule, depth + 1, child_choices
                     )
@@ -442,13 +439,10 @@ class KernelExplorer:
                 # one, and neither does a DPOR node whose every choice is
                 # asleep (expanding it restores nothing).
                 if snapshot and expandable:
-                    if child_sleep:
-                        for choice, _ in child_choices:
-                            if choice not in child_sleep:
-                                owed = child
-                                break
-                    else:
-                        owed = child
+                    for choice, _ in child_choices:
+                        if not child_sleep or choice not in child_sleep:
+                            owed = child
+                            break
             if blocked and blocked == len(choices) and rec is not None:
                 rec.count("dpor/pruned")
 
@@ -476,20 +470,16 @@ class KernelExplorer:
         the depth of its first visit, so the re-expansion inherits the
         depth budget its subtree was originally measured under."""
         choices = tuple(self.successors(config))
-        enabled = []
-        for label, _ in choices:
-            enabled.append(label)
-        merged = sleeps.revisit_sleep(key, sleep, enabled)
+        merged = sleeps.revisit_sleep(key, sleep, (label for label, _ in choices))
         if merged is None:
             return None
         if rec is not None:
             rec.count("dpor/revisit_repairs")
         return choices, merged
 
-    def _run_parity(self, maximal_only: bool) -> Iterator[ConfigVisit]:
+    def _run_parity(self, cap: Optional[int]) -> Iterator[ConfigVisit]:
         # Both sides report every configuration, so an interior
         # divergence fails even when only maximal runs are reported.
-        report_depth = self._report_depth(maximal_only)
         snapshot_side = self._clone(mode="snapshot")
         replay_side = self._clone(mode="replay")
         for snap, rep in zip_longest(snapshot_side.run(), replay_side.run()):
@@ -509,7 +499,7 @@ class KernelExplorer:
                 )
             self.depths = snapshot_side.depths
             self.edges = snapshot_side.edges
-            if not snap.choices or snap.depth >= report_depth:
+            if _reported(snap.choices, snap.depth, cap):
                 yield snap
 
     def _clone(self, mode: str) -> "KernelExplorer":
